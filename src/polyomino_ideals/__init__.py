@@ -115,7 +115,6 @@ from .intlinalg import (
     smith_normal_form,
 )
 from .orders import (
-    EliminationOrder,
     MonomialOrder,
     canonical_order,
     make_order,

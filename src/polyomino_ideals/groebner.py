@@ -5,6 +5,19 @@ the coprime and chain criteria for pruning, so runs are deterministic and the
 returned basis is the unique reduced Groebner basis (monic, auto-reduced,
 sorted ascending by leading monomial).  The number of S-pairs processed per
 run is capped; the cap comes from POLYIDEAL_GB_STEP_LIMIT when set.
+
+When every generator is a scalar multiple of a pure difference x^a - x^b,
+``buchberger`` runs on (lead, trail) exponent pairs: S-pairs and reductions
+of such binomials stay pure differences (Eisenbud-Sturmfels, "Binomial
+ideals", 1996), so each term is rewritten to its standard monomial on its
+own, with no coefficient arithmetic.  Cached support bitmasks of the leading
+monomials screen every divisibility test.  Both paths pop the same pairs and
+return the same list.
+
+``saturate`` works one variable at a time: for a homogeneous ideal, a graded
+reverse-lex Groebner basis with x_v least, with every element divided by the
+largest power of x_v dividing it, generates the saturation by x_v
+(Sturmfels, "Groebner Bases and Convex Polytopes", Lemma 12.1).
 """
 
 from __future__ import annotations
@@ -12,9 +25,11 @@ from __future__ import annotations
 import heapq
 import os
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import add, neg, sub
 
 from .errors import StepLimitExceededError
-from .orders import EliminationOrder, canonical_order
+from .orders import canonical_order
 from .polynomials import (
     IdealGens,
     Monomial,
@@ -24,7 +39,6 @@ from .polynomials import (
     mono_is_squarefree,
     mono_lcm,
     mono_mul,
-    mono_one,
 )
 
 DEFAULT_STEP_LIMIT = 10**6
@@ -140,30 +154,163 @@ def reduce_groebner_basis(basis, order) -> list[Polynomial]:
     return kept
 
 
+class _Leads:
+    """Leading monomials, each with its support bitmask cached.
+
+    A lead divides m only if its support lies inside m's; for a squarefree
+    lead that decides it, otherwise the exponents above 1 (``powers``) are
+    compared too.
+    """
+
+    def __init__(self, nvars: int):
+        self.bits = tuple(1 << v for v in range(nvars))
+        self.leads: list = []
+        self.masks: list = []
+        self.powers: list = []
+
+    def support(self, m: Monomial) -> int:
+        return sum(compress(self.bits, m))
+
+    def add_lead(self, lead: Monomial) -> None:
+        self.leads.append(lead)
+        self.masks.append(self.support(lead))
+        self.powers.append(tuple((v, e) for v, e in enumerate(lead) if e > 1))
+
+    def divisors(self, m: Monomial, outside: int):
+        """Indices of the leads dividing m, in order; outside is ~support(m)."""
+        powers = self.powers
+        for k, mask in enumerate(self.masks):
+            if mask & outside or powers[k] and any(m[v] < e for v, e in powers[k]):
+                continue
+            yield k
+
+
+class _PolynomialBasis(_Leads):
+    """Monic polynomials; S-pairs are reduced by ``normal_form``."""
+
+    def __init__(self, polys, order):
+        super().__init__(len(next(iter(polys[0].terms))))
+        self.order = order
+        self.polys: list = []
+        for g in polys:
+            self.append(g.monic(order))
+
+    def append(self, g: Polynomial) -> None:
+        self.polys.append(g)
+        self.add_lead(g.leading(self.order)[0])
+
+    def reduce_pair(self, i: int, j: int, lcm: Monomial) -> bool:
+        """Append the S-pair's nonzero remainder; False when it is zero."""
+        basis, order = self.polys, self.order
+        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        if r:
+            self.append(r.monic(order))
+        return bool(r)
+
+    def reduced(self) -> list[Polynomial]:
+        return reduce_groebner_basis(self.polys, self.order)
+
+
+class _BinomialBasis(_Leads):
+    """Pure differences lead - trail as pairs of exponent tuples.
+
+    ``standard`` rewrites a monomial by the first listed lead dividing it,
+    as ``normal_form`` picks its divisor, until none does; an S-pair's two
+    terms are rewritten on their own.
+    """
+
+    def __init__(self, pairs, key):
+        super().__init__(len(pairs[0][0]))
+        self.key = key
+        self.trails: list = []
+        self.shifts: list = []
+        for lead, trail in pairs:
+            self.append(lead, trail)
+
+    def append(self, lead: Monomial, trail: Monomial) -> None:
+        self.add_lead(lead)
+        self.trails.append(trail)
+        self.shifts.append(tuple(map(sub, trail, lead)))
+
+    def standard(self, m: Monomial) -> Monomial:
+        while True:
+            k = next(self.divisors(m, ~self.support(m)), None)
+            if k is None:
+                return m
+            m = tuple(map(add, m, self.shifts[k]))
+
+    def reduce_pair(self, i: int, j: int, lcm: Monomial) -> bool:
+        u = self.standard(tuple(map(add, lcm, self.shifts[i])))
+        w = self.standard(tuple(map(add, lcm, self.shifts[j])))
+        if u == w:
+            return False
+        self.append(*((u, w) if self.key(u) > self.key(w) else (w, u)))
+        return True
+
+    def reduced(self) -> list[Polynomial]:
+        """Minimalize, then rewrite each trail to its standard monomial."""
+        ranked = sorted(range(len(self.leads)), key=lambda k: self.key(self.leads[k]))
+        kept = _BinomialBasis([(self.leads[ranked[0]], self.trails[ranked[0]])], self.key)
+        for k in ranked[1:]:
+            lead = self.leads[k]
+            if next(kept.divisors(lead, ~self.masks[k]), None) is None:
+                kept.append(lead, self.trails[k])
+        return [
+            Polynomial({lead: 1, kept.standard(trail): -1})
+            for lead, trail in zip(kept.leads, kept.trails)
+        ]
+
+
+def _binomial_pairs(polys, order):
+    """(lead, trail) exponent pairs when every polynomial is c*(x^a - x^b)
+    for a nonzero scalar c; None when one is not."""
+    key = order.key
+    pairs = []
+    for g in polys:
+        if len(g.terms) != 2:
+            return None
+        (a, ca), (b, cb) = g.terms.items()
+        if ca + cb:
+            return None
+        pairs.append((a, b) if key(a) > key(b) else (b, a))
+    return pairs
+
+
 def buchberger(gens, order, step_limit: int | None = None) -> list[Polynomial]:
-    """Unique reduced Groebner basis of the given generators."""
+    """Unique reduced Groebner basis of the given generators.
+
+    Pure-difference input runs on the binomial basis, anything else on
+    polynomials; the pair loop is the same for both.
+    """
     if isinstance(gens, IdealGens):
-        polys = list(gens.generators)
-    else:
-        polys = list(gens)
+        gens = gens.generators
+    polys = [g for g in gens if g]
     limit = _resolve_step_limit(step_limit)
-    basis = [g.monic(order) for g in polys if g]
-    lms = [g.leading(order)[0] for g in basis]
+    if not polys:
+        return []
+    pairs = _binomial_pairs(polys, order)
+    if pairs is None:
+        basis = _PolynomialBasis(polys, order)
+    else:
+        basis = _BinomialBasis(pairs, order.key)
+    leads, masks = basis.leads, basis.masks
     key = order.key
 
     heap: list = []
     pending: set = set()
     counter = 0
 
-    def push(i: int, j: int):
+    def push_pairs(j: int):
+        """Queue the pairs (i, j) for every i < j."""
         nonlocal counter
-        heapq.heappush(heap, (key(mono_lcm(lms[i], lms[j])), counter, i, j))
-        pending.add((i, j))
-        counter += 1
-
-    for j in range(len(basis)):
+        lead = leads[j]
         for i in range(j):
-            push(i, j)
+            heapq.heappush(heap, (key(mono_lcm(leads[i], lead)), counter, i, j))
+            counter += 1
+        pending.update(zip(range(j), repeat(j)))
+
+    for j in range(len(leads)):
+        push_pairs(j)
 
     steps = 0
     while heap:
@@ -174,12 +321,12 @@ def buchberger(gens, order, step_limit: int | None = None) -> list[Polynomial]:
             raise StepLimitExceededError(
                 f"Buchberger exceeded {limit} S-pair reductions"
             )
-        l = mono_lcm(lms[i], lms[j])
-        if l == mono_mul(lms[i], lms[j]):
+        if not masks[i] & masks[j]:
             continue  # coprime leading terms
+        l = mono_lcm(leads[i], leads[j])
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not mono_divides(lms[k], l):
+        for k in basis.divisors(l, ~(masks[i] | masks[j])):
+            if k == i or k == j:
                 continue
             pik = (i, k) if i < k else (k, i)
             pjk = (j, k) if j < k else (k, j)
@@ -188,15 +335,9 @@ def buchberger(gens, order, step_limit: int | None = None) -> list[Polynomial]:
                 break
         if skip:
             continue
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
-        if r:
-            r = r.monic(order)
-            basis.append(r)
-            lms.append(r.leading(order)[0])
-            new = len(basis) - 1
-            for i2 in range(new):
-                push(i2, new)
-    return reduce_groebner_basis(basis, order)
+        if basis.reduce_pair(i, j, l):
+            push_pairs(len(leads) - 1)
+    return basis.reduced()
 
 
 def initial_ideal(gb, order) -> list[Monomial]:
@@ -216,35 +357,47 @@ def ideal_equal(F: IdealGens, G: IdealGens, step_limit: int | None = None) -> bo
     return buchberger(F, order, step_limit) == buchberger(G, order, step_limit)
 
 
+class _RevLexLast:
+    """Textbook graded reverse-lex order with x_v least: higher degree wins,
+    then the smaller exponent of x_v, then of x_{n-1}, ..., x_0."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, v: int):
+        self.key = lambda m: (sum(m), -m[v], tuple(map(neg, reversed(m))))
+
+
+def _divide_out(g: Polynomial, v: int) -> Polynomial:
+    """g divided by the largest power of x_v that divides it."""
+    e = min(m[v] for m in g.terms)
+    if not e:
+        return g
+    return Polynomial({m[:v] + (m[v] - e,) + m[v + 1 :]: c for m, c in g.terms.items()})
+
+
 def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGens:
     """Saturation of F by the product of the given variables.
 
-    One fresh variable w is adjoined together with w*prod(x_v) - 1; a
-    Groebner basis under an elimination order (w greatest, then the canonical
-    order on the original block) is computed and intersected with the
-    original variables.
+    F must be homogeneous.  One variable at a time, a Groebner basis under
+    graded reverse-lex with x_v least is computed and every element is
+    divided by the largest power of x_v dividing it; the result generates
+    the saturation by x_v (Sturmfels, Lemma 12.1).  Each Buchberger run gets
+    the step limit, and exceeding it names the variable being saturated.
     """
     n = F.nvars
     vs = sorted(set(variables))
     if any(v < 0 or v >= n for v in vs):
         raise ValueError("variable index out of range")
-    ext = [
-        Polynomial({m + (0,): c for m, c in g.terms.items()})
-        for g in F.generators
-    ]
-    prod = [0] * (n + 1)
+    if any(len({sum(m) for m in g.terms}) > 1 for g in F.generators):
+        raise ValueError("saturation needs homogeneous generators")
+    gens = list(F.generators)
     for v in vs:
-        prod[v] = 1
-    prod[n] = 1
-    ext.append(Polynomial({tuple(prod): 1, mono_one(n + 1): -1}))
-    order = EliminationOrder(canonical_order(n), n)
-    gb = buchberger(ext, order, step_limit)
-    kept = [
-        Polynomial({m[:n]: c for m, c in g.terms.items()})
-        for g in gb
-        if all(m[n] == 0 for m in g.terms)
-    ]
-    return IdealGens(tuple(kept), n)
+        try:
+            gb = buchberger(gens, _RevLexLast(v), step_limit)
+        except StepLimitExceededError as exc:
+            raise StepLimitExceededError(f"saturating by x{v}: {exc}") from exc
+        gens = [_divide_out(g, v) for g in gb]
+    return IdealGens(tuple(gens), n)
 
 
 def quotient_dimension(initial_gens, nvars: int) -> int:

@@ -151,7 +151,11 @@ def lattice_ideal(P: Polyomino, basis: LatticeBasis,
     """Generators of the full lattice ideal of the given basis.
 
     Computed as the saturation of the basis binomials by all variables, which
-    yields the whole lattice ideal for any lattice basis.
+    yields the whole lattice ideal for any lattice basis.  The saturation
+    runs one variable at a time on the binomial Groebner engine and needs
+    homogeneous binomials, so every basis vector must sum to zero; cell
+    vectors and admissible labelings do, since every vertex lies on exactly
+    one maximal horizontal edge interval.  Other bases raise ValueError.
     """
     if basis.ambient != P.num_vertices:
         raise ValueError("basis ambient dimension does not match V(P)")

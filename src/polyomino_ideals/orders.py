@@ -1,4 +1,4 @@
-"""Monomial orders: lex, deglex, degrevlex, weight vectors, elimination.
+"""Monomial orders: lex, deglex, degrevlex and weight vectors.
 
 An order exposes ``key(mono) -> tuple`` so monomials compare through their
 keys; keys from different order instances are not comparable.  The variable
@@ -76,21 +76,6 @@ class MonomialOrder:
 
     def __repr__(self) -> str:
         return f"MonomialOrder({self.spec_string()!r}, nvars={self.nvars})"
-
-
-class EliminationOrder:
-    """Block order: the last variable dominates, the rest compare by inner."""
-
-    __slots__ = ("inner", "elim_var")
-
-    def __init__(self, inner: MonomialOrder, elim_var: int):
-        if elim_var != inner.nvars:
-            raise ValueError("elimination variable must be the last index")
-        self.inner = inner
-        self.elim_var = elim_var
-
-    def key(self, m: Monomial) -> tuple:
-        return (m[self.elim_var], self.inner.key(m[: self.elim_var]))
 
 
 def canonical_order(nvars: int) -> MonomialOrder:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 
 Monomial = tuple  # exponent tuple, one entry per variable
 
@@ -18,20 +19,20 @@ def mono_one(nvars: int) -> Monomial:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """Exact quotient a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
 def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
@@ -132,9 +133,6 @@ class Polynomial:
             return -self
         inv = _inverse(lc)
         return Polynomial({m: c * inv for m, c in self.terms.items()})
-
-    def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
 
     def __repr__(self) -> str:
         return f"Polynomial({polynomial_str(self)})"

@@ -10,7 +10,11 @@ from itertools import combinations
 import pytest
 
 from polyomino_ideals import (
+    IdealGens,
+    Polynomial,
     Polyomino,
+    buchberger,
+    canonical_order,
     cell_neighbors,
     cell_vertices,
     is_tree_like,
@@ -198,3 +202,35 @@ def random_admissible_labeling(P, basis, rng: random.Random) -> dict:
                 vec = [x + c * y for x, y in zip(vec, row)]
         if any(vec):
             return {P.vertices[k]: v for k, v in enumerate(vec) if v}
+
+
+class _EliminationKey:
+    """Block order on nvars + 1 variables: the last one dominates, the rest
+    compare by the canonical order."""
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.inner = canonical_order(nvars)
+
+    def key(self, m):
+        return (m[self.nvars], self.inner.key(m[: self.nvars]))
+
+
+def saturate_by_elimination(F: IdealGens, variables) -> IdealGens:
+    """F : (prod of x_v)^inf by one auxiliary variable w: a Groebner basis of
+    F + (w * prod(x_v) - 1) under an order eliminating w, intersected with
+    the original variables.  Needs no homogeneity."""
+    n = F.nvars
+    ext = [Polynomial({m + (0,): c for m, c in g.terms.items()}) for g in F]
+    prod = [0] * (n + 1)
+    for v in set(variables):
+        prod[v] = 1
+    prod[n] = 1
+    ext.append(Polynomial({tuple(prod): 1, (0,) * (n + 1): -1}))
+    gb = buchberger(ext, _EliminationKey(n))
+    kept = [
+        Polynomial({m[:n]: c for m, c in g.terms.items()})
+        for g in gb
+        if all(m[n] == 0 for m in g.terms)
+    ]
+    return IdealGens(tuple(kept), n)

@@ -22,8 +22,10 @@ from polyomino_ideals import (
     quotient_dimension,
     s_polynomial,
     saturate,
+    vector_binomial,
 )
-from conftest import brute_quotient_dimension
+from polyomino_ideals.groebner import _RevLexLast
+from conftest import brute_quotient_dimension, saturate_by_elimination
 
 X_MINUS_Y = Polynomial({(1, 0): 1, (0, 1): -1})
 
@@ -133,7 +135,7 @@ def test_saturate_unit_square_minor(P1):
 
 
 def test_saturate_idempotent_and_extensive(P2):
-    from polyomino_ideals import cell_lattice_basis, vector_binomial
+    from polyomino_ideals import cell_lattice_basis
 
     basis = cell_lattice_basis(P2)
     F = IdealGens(tuple(vector_binomial(v) for v in basis.vectors), P2.num_vertices)
@@ -144,6 +146,53 @@ def test_saturate_idempotent_and_extensive(P2):
     gb = buchberger(sat, order)
     for g in F:
         assert not normal_form(g, gb, order)
+
+
+def _random_homogeneous_binomials(rng, nvars):
+    """Pure differences x^a - x^b with |a| = |b| and exponents at most 2."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        a = tuple(rng.randrange(3) for _ in range(nvars))
+        b = tuple(rng.randrange(3) for _ in range(nvars))
+        while sum(b) != sum(a):
+            b = tuple(rng.randrange(3) for _ in range(nvars))
+        if a != b:
+            gens.append(Polynomial({a: 1, b: -1}))
+    return gens
+
+
+def _random_variables(rng, nvars):
+    return rng.sample(range(nvars), rng.randint(1, nvars))
+
+
+def test_saturate_matches_elimination_oracle(P2, P3, P4):
+    from polyomino_ideals import cell_lattice_basis
+
+    rng = random.Random(31)
+    cases = []
+    while len(cases) < 12:
+        nvars = rng.randint(2, 5)
+        gens = _random_homogeneous_binomials(rng, nvars)
+        if gens:
+            cases.append((IdealGens(tuple(gens), nvars), _random_variables(rng, nvars)))
+    for P in (P2, P3, P4):
+        n = P.num_vertices
+        F = IdealGens(tuple(vector_binomial(v) for v in cell_lattice_basis(P).vectors), n)
+        cases.append((F, range(n)))
+        cases.extend((F, _random_variables(rng, n)) for _ in range(3))
+    for F, vs in cases:
+        assert ideal_equal(saturate(F, vs), saturate_by_elimination(F, vs))
+
+
+def test_saturate_rejects_inhomogeneous():
+    F = IdealGens((Polynomial({(2, 0): 1, (0, 1): -1}),), 2)  # x^2 - y
+    with pytest.raises(ValueError, match="homogeneous"):
+        saturate(F, [0])
+
+
+def test_saturate_step_limit_names_the_variable(P4):
+    with pytest.raises(StepLimitExceededError, match="saturating by x0"):
+        saturate(inner_minors(P4), range(P4.num_vertices), step_limit=1)
 
 
 def test_initial_ideal_squarefree(P1, P4):
@@ -233,11 +282,25 @@ def _naive_buchberger(gens, order):
 
 
 def test_buchberger_agrees_with_naive_reference(P2, P3):
+    from polyomino_ideals import admissible_lattice
+
     rng = random.Random(29)
     cases = [
         (list(inner_minors(P2)), P2.num_vertices),
         (list(inner_minors(P3)), P3.num_vertices),
+        ([Polynomial({(1, 0): 2, (0, 1): -2})], 2),  # 2x - 2y
     ]
+    # admissible-lattice binomials of P3 with exponents above 1
+    adm = admissible_lattice(P3)
+    lattice_gens = []
+    while len(lattice_gens) < 3:
+        vec = [0] * P3.num_vertices
+        for row in adm.vectors:
+            c = rng.randint(-2, 2)
+            vec = [x + c * y for x, y in zip(vec, row)]
+        if max(map(abs, vec)) > 1:
+            lattice_gens.append(vector_binomial(vec))
+    cases.append((lattice_gens, P3.num_vertices))
     # random pure binomial ideals
     for _ in range(6):
         nvars = rng.randint(2, 4)
@@ -268,8 +331,14 @@ def test_buchberger_agrees_with_naive_reference(P2, P3):
         if gens:
             cases.append((gens, nvars))
     for gens, nvars in cases:
-        for order in order_sample(nvars, permutations=1, weight_orders=1, seed=3):
+        orders = order_sample(nvars, permutations=1, weight_orders=1, seed=3)
+        # the graded reverse-lex orders that saturate uses
+        orders += [_RevLexLast(0), _RevLexLast(nvars - 1)]
+        for order in orders:
             assert buchberger(gens, order) == _naive_buchberger(gens, order)
+            # trail first: each binomial as -x^lead + x^trail
+            trail_first = [-g.monic(order) for g in gens if len(g.terms) == 2]
+            assert buchberger(trail_first, order) == _naive_buchberger(trail_first, order)
 
 
 def test_step_limit_enforced(P4):

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from polyomino_ideals import (
-    EliminationOrder,
     IdealGens,
     MonomialOrder,
     Polynomial,
@@ -97,13 +96,6 @@ def test_parse_order_spec_round_trip():
         parse_order_spec("lex:junk")
     with pytest.raises(ValueError):
         make_order("lex:perm=0,1", 3)
-
-
-def test_elimination_order_blocks():
-    inner = canonical_order(2)
-    order = EliminationOrder(inner, 2)
-    # any power of the eliminated variable beats any monomial without it
-    assert order.key((5, 5, 1)) > order.key((9, 9, 0))
 
 
 def test_polynomial_arithmetic():
