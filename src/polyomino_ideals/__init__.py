@@ -66,8 +66,6 @@ from .grid import (
     maximal_cell_interval,
     maximal_edge_intervals,
     point_key,
-    point_leq,
-    polyomino_from_cells,
 )
 from .gridio import fuzz_conjecture, parse_grid, random_polyomino, render_grid
 from .groebner import (
@@ -106,7 +104,6 @@ from .ideals import (
 from .intlinalg import (
     LatticeBasis,
     hermite_normal_form,
-    int_det,
     invariant_factors,
     is_saturated,
     kernel_basis,

@@ -1,7 +1,9 @@
 """Command line front end.
 
 Grids come from a file argument or stdin ('-'), reports go to stdout as JSON
-(schema field "schema": 1) or readable text, diagnostics go to stderr.  Exit
+(schema field "schema": 1, except ugb-check at 2: its order-free membership
+verdict "candidates_in_ideal" sits at the top level, its per-order outcomes
+carry no S-pair field) or readable text, diagnostics go to stderr.  Exit
 codes: 0 success, 1 usage error, 2 fuzzing found a conjecture counterexample.
 """
 
@@ -272,14 +274,14 @@ def cmd_ugb_check(args) -> int:
     )
     report = universal_gb_check(P, orders)
     payload = {
-        "schema": 1,
+        "schema": 2,
         "command": "ugb-check",
         "candidates": report.candidates,
+        "candidates_in_ideal": report.candidates_in_ideal,
         "passed": report.passed,
         "outcomes": [
             {
                 "order": o.order,
-                "spairs_reduce": o.spairs_reduce,
                 "gb_within_candidates": o.gb_within_candidates,
                 "initial_squarefree": o.initial_squarefree,
                 "gb_size": o.gb_size,
@@ -288,10 +290,14 @@ def cmd_ugb_check(args) -> int:
         ],
         "timings": {"seconds": time.perf_counter() - started},
     }
-    lines = [f"candidates: {report.candidates}", f"passed: {report.passed}"]
+    lines = [
+        f"candidates: {report.candidates}",
+        f"candidates_in_ideal: {report.candidates_in_ideal}",
+        f"passed: {report.passed}",
+    ]
     for o in report.outcomes:
         lines.append(
-            f"{o.order}: spairs={o.spairs_reduce} gb_subset={o.gb_within_candidates} "
+            f"{o.order}: gb_subset={o.gb_within_candidates} "
             f"squarefree={o.initial_squarefree} size={o.gb_size}"
         )
     _emit(payload, args.format, lines)

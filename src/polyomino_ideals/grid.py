@@ -25,11 +25,6 @@ def point_key(p: Point) -> tuple[int, int]:
     return (p[1], p[0])
 
 
-def point_leq(a: Point, b: Point) -> bool:
-    """Componentwise partial order on grid points."""
-    return a[0] <= b[0] and a[1] <= b[1]
-
-
 def cell_vertices(cell: Point) -> tuple[Point, Point, Point, Point]:
     i, j = cell
     return ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1))
@@ -186,11 +181,6 @@ class Polyomino:
                 for v in iv.vertices():
                     table[(v, direction)] = iv
         return table
-
-
-def polyomino_from_cells(cells: Iterable[Point]) -> Polyomino:
-    """Build a normalized polyomino from a set of lower left corners."""
-    return Polyomino(cells)
 
 
 def _merge_runs(values: list[int]) -> list[tuple[int, int]]:

@@ -27,7 +27,6 @@ from .groebner import (
     is_squarefree,
     normal_form,
     quotient_dimension,
-    s_polynomial,
     saturate,
 )
 from .intlinalg import LatticeBasis, kernel_basis
@@ -226,25 +225,30 @@ def dimension(P: Polyomino, gb=None, step_limit: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class OrderOutcome:
+    """Checks (b) and (c) of ``universal_gb_check`` under one order."""
+
     order: str
-    spairs_reduce: bool
     gb_within_candidates: bool
     initial_squarefree: bool
     gb_size: int
 
     @property
     def passed(self) -> bool:
-        return self.spairs_reduce and self.gb_within_candidates and self.initial_squarefree
+        return self.gb_within_candidates and self.initial_squarefree
 
 
 @dataclass(frozen=True)
 class UniversalGBReport:
+    """candidates_in_ideal is check (a), which does not depend on the order;
+    outcomes hold checks (b) and (c), one entry per order."""
+
     candidates: int
+    candidates_in_ideal: bool
     outcomes: tuple[OrderOutcome, ...]
 
     @property
     def passed(self) -> bool:
-        return all(o.passed for o in self.outcomes)
+        return self.candidates_in_ideal and all(o.passed for o in self.outcomes)
 
 
 def universal_gb_check(P: Polyomino, orders,
@@ -252,36 +256,31 @@ def universal_gb_check(P: Polyomino, orders,
     """Check that the primitive cycle binomials form a universal Groebner
     basis of the polyomino ideal over the sampled orders.
 
-    Per order: (a) every S-pair of the candidate set reduces to zero against
-    it, (b) the reduced basis of the minor ideal consists of candidates up to
-    sign, (c) the initial ideal is squarefree.  Requires a balanced
-    polyomino.
+    (a) Every candidate lies in the ideal: one normal form each against the
+    reduced basis that ``is_balanced`` computed under the canonical order.
+    Per order: (b) the reduced basis G of the minor ideal consists of
+    candidates up to sign, (c) the initial ideal is squarefree.  (a) and (b)
+    make the candidates C a Groebner basis under that order, because then
+    in(I) = <in G> <= <in C> <= in(I); no S-pair of C needs reducing.
+    Requires a balanced polyomino.
     """
     from .cycles import cycle_binomial, enumerate_cycles, max_cycle_vertices
 
     if not orders:
         raise ValueError("need at least one order")
-    if not is_balanced(P, step_limit).balanced:
+    balanced = is_balanced(P, step_limit)
+    if not balanced.balanced:
         raise NotBalancedError("the polyomino is not balanced")
     cycles = enumerate_cycles(P, max_vertices=max_cycle_vertices(P), primitive_only=True)
     candidates = [cycle_binomial(P, c) for c in cycles]
+    canonical = canonical_order(P.num_vertices)
+    in_ideal = all(not normal_form(f, balanced.shared_gb, canonical) for f in candidates)
     signed = {f.key() for f in candidates} | {(-f).key() for f in candidates}
     gens = inner_minors(P)
     outcomes = []
     for order in orders:
-        ok_s = True
-        for i in range(len(candidates)):
-            for j in range(i + 1, len(candidates)):
-                s = s_polynomial(candidates[i], candidates[j], order)
-                if normal_form(s, candidates, order):
-                    ok_s = False
-                    break
-            if not ok_s:
-                break
         gb = buchberger(gens, order, step_limit)
         ok_gb = all(g.key() in signed for g in gb)
         ok_sq = is_squarefree(initial_ideal(gb, order))
-        outcomes.append(
-            OrderOutcome(order.spec_string(), ok_s, ok_gb, ok_sq, len(gb))
-        )
-    return UniversalGBReport(len(candidates), tuple(outcomes))
+        outcomes.append(OrderOutcome(order.spec_string(), ok_gb, ok_sq, len(gb)))
+    return UniversalGBReport(len(candidates), in_ideal, tuple(outcomes))

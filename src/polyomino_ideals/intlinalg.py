@@ -29,34 +29,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B) -> list[list[int]]:
-    cols = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
-
-
-def int_det(mat) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    M = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if pivot is None:
-                return 0
-            M[k], M[pivot] = M[pivot], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[-1][-1]
-
-
 def _combine_rows(H, U, r, i, c):
     """Zero H[i][c] against H[r][c] with a unimodular 2-row operation."""
     a, b = H[r][c], H[i][c]

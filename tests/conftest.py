@@ -18,7 +18,8 @@ from polyomino_ideals import (
     cell_neighbors,
     cell_vertices,
     is_tree_like,
-    polyomino_from_cells,
+    normal_form,
+    s_polynomial,
 )
 
 # ---------------------------------------------------------------------------
@@ -27,28 +28,28 @@ from polyomino_ideals import (
 
 @pytest.fixture(scope="session")
 def P1():
-    return polyomino_from_cells({(0, 0)})
+    return Polyomino({(0, 0)})
 
 
 @pytest.fixture(scope="session")
 def P2():
-    return polyomino_from_cells({(0, 0), (1, 0)})
+    return Polyomino({(0, 0), (1, 0)})
 
 
 @pytest.fixture(scope="session")
 def P3():
-    return polyomino_from_cells({(0, 0), (1, 0), (0, 1)})
+    return Polyomino({(0, 0), (1, 0), (0, 1)})
 
 
 @pytest.fixture(scope="session")
 def P4():
-    return polyomino_from_cells({(0, 0), (1, 0), (0, 1), (1, 1)})
+    return Polyomino({(0, 0), (1, 0), (0, 1), (1, 1)})
 
 
 @pytest.fixture(scope="session")
 def P5():
     """3x3 frame with a hole at (1, 1)."""
-    return polyomino_from_cells(
+    return Polyomino(
         {(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (2, 2)}
     )
 
@@ -56,7 +57,7 @@ def P5():
 @pytest.fixture(scope="session")
 def P6():
     """Staple: tree-like with one bad leaf at (0, 1)."""
-    return polyomino_from_cells({(0, 1), (1, 0), (1, 1), (1, 2), (2, 0), (2, 2)})
+    return Polyomino({(0, 1), (1, 0), (1, 1), (1, 2), (2, 0), (2, 2)})
 
 
 @pytest.fixture(scope="session")
@@ -107,7 +108,7 @@ def grow_polyomino(n: int, rng: random.Random) -> Polyomino:
             key=lambda p: (p[1], p[0]),
         )
         cells.add(rng.choice(boundary))
-    return polyomino_from_cells(cells)
+    return Polyomino(cells)
 
 
 def random_tree_like(max_cells: int, rng: random.Random) -> Polyomino:
@@ -134,16 +135,49 @@ def random_row_convex(max_cells: int, rng: random.Random) -> Polyomino:
             start = rng.randint(prev[0] - width + 1, prev[1])
         cells.update((start + k, j) for k in range(width))
         prev = (start, start + width - 1)
-    return polyomino_from_cells(cells)
+    return Polyomino(cells)
 
 
 def random_column_convex(max_cells: int, rng: random.Random) -> Polyomino:
     P = random_row_convex(max_cells, rng)
-    return polyomino_from_cells({(j, i) for i, j in P.cells})
+    return Polyomino({(j, i) for i, j in P.cells})
 
 
 # ---------------------------------------------------------------------------
 # independent oracles
+
+
+def point_leq(a, b) -> bool:
+    """Componentwise partial order on grid points."""
+    return a[0] <= b[0] and a[1] <= b[1]
+
+
+def mat_mul(A, B) -> list[list[int]]:
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
+
+
+def int_det(mat) -> int:
+    """Determinant by fraction-free (Bareiss) elimination."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    M = [list(row) for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if pivot is None:
+                return 0
+            M[k], M[pivot] = M[pivot], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[-1][-1]
 
 
 def vertex_count_inclusion_exclusion(P: Polyomino) -> int:
@@ -234,3 +268,12 @@ def saturate_by_elimination(F: IdealGens, variables) -> IdealGens:
         if all(m[n] == 0 for m in g.terms)
     ]
     return IdealGens(tuple(kept), n)
+
+
+def spair_sweep(candidates, order) -> bool:
+    """Buchberger's criterion, pair by pair: every S-polynomial of the
+    candidates reduces to zero against them under the order."""
+    return all(
+        not normal_form(s_polynomial(f, g, order), candidates, order)
+        for f, g in combinations(candidates, 2)
+    )

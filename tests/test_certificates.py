@@ -54,6 +54,14 @@ def test_doubled_labeling_unit_square(P1):
     assert len(cert) == 2
 
 
+def test_large_labels_domino(P2):
+    # one step per unit of label mass: deeper than the interpreter's
+    # default recursion limit
+    alpha = {(0, 0): 2000, (2, 1): 2000, (0, 1): -2000, (2, 0): -2000}
+    cert = _assert_valid(P2, alpha)
+    assert len(cert) == 2000
+
+
 def test_negative_labeling(P3):
     alpha = vector_labeling(P3, [-x for x in cell_vector(P3, (0, 0))])
     _assert_valid(P3, alpha)

@@ -9,6 +9,7 @@ from polyomino_ideals import (
     GOOD,
     BoundExceededError,
     NotALeafError,
+    Polyomino,
     classify_leaf,
     connection_graph,
     is_column_convex,
@@ -28,9 +29,7 @@ def test_row_column_convex(P1, P4, P5):
 
 def test_column_convex_only():
     # two columns joined only at the bottom row: column convex, not row convex
-    from polyomino_ideals import polyomino_from_cells
-
-    P = polyomino_from_cells({(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)})
+    P = Polyomino({(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)})
     assert is_column_convex(P)
     assert not is_row_convex(P)
 

@@ -18,10 +18,8 @@ from polyomino_ideals import (
     leaves,
     maximal_cell_interval,
     maximal_edge_intervals,
-    point_leq,
-    polyomino_from_cells,
 )
-from conftest import grow_polyomino, vertex_count_inclusion_exclusion
+from conftest import grow_polyomino, point_leq, vertex_count_inclusion_exclusion
 
 
 def test_point_partial_order():
@@ -42,18 +40,18 @@ def test_construction_domino(P2):
 
 
 def test_construction_normalizes():
-    assert polyomino_from_cells({(3, 4), (4, 4)}) == polyomino_from_cells({(0, 0), (1, 0)})
+    assert Polyomino({(3, 4), (4, 4)}) == Polyomino({(0, 0), (1, 0)})
 
 
 def test_construction_disconnected():
     with pytest.raises(NotConnectedError) as info:
-        polyomino_from_cells({(0, 0), (2, 0)})
+        Polyomino({(0, 0), (2, 0)})
     assert info.value.components == [[(0, 0)], [(2, 0)]]
 
 
 def test_construction_empty():
     with pytest.raises(EmptyInputError):
-        polyomino_from_cells(set())
+        Polyomino(set())
 
 
 def test_maximal_edge_intervals_domino(P2):

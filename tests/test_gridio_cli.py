@@ -13,9 +13,9 @@ from polyomino_ideals import (
     EmptyInputError,
     InvalidCountError,
     NotConnectedError,
+    Polyomino,
     fuzz_conjecture,
     parse_grid,
-    polyomino_from_cells,
     random_polyomino,
     render_grid,
 )
@@ -54,11 +54,11 @@ def test_parse_render_round_trip(fixtures):
 
 
 def test_ragged_lines_pad_right():
-    assert parse_grid("##\n#") == polyomino_from_cells({(0, 0), (0, 1), (1, 1)})
+    assert parse_grid("##\n#") == Polyomino({(0, 0), (0, 1), (1, 1)})
 
 
 def test_random_polyomino():
-    assert random_polyomino(1, 99) == polyomino_from_cells({(0, 0)})
+    assert random_polyomino(1, 99) == Polyomino({(0, 0)})
     assert random_polyomino(5, 42) == random_polyomino(5, 42)
     assert len(random_polyomino(8, 7)) == 8
     with pytest.raises(InvalidCountError):
@@ -175,8 +175,12 @@ def test_cli_ugb_check(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["ugb-check", str(grid), "--orders", "2", "--seed", "5", "--format", "json"])
     payload = json.loads(out)
     assert code == 0
+    assert payload["schema"] == 2
+    assert payload["candidates_in_ideal"] is True
     assert payload["passed"] is True
     assert len(payload["outcomes"]) == 7  # lex, deglex, degrevlex + 2 perms + 2 weights
+    assert all(set(o) == {"order", "gb_within_candidates", "initial_squarefree", "gb_size"}
+               for o in payload["outcomes"])
 
 
 def test_cli_certify_treelike(capsys, tmp_path):
@@ -244,6 +248,23 @@ def test_cli_usage_errors(capsys, monkeypatch, tmp_path):
     grid.write_text("##\n")
     code, _, err = run_cli(capsys, ["groebner", str(grid), "--order", "lex:perm=1,0"])
     assert code == 1 and "error:" in err
+
+
+def test_cli_certify_large_labels_without_traceback(tmp_path):
+    labeling = tmp_path / "lab.txt"
+    labeling.write_text("0 0 2000\n2 1 2000\n0 1 -2000\n2 0 -2000\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyomino_ideals", "certify-treelike", "--format", "json",
+         "--labeling", str(labeling), "-"],
+        input="##\n",
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["valid"] is True and payload["length"] == 2000
 
 
 def test_cli_subprocess_entry():

@@ -3,8 +3,10 @@
 import pytest
 
 from polyomino_ideals import (
+    IdealGens,
     NotBalancedError,
     Polynomial,
+    Polyomino,
     ZeroLabelingError,
     admissible_lattice,
     admissible_matrix,
@@ -13,21 +15,27 @@ from polyomino_ideals import (
     canonical_order,
     cell_lattice_basis,
     cell_vector,
+    cycle_binomial,
     dimension,
+    enumerate_cycles,
     ideal_equal,
+    initial_ideal,
     inner_minors,
     is_admissible,
     is_balanced,
     is_prime,
+    is_squarefree,
     labeling_binomial,
     lattice_ideal,
     matrix_rank,
+    max_cycle_vertices,
     normal_form,
     order_sample,
     universal_gb_check,
     vector_binomial,
     vector_labeling,
 )
+from conftest import spair_sweep
 
 ALPHA_UNIT = {(0, 0): 1, (1, 1): 1, (1, 0): -1, (0, 1): -1}
 
@@ -198,3 +206,65 @@ def test_universal_gb_check_requires_balanced(P5):
 def test_universal_gb_check_requires_orders(P1):
     with pytest.raises(ValueError):
         universal_gb_check(P1, [])
+
+
+def _primitive_cycle_binomials(P):
+    cycles = enumerate_cycles(P, max_vertices=max_cycle_vertices(P), primitive_only=True)
+    return [cycle_binomial(P, c) for c in cycles]
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "P6"])
+def test_universal_gb_check_matches_spair_sweep(fixtures, name):
+    P = fixtures[name]
+    orders = order_sample(P.num_vertices)
+    report = universal_gb_check(P, orders)
+    candidates = _primitive_cycle_binomials(P)
+    gens = inner_minors(P)
+    in_ideal = ideal_equal(gens, IdealGens(gens.generators + tuple(candidates), P.num_vertices))
+    signed = {f.key() for f in candidates} | {(-f).key() for f in candidates}
+    per_order = []
+    for order in orders:
+        gb = buchberger(gens, order)
+        per_order.append((
+            spair_sweep(candidates, order),
+            all(g.key() in signed for g in gb),
+            is_squarefree(initial_ideal(gb, order)),
+        ))
+    assert report.candidates == len(candidates)
+    assert report.candidates_in_ideal == in_ideal
+    assert [(o.gb_within_candidates, o.initial_squarefree) for o in report.outcomes] == [
+        (b, c) for _, b, c in per_order
+    ]
+    assert report.passed == (in_ideal and all(all(checks) for checks in per_order))
+    assert report.passed
+
+
+def test_universal_gb_check_rejects_candidate_outside_ideal(P4, monkeypatch):
+    import polyomino_ideals.cycles as cycles_mod
+
+    real = cycles_mod.cycle_binomial
+    swapped = []
+
+    def one_outside(P, cycle):
+        # x_0 - x_1 has degree 1, and the minor ideal is generated in degree 2
+        if len(cycle) == 6 and not swapped:
+            swapped.append(cycle)
+            return Polynomial({(1,) + (0,) * 8: 1, (0, 1) + (0,) * 7: -1})
+        return real(P, cycle)
+
+    monkeypatch.setattr(cycles_mod, "cycle_binomial", one_outside)
+    report = universal_gb_check(P4, order_sample(P4.num_vertices))
+    assert swapped
+    assert report.candidates == 15
+    assert not report.candidates_in_ideal
+    assert not report.passed
+    # no reduced basis under these orders uses a 6-cycle binomial, so checks
+    # (b) and (c) alone would accept the swapped set
+    assert all(o.passed for o in report.outcomes)
+
+
+def test_universal_gb_check_three_by_three_block():
+    block = Polyomino({(i, j) for i in range(3) for j in range(3)})
+    report = universal_gb_check(block, order_sample(block.num_vertices))
+    assert report.candidates == 204
+    assert report.passed

@@ -9,7 +9,6 @@ from polyomino_ideals import (
     admissible_matrix,
     cell_lattice_basis,
     hermite_normal_form,
-    int_det,
     invariant_factors,
     is_saturated,
     kernel_basis,
@@ -17,8 +16,8 @@ from polyomino_ideals import (
     matrix_rank,
     smith_normal_form,
 )
-from polyomino_ideals.intlinalg import identity_matrix, mat_mul, xgcd
-from conftest import grow_polyomino, rational_rank
+from polyomino_ideals.intlinalg import identity_matrix, xgcd
+from conftest import grow_polyomino, int_det, mat_mul, rational_rank
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):
