@@ -17,7 +17,12 @@ return the same list.
 ``saturate`` works one variable at a time: for a homogeneous ideal, a graded
 reverse-lex Groebner basis with x_v least, with every element divided by the
 largest power of x_v dividing it, generates the saturation by x_v
-(Sturmfels, "Groebner Bases and Convex Polytopes", Lemma 12.1).
+(Sturmfels, "Groebner Bases and Convex Polytopes", Lemma 12.1).  It skips
+the variables proven regular modulo the current ideal, where saturating
+changes nothing: a saturated variable stays regular (x_i*f in K : x_w^inf
+gives x_w^m*x_i*f in K, so x_w^m*f in K, so f in K : x_w^inf), and if
+c*x^a + d*x^b lies in I with every variable of x^b regular, every variable
+of x^a is regular (x_i*f in I gives x^a*f, hence x^b*f, hence f in I).
 """
 
 from __future__ import annotations
@@ -46,10 +51,21 @@ STEP_LIMIT_ENV = "POLYIDEAL_GB_STEP_LIMIT"
 
 
 def _resolve_step_limit(step_limit):
-    if step_limit is not None:
-        return step_limit
-    raw = os.environ.get(STEP_LIMIT_ENV)
-    return int(raw) if raw else DEFAULT_STEP_LIMIT
+    """The argument, else POLYIDEAL_GB_STEP_LIMIT, else the default; a value
+    below 1 or not an integer raises ValueError naming its source."""
+    source = "step_limit"
+    if step_limit is None:
+        raw = os.environ.get(STEP_LIMIT_ENV)
+        if not raw:
+            return DEFAULT_STEP_LIMIT
+        source = STEP_LIMIT_ENV
+        try:
+            step_limit = int(raw)
+        except ValueError:
+            raise ValueError(f"{STEP_LIMIT_ENV} must be an integer, got {raw!r}") from None
+    if step_limit < 1:
+        raise ValueError(f"{source} must be at least 1, got {step_limit}")
+    return step_limit
 
 
 def _coeff_quotient(c, lc):
@@ -375,14 +391,55 @@ def _divide_out(g: Polynomial, v: int) -> Polynomial:
     return Polynomial({m[:v] + (m[v] - e,) + m[v + 1 :]: c for m, c in g.terms.items()})
 
 
+def _two_term_supports(gens, nvars: int) -> list:
+    """(support of x^a, support of x^b, their union) as bitmasks for every
+    two-term element c*x^a + d*x^b of gens."""
+    bits = tuple(1 << v for v in range(nvars))
+    out = []
+    for g in gens:
+        if len(g.terms) == 2:
+            a, b = (sum(compress(bits, m)) for m in g.terms)
+            out.append((a, b, a | b))
+    return out
+
+
+def _regular_closure(supports, mask: int) -> int:
+    """Grow a bitmask of variables regular modulo I by the two-term rule of
+    the module docstring, applied both ways until nothing grows; the
+    supports come from ``_two_term_supports`` of generators of I."""
+    live = supports
+    while True:
+        before, rest = mask, []
+        for a, b, ab in live:
+            if not a & ~mask or not b & ~mask:
+                mask |= ab
+            else:
+                rest.append((a, b, ab))
+        if mask == before:
+            return mask
+        live = rest
+
+
 def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGens:
     """Saturation of F by the product of the given variables.
 
     F must be homogeneous.  One variable at a time, a Groebner basis under
     graded reverse-lex with x_v least is computed and every element is
     divided by the largest power of x_v dividing it; the result generates
-    the saturation by x_v (Sturmfels, Lemma 12.1).  Each Buchberger run gets
-    the step limit, and exceeding it names the variable being saturated.
+    the saturation by x_v (Sturmfels, Lemma 12.1).
+
+    Variables proven regular (nonzerodivisors) modulo the current ideal are
+    skipped, since saturating by them changes nothing.  A saturated variable
+    stays regular through later saturations (x_i*f in K : x_w^inf gives
+    x_w^m*x_i*f in K, so x_w^m*f in K, so f in K : x_w^inf), and a two-term
+    element c*x^a + d*x^b whose x^b has only regular variables makes those
+    of x^a regular (x_i*f in I gives x^a*f, hence x^b*f, hence f in I).  The
+    next variable saturated is the one that proves the most, ties going to
+    the lowest index, and the loop stops once every requested variable is
+    regular: the ideal is the same, the generating set may differ.  Each
+    Buchberger run gets the step limit; exceeding it names the variable
+    being saturated and counts the requested variables saturated and proven
+    regular before it.
     """
     n = F.nvars
     vs = sorted(set(variables))
@@ -390,13 +447,31 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
         raise ValueError("variable index out of range")
     if any(len({sum(m) for m in g.terms}) > 1 for g in F.generators):
         raise ValueError("saturation needs homogeneous generators")
+    step_limit = _resolve_step_limit(step_limit)
     gens = list(F.generators)
-    for v in vs:
+    requested = sum(1 << v for v in vs)
+    supports = _two_term_supports(gens, n)
+    regular = saturated = 0
+    while requested & ~regular:
+        grown = {
+            v: _regular_closure(supports, regular | 1 << v)
+            for v in vs
+            if not regular >> v & 1
+        }
+        v = max(grown, key=lambda v: (grown[v].bit_count(), -v))
         try:
             gb = buchberger(gens, _RevLexLast(v), step_limit)
         except StepLimitExceededError as exc:
-            raise StepLimitExceededError(f"saturating by x{v}: {exc}") from exc
+            done = (regular & requested).bit_count()
+            raise StepLimitExceededError(
+                f"saturating by x{v} ({saturated} saturated, {done} regular "
+                f"of {len(vs)}): {exc}"
+            ) from exc
         gens = [_divide_out(g, v) for g in gb]
+        saturated += 1
+        # the old generators lie in the saturation too, so grown[v] holds
+        supports = _two_term_supports(gens, n)
+        regular = _regular_closure(supports, grown[v])
     return IdealGens(tuple(gens), n)
 
 

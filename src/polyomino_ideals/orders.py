@@ -94,8 +94,13 @@ def order_sample(
 
     lex, deglex and degrevlex on the canonical numbering, plus seeded random
     variable permutations and seeded non-negative weight vectors (degrevlex
-    tie-break).
+    tie-break).  Negative counts raise ValueError.
     """
+    if permutations < 0 or weight_orders < 0:
+        raise ValueError(
+            f"order counts must be non-negative, got permutations={permutations}, "
+            f"weight_orders={weight_orders}"
+        )
     rng = random.Random(seed)
     out = [
         MonomialOrder("lex", nvars),

@@ -267,6 +267,33 @@ def test_cli_certify_large_labels_without_traceback(tmp_path):
     assert payload["valid"] is True and payload["length"] == 2000
 
 
+def _run_module(argv, extra_env=None):
+    env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", **(extra_env or {})}
+    return subprocess.run(
+        [sys.executable, "-m", "polyomino_ideals", *argv],
+        input="##\n",
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+def test_cli_ugb_check_rejects_negative_orders():
+    proc = _run_module(["ugb-check", "--orders", "-1", "-"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "permutations=-1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("raw", ["-5", "0", "abc"])
+def test_cli_rejects_bad_step_limit_env(raw):
+    proc = _run_module(["prime", "-"], {"POLYIDEAL_GB_STEP_LIMIT": raw})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "POLYIDEAL_GB_STEP_LIMIT" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_subprocess_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "polyomino_ideals", "classify", "--format", "json", "-"],

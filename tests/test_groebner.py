@@ -14,6 +14,7 @@ from polyomino_ideals import (
     ideal_equal,
     initial_ideal,
     inner_minors,
+    is_prime,
     is_pure_difference,
     is_squarefree,
     normal_form,
@@ -193,6 +194,103 @@ def test_saturate_rejects_inhomogeneous():
 def test_saturate_step_limit_names_the_variable(P4):
     with pytest.raises(StepLimitExceededError, match="saturating by x0"):
         saturate(inner_minors(P4), range(P4.num_vertices), step_limit=1)
+
+
+def _cell_lattice_binomials(P):
+    from polyomino_ideals import cell_lattice_basis
+
+    vectors = cell_lattice_basis(P).vectors
+    return IdealGens(tuple(vector_binomial(v) for v in vectors), P.num_vertices)
+
+
+THREE_BY_THREE = [(i, j) for i in range(3) for j in range(3)]
+
+
+def test_regular_closure_is_sound(P2, P3, P4):
+    # every variable the closure proves regular beyond S is regular modulo
+    # K = F : (prod S)^inf, by the independent elimination oracle
+    from polyomino_ideals.groebner import _regular_closure, _two_term_supports
+
+    rng = random.Random(37)
+    cases = []
+    while len(cases) < 12:
+        nvars = rng.randint(2, 5)
+        gens = _random_homogeneous_binomials(rng, nvars)
+        if gens:
+            cases.append(IdealGens(tuple(gens), nvars))
+    cases += [_cell_lattice_binomials(P) for P in (P2, P3, P4) for _ in range(3)]
+    proven = 0
+    for F in cases:
+        n = F.nvars
+        S = rng.sample(range(n), rng.randint(1, n - 1))
+        K = saturate_by_elimination(F, S)
+        mask = _regular_closure(_two_term_supports(K.generators, n), sum(1 << v for v in S))
+        for v in set(range(n)) - set(S):
+            if mask >> v & 1:
+                proven += 1
+                assert ideal_equal(saturate_by_elimination(K, [v]), K)
+    assert proven >= 10
+
+
+def test_saturate_skips_regular_variables(monkeypatch):
+    # the 3x3 block's cell-lattice binomials: far fewer Buchberger runs than
+    # variables, and still the cell-lattice ideal
+    from polyomino_ideals import Polyomino, groebner
+
+    P = Polyomino(THREE_BY_THREE)
+    F = _cell_lattice_binomials(P)
+    expected = saturate_by_elimination(F, range(16))
+    runs = []
+    real = groebner.buchberger
+
+    def counting(gens, order, step_limit=None):
+        runs.append(order)
+        return real(gens, order, step_limit)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    sat = saturate(F, range(16))
+    assert 0 < len(runs) < 16
+    assert ideal_equal(sat, expected)
+
+
+def test_saturate_step_limit_reports_progress(monkeypatch):
+    # the third run hits a step limit of 1: x0 and x5 are saturated, and the
+    # cell binomial x0*x5 - x1*x4 proves x1 and x4 regular too
+    from polyomino_ideals import Polyomino, groebner
+
+    F = _cell_lattice_binomials(Polyomino(THREE_BY_THREE))
+    runs = []
+    real = groebner.buchberger
+
+    def third_run_limited(gens, order, step_limit=None):
+        runs.append(order)
+        return real(gens, order, 1 if len(runs) == 3 else step_limit)
+
+    monkeypatch.setattr(groebner, "buchberger", third_run_limited)
+    with pytest.raises(
+        StepLimitExceededError,
+        match=r"^saturating by x10 \(2 saturated, 4 regular of 16\): Buchberger exceeded 1 ",
+    ):
+        saturate(F, range(16))
+
+
+def test_step_limit_rejects_values_below_one(monkeypatch, P2):
+    gens = inner_minors(P2)
+    order = canonical_order(P2.num_vertices)
+    with pytest.raises(ValueError, match="step_limit must be at least 1, got 0"):
+        buchberger(gens, order, step_limit=0)
+    with pytest.raises(ValueError, match="step_limit must be at least 1, got 0"):
+        is_prime(P2, step_limit=0)
+    monkeypatch.setenv("POLYIDEAL_GB_STEP_LIMIT", "-5")
+    with pytest.raises(ValueError, match="POLYIDEAL_GB_STEP_LIMIT must be at least 1, got -5"):
+        buchberger(gens, order)
+    with pytest.raises(ValueError, match="POLYIDEAL_GB_STEP_LIMIT"):
+        is_prime(P2)
+    monkeypatch.setenv("POLYIDEAL_GB_STEP_LIMIT", "abc")
+    with pytest.raises(ValueError, match="POLYIDEAL_GB_STEP_LIMIT must be an integer, got 'abc'"):
+        buchberger(gens, order)
+    with pytest.raises(ValueError, match="POLYIDEAL_GB_STEP_LIMIT"):
+        is_prime(P2)
 
 
 def test_initial_ideal_squarefree(P1, P4):

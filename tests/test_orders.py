@@ -85,6 +85,14 @@ def test_order_sample_size_and_determinism():
     assert [o.scheme for o in sample[:3]] == ["lex", "deglex", "degrevlex"]
 
 
+def test_order_sample_rejects_negative_counts():
+    with pytest.raises(ValueError, match="permutations=-1"):
+        order_sample(4, permutations=-1)
+    with pytest.raises(ValueError, match="weight_orders=-2"):
+        order_sample(4, weight_orders=-2)
+    assert len(order_sample(4, permutations=0, weight_orders=0)) == 3
+
+
 def test_parse_order_spec_round_trip():
     spec = parse_order_spec("degrevlex:perm=2,0,1:weights=1,0,3")
     order = make_order(spec, 3)
