@@ -103,12 +103,7 @@ def enumerate_cycles(
             raise ValueError("max_vertices must be an even bound, at least 4")
         limit = max_vertices
 
-    interval_of = {}
-    for d in (HORIZONTAL, VERTICAL):
-        for iv in maximal_edge_intervals(P, d):
-            for v in iv.vertices():
-                interval_of[(v, d)] = iv
-
+    interval_of = P.interval_through
     out = []
     vertices = P.vertices  # already sorted row-major
 

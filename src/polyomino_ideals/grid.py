@@ -174,7 +174,8 @@ class Polyomino:
         return {v: tuple(cs) for v, cs in out.items()}
 
     @cached_property
-    def _interval_through(self) -> dict[tuple[Point, str], EdgeInterval]:
+    def interval_through(self) -> dict[tuple[Point, str], EdgeInterval]:
+        """For each vertex and direction, the maximal edge interval through it."""
         table = {}
         for direction in DIRECTIONS:
             for iv in maximal_edge_intervals(self, direction):
@@ -228,7 +229,7 @@ def maximal_edge_intervals(P: Polyomino, direction: str) -> list[EdgeInterval]:
 def edge_interval_through(P: Polyomino, v: Point, direction: str) -> EdgeInterval:
     """The maximal edge interval of the given direction containing vertex v."""
     try:
-        return P._interval_through[(v, direction)]
+        return P.interval_through[(v, direction)]
     except KeyError:
         raise ValueError(f"{v} is not a vertex of the polyomino") from None
 

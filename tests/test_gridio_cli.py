@@ -267,11 +267,11 @@ def test_cli_certify_large_labels_without_traceback(tmp_path):
     assert payload["valid"] is True and payload["length"] == 2000
 
 
-def _run_module(argv, extra_env=None):
+def _run_module(argv, extra_env=None, stdin="##\n"):
     env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", **(extra_env or {})}
     return subprocess.run(
         [sys.executable, "-m", "polyomino_ideals", *argv],
-        input="##\n",
+        input=stdin,
         capture_output=True,
         text=True,
         env=env,
@@ -304,3 +304,90 @@ def test_cli_subprocess_entry():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["row_convex"] is True
+
+
+# The ten subcommands that print a report, with the arguments a domino run
+# needs besides the grid; certify-treelike also needs a --labeling file.
+REPORT_ARGS = {
+    "parse": [],
+    "classify": [],
+    "ideal": [],
+    "groebner": [],
+    "balanced": [],
+    "prime": [],
+    "dimension": [],
+    "cycles": ["--primitive"],
+    "ugb-check": ["--orders", "1"],
+    "certify-treelike": [],
+}
+DOMINO_LABELING = "0 0 1\n1 1 1\n0 1 -1\n1 0 -1\n"
+
+
+def _with_labeling(argv, tmp_path, labeling):
+    if labeling is None:
+        return argv
+    path = tmp_path / "labeling.txt"
+    path.write_text(labeling)
+    return [*argv, "--labeling", str(path)]
+
+
+def _labeling_for(command):
+    return DOMINO_LABELING if command == "certify-treelike" else None
+
+
+@pytest.mark.parametrize("command", REPORT_ARGS)
+def test_cli_report_contract(capsys, tmp_path, command):
+    grid = tmp_path / "p2.txt"
+    grid.write_text("##\n")
+    argv = _with_labeling([command, *REPORT_ARGS[command]], tmp_path, _labeling_for(command))
+    code, out, _ = run_cli(capsys, [*argv, str(grid), "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["schema"] == (2 if command == "ugb-check" else 1)
+    assert payload["command"] == command
+    assert list(payload)[:2] == ["schema", "command"] and list(payload)[-1] == "timings"
+    seconds = payload["timings"]["seconds"]
+    assert isinstance(seconds, float) and seconds >= 0
+
+
+def test_cli_fuzz_report_contract(capsys):
+    code, out, _ = run_cli(capsys, ["fuzz", "--trials", "2", "--max-cells", "2", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["schema"] == 1
+    seconds = payload["timings"]["seconds"]
+    assert isinstance(seconds, float) and seconds >= 0
+
+
+def _malformed_cases():
+    for command, extra in REPORT_ARGS.items():
+        argv = [command, *extra, "-"]
+        yield pytest.param(argv, "#x\n", _labeling_for(command), "error: unexpected character",
+                           id=f"{command}-bad-character")
+        yield pytest.param(argv, "#.\n.#\n", _labeling_for(command), "error: cells do not form",
+                           id=f"{command}-disconnected")
+    yield pytest.param(["certify-treelike", "-"], "##\n", "0 0 7\n" + DOMINO_LABELING,
+                       "error: labeling line 2: vertex (0, 0) listed twice\n",
+                       id="certify-treelike-vertex-twice")
+    for name, text, message in (
+        ("empty-object", "{}", "render input must be a list"),
+        ("number", "5", "render input must be a list"),
+        ("null", "[[0,0],[0,null]]", "cell 1 is [0, null], not an integer pair"),
+        ("bool", "[[0,0],[true,0]]", "cell 1 is [true, 0], not an integer pair"),
+        ("float", "[[0,0],[0,1.7]]", "cell 1 is [0, 1.7], not an integer pair"),
+        ("not-json", "[[0,0]", "error: Expecting"),
+    ):
+        yield pytest.param(["render", "-"], text, None, message, id=f"render-{name}")
+    yield pytest.param(["groebner", "--order", "lex:perm=1,0", "-"], "##\n", None,
+                       "error: perm must be a permutation", id="groebner-bad-order")
+    yield pytest.param(["fuzz", "--trials", "0"], "", None, "error: trials must be at least 1",
+                       id="fuzz-no-trials")
+
+
+@pytest.mark.parametrize("argv, stdin, labeling, message", _malformed_cases())
+def test_cli_malformed_input_without_traceback(tmp_path, argv, stdin, labeling, message):
+    proc = _run_module(_with_labeling(argv, tmp_path, labeling), stdin=stdin)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
