@@ -74,9 +74,7 @@ from .groebner import (
     initial_ideal,
     is_squarefree,
     normal_form,
-    normal_form_with_quotients,
     quotient_dimension,
-    s_polynomial,
     saturate,
 )
 from .ideals import (

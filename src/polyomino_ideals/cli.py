@@ -73,7 +73,12 @@ def _read_labeling(path: str) -> dict:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"labeling line {lineno}: expected 'i j value'")
-        i, j, value = (int(p) for p in parts)
+        try:
+            i, j, value = map(int, parts)
+        except ValueError:
+            raise ValueError(
+                f"labeling line {lineno}: expected integers 'i j value', got {line!r}"
+            ) from None
         if (i, j) in labeling:
             raise ValueError(f"labeling line {lineno}: vertex {(i, j)} listed twice")
         labeling[(i, j)] = value

@@ -6,13 +6,18 @@ returned basis is the unique reduced Groebner basis (monic, auto-reduced,
 sorted ascending by leading monomial).  The number of S-pairs processed per
 run is capped; the cap comes from POLYIDEAL_GB_STEP_LIMIT when set.
 
-When every generator is a scalar multiple of a pure difference x^a - x^b,
+There is one engine, for pure differences: every generator given to
+``buchberger`` and every basis element given to ``normal_form`` must be a
+scalar multiple of some x^a - x^b, and anything else raises ValueError.
 ``buchberger`` runs on (lead, trail) exponent pairs: S-pairs and reductions
 of such binomials stay pure differences (Eisenbud-Sturmfels, "Binomial
 ideals", 1996), so each term is rewritten to its standard monomial on its
 own, with no coefficient arithmetic.  Cached support bitmasks of the leading
-monomials screen every divisibility test.  Both paths pop the same pairs and
-return the same list.
+monomials screen every divisibility test.  ``normal_form`` is the same
+rewrite: modulo lead - trail, division only swaps a term's monomial for a
+smaller one, so each term c*x^m of f becomes c*x^std(m), std rewriting by
+the first listed lead dividing it until none does, and equal monomials
+merge.
 
 ``saturate`` works one variable at a time: for a homogeneous ideal, a graded
 reverse-lex Groebner basis with x_v least, with every element divided by the
@@ -29,7 +34,6 @@ from __future__ import annotations
 
 import heapq
 import os
-from fractions import Fraction
 from itertools import compress, repeat
 from operator import add, neg, sub
 
@@ -40,10 +44,9 @@ from .polynomials import (
     Monomial,
     Polynomial,
     mono_div,
-    mono_divides,
     mono_is_squarefree,
     mono_lcm,
-    mono_mul,
+    polynomial_str,
 )
 
 DEFAULT_STEP_LIMIT = 10**6
@@ -68,129 +71,50 @@ def _resolve_step_limit(step_limit):
     return step_limit
 
 
-def _coeff_quotient(c, lc):
-    """Exact c / lc staying in int when possible."""
-    if lc == 1:
-        return c
-    if lc == -1:
-        return -c
-    return Fraction(c) / lc
-
-
-def normal_form(f: Polynomial, basis, order) -> Polynomial:
-    """Remainder of f under full division by the listed polynomials.
-
-    Deterministic: always reduces the currently largest term, by the first
-    listed divisor whose leading monomial divides it.  No term of the result
-    is divisible by any leading monomial of the basis.
-    """
-    if not basis:
-        return f
-    lts = [(g.leading(order), g) for g in basis]
+def _binomial_pairs(polys, order):
+    """(lead, trail) exponent pairs of polynomials c*(x^a - x^b), c nonzero;
+    any other polynomial raises ValueError."""
     key = order.key
-    work = dict(f.terms)
-    out: dict = {}
-    while work:
-        t = max(work, key=key)
-        c = work[t]
-        for (lm, lc), g in lts:
-            if mono_divides(lm, t):
-                factor = _coeff_quotient(c, lc)
-                for mg, cg in g.terms.items():
-                    m2 = mono_mul(mono_div(t, lm), mg)
-                    v = work.get(m2, 0) - factor * cg
-                    if v:
-                        work[m2] = v
-                    else:
-                        work.pop(m2, None)
-                break
-        else:
-            out[t] = c
-            del work[t]
-    return Polynomial(out)
+    pairs = []
+    for g in polys:
+        if len(g.terms) != 2 or sum(g.terms.values()):
+            raise ValueError(f"not a pure difference c*(x^a - x^b): {polynomial_str(g)}")
+        a, b = g.terms
+        pairs.append((a, b) if key(a) > key(b) else (b, a))
+    return pairs
 
 
-def normal_form_with_quotients(f: Polynomial, basis, order):
-    """Like normal_form but also returns quotients q with f = sum(q*g) + r."""
-    lts = [(g.leading(order), g) for g in basis]
-    key = order.key
-    work = dict(f.terms)
-    out: dict = {}
-    quotients = [Polynomial.zero() for _ in basis]
-    while work:
-        t = max(work, key=key)
-        c = work[t]
-        for idx, ((lm, lc), g) in enumerate(lts):
-            if mono_divides(lm, t):
-                factor = _coeff_quotient(c, lc)
-                shift = mono_div(t, lm)
-                quotients[idx] = quotients[idx] + Polynomial.monomial(shift, factor)
-                for mg, cg in g.terms.items():
-                    m2 = mono_mul(shift, mg)
-                    v = work.get(m2, 0) - factor * cg
-                    if v:
-                        work[m2] = v
-                    else:
-                        work.pop(m2, None)
-                break
-        else:
-            out[t] = c
-            del work[t]
-    return Polynomial(out), quotients
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
-    lmf, lcf = f.leading(order)
-    lmg, lcg = g.leading(order)
-    l = mono_lcm(lmf, lmg)
-    a = f.term_mul(mono_div(l, lmf), _coeff_quotient(1, lcf))
-    b = g.term_mul(mono_div(l, lmg), _coeff_quotient(1, lcg))
-    return a - b
-
-
-def reduce_groebner_basis(basis, order) -> list[Polynomial]:
-    """Minimalize and tail-reduce a Groebner basis; monic, sorted ascending."""
-    key = order.key
-    monic = sorted((g.monic(order) for g in basis if g), key=lambda g: key(g.leading(order)[0]))
-    kept: list[Polynomial] = []
-    for g in monic:
-        lm = g.leading(order)[0]
-        if not any(mono_divides(h.leading(order)[0], lm) for h in kept):
-            kept.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept)):
-            others = kept[:idx] + kept[idx + 1 :]
-            r = normal_form(kept[idx], others, order).monic(order)
-            if r != kept[idx]:
-                kept[idx] = r
-                changed = True
-    kept.sort(key=lambda g: key(g.leading(order)[0]))
-    return kept
-
-
-class _Leads:
-    """Leading monomials, each with its support bitmask cached.
+class _BinomialBasis:
+    """Pure differences lead - trail as pairs of exponent tuples, each lead
+    with its support bitmask cached.
 
     A lead divides m only if its support lies inside m's; for a squarefree
     lead that decides it, otherwise the exponents above 1 (``powers``) are
-    compared too.
+    compared too.  ``standard`` rewrites a monomial by the first listed lead
+    dividing it until none does; an S-pair's two terms are rewritten on their
+    own.
     """
 
-    def __init__(self, nvars: int):
-        self.bits = tuple(1 << v for v in range(nvars))
+    def __init__(self, pairs, key):
+        self.bits = tuple(1 << v for v in range(len(pairs[0][0])))
+        self.key = key
         self.leads: list = []
         self.masks: list = []
         self.powers: list = []
+        self.trails: list = []
+        self.shifts: list = []
+        for lead, trail in pairs:
+            self.append(lead, trail)
 
     def support(self, m: Monomial) -> int:
         return sum(compress(self.bits, m))
 
-    def add_lead(self, lead: Monomial) -> None:
+    def append(self, lead: Monomial, trail: Monomial) -> None:
         self.leads.append(lead)
         self.masks.append(self.support(lead))
         self.powers.append(tuple((v, e) for v, e in enumerate(lead) if e > 1))
+        self.trails.append(trail)
+        self.shifts.append(tuple(map(sub, trail, lead)))
 
     def divisors(self, m: Monomial, outside: int):
         """Indices of the leads dividing m, in order; outside is ~support(m)."""
@@ -200,54 +124,6 @@ class _Leads:
                 continue
             yield k
 
-
-class _PolynomialBasis(_Leads):
-    """Monic polynomials; S-pairs are reduced by ``normal_form``."""
-
-    def __init__(self, polys, order):
-        super().__init__(len(next(iter(polys[0].terms))))
-        self.order = order
-        self.polys: list = []
-        for g in polys:
-            self.append(g.monic(order))
-
-    def append(self, g: Polynomial) -> None:
-        self.polys.append(g)
-        self.add_lead(g.leading(self.order)[0])
-
-    def reduce_pair(self, i: int, j: int, lcm: Monomial) -> bool:
-        """Append the S-pair's nonzero remainder; False when it is zero."""
-        basis, order = self.polys, self.order
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
-        if r:
-            self.append(r.monic(order))
-        return bool(r)
-
-    def reduced(self) -> list[Polynomial]:
-        return reduce_groebner_basis(self.polys, self.order)
-
-
-class _BinomialBasis(_Leads):
-    """Pure differences lead - trail as pairs of exponent tuples.
-
-    ``standard`` rewrites a monomial by the first listed lead dividing it,
-    as ``normal_form`` picks its divisor, until none does; an S-pair's two
-    terms are rewritten on their own.
-    """
-
-    def __init__(self, pairs, key):
-        super().__init__(len(pairs[0][0]))
-        self.key = key
-        self.trails: list = []
-        self.shifts: list = []
-        for lead, trail in pairs:
-            self.append(lead, trail)
-
-    def append(self, lead: Monomial, trail: Monomial) -> None:
-        self.add_lead(lead)
-        self.trails.append(trail)
-        self.shifts.append(tuple(map(sub, trail, lead)))
-
     def standard(self, m: Monomial) -> Monomial:
         while True:
             k = next(self.divisors(m, ~self.support(m)), None)
@@ -256,6 +132,7 @@ class _BinomialBasis(_Leads):
             m = tuple(map(add, m, self.shifts[k]))
 
     def reduce_pair(self, i: int, j: int, lcm: Monomial) -> bool:
+        """Append the S-pair's nonzero remainder; False when it is zero."""
         u = self.standard(tuple(map(add, lcm, self.shifts[i])))
         w = self.standard(tuple(map(add, lcm, self.shifts[j])))
         if u == w:
@@ -263,40 +140,52 @@ class _BinomialBasis(_Leads):
         self.append(*((u, w) if self.key(u) > self.key(w) else (w, u)))
         return True
 
-    def reduced(self) -> list[Polynomial]:
-        """Minimalize, then rewrite each trail to its standard monomial."""
-        ranked = sorted(range(len(self.leads)), key=lambda k: self.key(self.leads[k]))
-        kept = _BinomialBasis([(self.leads[ranked[0]], self.trails[ranked[0]])], self.key)
-        for k in ranked[1:]:
-            lead = self.leads[k]
-            if next(kept.divisors(lead, ~self.masks[k]), None) is None:
-                kept.append(lead, self.trails[k])
-        return [
-            Polynomial({lead: 1, kept.standard(trail): -1})
-            for lead, trail in zip(kept.leads, kept.trails)
-        ]
+
+def normal_form(f: Polynomial, basis, order) -> Polynomial:
+    """Remainder of f under full division by the listed pure differences:
+    each term c*x^m becomes c*x^std(m) (module docstring), so no term of the
+    result is divisible by a leading monomial of the basis.  A basis element
+    that is not c*(x^a - x^b) raises ValueError.
+    """
+    if not basis:
+        return f
+    rewrite = _BinomialBasis(_binomial_pairs(basis, order), order.key)
+    out: dict = {}
+    for m, c in f.terms.items():
+        m = rewrite.standard(m)
+        out[m] = out.get(m, 0) + c
+    return Polynomial(out)
 
 
-def _binomial_pairs(polys, order):
-    """(lead, trail) exponent pairs when every polynomial is c*(x^a - x^b)
-    for a nonzero scalar c; None when one is not."""
-    key = order.key
-    pairs = []
-    for g in polys:
-        if len(g.terms) != 2:
-            return None
-        (a, ca), (b, cb) = g.terms.items()
-        if ca + cb:
-            return None
-        pairs.append((a, b) if key(a) > key(b) else (b, a))
-    return pairs
+def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
+    # a textbook helper the engine does not call; bench/spans.py LAYERS names it
+    f, g = f.monic(order), g.monic(order)
+    lmf, lmg = f.leading(order)[0], g.leading(order)[0]
+    l = mono_lcm(lmf, lmg)
+    return f.term_mul(mono_div(l, lmf)) - g.term_mul(mono_div(l, lmg))
+
+
+def reduce_groebner_basis(basis: _BinomialBasis) -> list[Polynomial]:
+    """The reduced Groebner basis from a binomial one: keep each lead that no
+    smaller kept lead divides, then rewrite each kept trail to its standard
+    monomial.  Monic, sorted ascending by lead."""
+    key = basis.key
+    ranked = sorted(range(len(basis.leads)), key=lambda k: key(basis.leads[k]))
+    kept = _BinomialBasis([(basis.leads[ranked[0]], basis.trails[ranked[0]])], key)
+    for k in ranked[1:]:
+        lead = basis.leads[k]
+        if next(kept.divisors(lead, ~basis.masks[k]), None) is None:
+            kept.append(lead, basis.trails[k])
+    return [
+        Polynomial({lead: 1, kept.standard(trail): -1})
+        for lead, trail in zip(kept.leads, kept.trails)
+    ]
 
 
 def buchberger(gens, order, step_limit: int | None = None) -> list[Polynomial]:
-    """Unique reduced Groebner basis of the given generators.
+    """Unique reduced Groebner basis of generators c*(x^a - x^b).
 
-    Pure-difference input runs on the binomial basis, anything else on
-    polynomials; the pair loop is the same for both.
+    Any other nonzero generator raises ValueError.
     """
     if isinstance(gens, IdealGens):
         gens = gens.generators
@@ -304,11 +193,7 @@ def buchberger(gens, order, step_limit: int | None = None) -> list[Polynomial]:
     limit = _resolve_step_limit(step_limit)
     if not polys:
         return []
-    pairs = _binomial_pairs(polys, order)
-    if pairs is None:
-        basis = _PolynomialBasis(polys, order)
-    else:
-        basis = _BinomialBasis(pairs, order.key)
+    basis = _BinomialBasis(_binomial_pairs(polys, order), order.key)
     leads, masks = basis.leads, basis.masks
     key = order.key
 
@@ -353,7 +238,7 @@ def buchberger(gens, order, step_limit: int | None = None) -> list[Polynomial]:
             continue
         if basis.reduce_pair(i, j, l):
             push_pairs(len(leads) - 1)
-    return basis.reduced()
+    return reduce_groebner_basis(basis)
 
 
 def initial_ideal(gb, order) -> list[Monomial]:

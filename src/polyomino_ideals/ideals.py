@@ -21,8 +21,8 @@ from .grid import (
     maximal_edge_intervals,
 )
 from .groebner import (
+    _resolve_step_limit,
     buchberger,
-    ideal_equal,
     initial_ideal,
     is_squarefree,
     normal_form,
@@ -186,6 +186,17 @@ class BalancedReport:
     shared_gb: tuple[Polynomial, ...] | None = None
 
 
+def _canonical_minor_basis(P: Polyomino, step_limit: int | None) -> tuple[Polynomial, ...]:
+    """Reduced basis of the inner minors under the canonical order, computed
+    once and kept on P; the step limit is checked on every call."""
+    step_limit = _resolve_step_limit(step_limit)
+    gb = getattr(P, "_canonical_minor_basis", None)
+    if gb is None:
+        gb = tuple(buchberger(inner_minors(P), canonical_order(P.num_vertices), step_limit))
+        P._canonical_minor_basis = gb
+    return gb
+
+
 def is_balanced(P: Polyomino, step_limit: int | None = None) -> BalancedReport:
     """Decide whether every admissible labeling's binomial lies in the
     polyomino ideal."""
@@ -194,10 +205,10 @@ def is_balanced(P: Polyomino, step_limit: int | None = None) -> BalancedReport:
     if adm.rank != ncells:
         return BalancedReport(False, adm.rank, ncells)
     order = canonical_order(P.num_vertices)
-    gb_minors = buchberger(inner_minors(P), order, step_limit)
-    gb_labelings = buchberger(lattice_ideal(P, adm, step_limit), order, step_limit)
+    gb_minors = _canonical_minor_basis(P, step_limit)
+    gb_labelings = tuple(buchberger(lattice_ideal(P, adm, step_limit), order, step_limit))
     if gb_minors == gb_labelings:
-        return BalancedReport(True, adm.rank, ncells, shared_gb=tuple(gb_minors))
+        return BalancedReport(True, adm.rank, ncells, shared_gb=gb_minors)
     offending = next(
         g for g in gb_labelings if normal_form(g, gb_minors, order)
     )
@@ -211,18 +222,19 @@ def is_prime(P: Polyomino, step_limit: int | None = None) -> bool:
     so saturating by all variables lands on its lattice ideal, which is prime
     because the lattice is saturated; conversely a prime binomial ideal free
     of variables equals its saturation.  Hence primality reduces to the
-    fixed-point test below.
+    fixed-point test below, on reduced bases under the canonical order.
     """
-    gens = inner_minors(P)
-    sat = saturate(gens, range(P.num_vertices), step_limit)
-    return ideal_equal(gens, sat, step_limit)
+    sat = saturate(inner_minors(P), range(P.num_vertices), step_limit)
+    canonical = _canonical_minor_basis(P, step_limit)
+    return tuple(buchberger(sat, canonical_order(P.num_vertices), step_limit)) == canonical
 
 
-def dimension(P: Polyomino, gb=None, step_limit: int | None = None) -> int:
-    """Krull dimension of the coordinate ring, via the initial ideal."""
+def dimension(P: Polyomino, step_limit: int | None = None) -> int:
+    """Krull dimension of the coordinate ring: the dimension of the quotient
+    by the initial ideal of the inner minors' reduced basis under the
+    canonical order, the basis ``is_balanced`` and ``is_prime`` share."""
     order = canonical_order(P.num_vertices)
-    if gb is None:
-        gb = buchberger(inner_minors(P), order, step_limit)
+    gb = _canonical_minor_basis(P, step_limit)
     return quotient_dimension(initial_ideal(gb, order), P.num_vertices)
 
 

@@ -18,9 +18,11 @@ from polyomino_ideals import (
     cell_neighbors,
     cell_vertices,
     is_tree_like,
-    normal_form,
-    s_polynomial,
+    mono_divides,
+    mono_mul,
 )
+from polyomino_ideals.groebner import s_polynomial
+from polyomino_ideals.polynomials import mono_div
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -270,10 +272,66 @@ def saturate_by_elimination(F: IdealGens, variables) -> IdealGens:
     return IdealGens(tuple(kept), n)
 
 
+def reference_normal_form(f: Polynomial, basis, order) -> Polynomial:
+    """Remainder of f under full division by the listed polynomials, over the
+    rationals and with no binomial shortcut.
+
+    Deterministic: always reduces the currently largest term, by the first
+    listed divisor whose leading monomial divides it.
+    """
+    if not basis:
+        return f
+    lts = [(g.leading(order), g) for g in basis]
+    key = order.key
+    work = dict(f.terms)
+    out: dict = {}
+    while work:
+        t = max(work, key=key)
+        c = work[t]
+        for (lm, lc), g in lts:
+            if mono_divides(lm, t):
+                factor = Fraction(c) / lc
+                for mg, cg in g.terms.items():
+                    m2 = mono_mul(mono_div(t, lm), mg)
+                    v = work.get(m2, 0) - factor * cg
+                    if v:
+                        work[m2] = v
+                    else:
+                        work.pop(m2, None)
+                break
+        else:
+            out[t] = c
+            del work[t]
+    return Polynomial(out)
+
+
+def reference_reduce_groebner_basis(basis, order) -> list[Polynomial]:
+    """Minimalize and tail-reduce a Groebner basis by ``reference_normal_form``;
+    monic, sorted ascending by leading monomial."""
+    key = order.key
+    monic = sorted((g.monic(order) for g in basis if g), key=lambda g: key(g.leading(order)[0]))
+    kept: list[Polynomial] = []
+    for g in monic:
+        lm = g.leading(order)[0]
+        if not any(mono_divides(h.leading(order)[0], lm) for h in kept):
+            kept.append(g)
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(kept)):
+            others = kept[:idx] + kept[idx + 1 :]
+            r = reference_normal_form(kept[idx], others, order).monic(order)
+            if r != kept[idx]:
+                kept[idx] = r
+                changed = True
+    kept.sort(key=lambda g: key(g.leading(order)[0]))
+    return kept
+
+
 def spair_sweep(candidates, order) -> bool:
     """Buchberger's criterion, pair by pair: every S-polynomial of the
     candidates reduces to zero against them under the order."""
     return all(
-        not normal_form(s_polynomial(f, g, order), candidates, order)
+        not reference_normal_form(s_polynomial(f, g, order), candidates, order)
         for f, g in combinations(candidates, 2)
     )

@@ -369,6 +369,9 @@ def _malformed_cases():
     yield pytest.param(["certify-treelike", "-"], "##\n", "0 0 7\n" + DOMINO_LABELING,
                        "error: labeling line 2: vertex (0, 0) listed twice\n",
                        id="certify-treelike-vertex-twice")
+    yield pytest.param(["certify-treelike", "-"], "##\n", "0 0 1\n1 1 x\n",
+                       "error: labeling line 2: expected integers 'i j value', got '1 1 x'\n",
+                       id="certify-treelike-not-an-integer")
     for name, text, message in (
         ("empty-object", "{}", "render input must be a list"),
         ("number", "5", "render input must be a list"),

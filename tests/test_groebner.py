@@ -1,6 +1,7 @@
 """Division, Buchberger, saturation, initial ideals, quotient dimension."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,15 +19,18 @@ from polyomino_ideals import (
     is_pure_difference,
     is_squarefree,
     normal_form,
-    normal_form_with_quotients,
     order_sample,
     quotient_dimension,
-    s_polynomial,
     saturate,
     vector_binomial,
 )
-from polyomino_ideals.groebner import _RevLexLast
-from conftest import brute_quotient_dimension, saturate_by_elimination
+from polyomino_ideals.groebner import _RevLexLast, s_polynomial
+from conftest import (
+    brute_quotient_dimension,
+    reference_normal_form,
+    reference_reduce_groebner_basis,
+    saturate_by_elimination,
+)
 
 X_MINUS_Y = Polynomial({(1, 0): 1, (0, 1): -1})
 
@@ -53,29 +57,55 @@ def test_normal_form_of_generator_is_zero(P2):
         assert not normal_form(g, gb, order)
 
 
+def _random_pure_differences(rng, nvars, count):
+    """c*(x^a - x^b) with exponents at most 2 and c in {1, -1, 2, -1/3}; no
+    homogeneity, so the list is rarely a Groebner basis."""
+    gens = []
+    for _ in range(count):
+        a = tuple(rng.randrange(3) for _ in range(nvars))
+        b = tuple(rng.randrange(3) for _ in range(nvars))
+        if a != b:
+            c = rng.choice((1, -1, 2, Fraction(-1, 3)))
+            gens.append(Polynomial({a: c, b: -c}))
+    return gens
+
+
+def _sweep_orders(nvars):
+    """The sampled orders plus the graded reverse-lex orders saturate uses."""
+    orders = order_sample(nvars, permutations=1, weight_orders=1, seed=3)
+    return orders + [_RevLexLast(0), _RevLexLast(nvars - 1)]
+
+
 def test_division_contract():
+    # the standard-monomial rewrite equals full rational division, on bases
+    # that need not be Groebner bases and f with arbitrary coefficients
     rng = random.Random(7)
-    order = canonical_order(3)
-    basis = [
-        Polynomial({(1, 1, 0): 1, (0, 0, 1): -1}),
-        Polynomial({(2, 0, 0): 1, (0, 1, 0): -1}),
+    cases = [
+        (3, [
+            Polynomial({(1, 1, 0): 1, (0, 0, 1): -1}),
+            Polynomial({(2, 0, 0): 1, (0, 1, 0): -1}),
+        ])
     ]
-    lead = [g.leading(order)[0] for g in basis]
-    for _ in range(25):
-        f = Polynomial(
-            {
-                tuple(rng.randrange(3) for _ in range(3)): rng.randint(-4, 4)
-                for _ in range(4)
-            }
-        )
-        r, quotients = normal_form_with_quotients(f, basis, order)
-        recomposed = r
-        for q, g in zip(quotients, basis):
-            recomposed = recomposed + q * g
-        assert recomposed == f
-        for t in r.terms:
-            assert not any(all(a <= b for a, b in zip(lm, t)) for lm in lead)
-        assert r == normal_form(f, basis, order)
+    while len(cases) < 60:
+        nvars = rng.randint(2, 4)
+        basis = _random_pure_differences(rng, nvars, rng.randint(1, 4))
+        if basis:
+            cases.append((nvars, basis))
+    for nvars, basis in cases:
+        for order in [canonical_order(nvars), *_sweep_orders(nvars)]:
+            lead = [g.leading(order)[0] for g in basis]
+            for _ in range(5):
+                f = Polynomial(
+                    {
+                        tuple(rng.randrange(4) for _ in range(nvars)):
+                            Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                        for _ in range(4)
+                    }
+                )
+                r = normal_form(f, basis, order)
+                assert r == reference_normal_form(f, basis, order)
+                for t in r.terms:
+                    assert not any(all(a <= b for a, b in zip(lm, t)) for lm in lead)
 
 
 def test_buchberger_principal(P1):
@@ -365,18 +395,17 @@ def test_membership_is_order_independent(P3):
 
 
 def _naive_buchberger(gens, order):
-    """Criteria-free reference: every pair processed, FIFO, then reduced."""
-    from polyomino_ideals.groebner import reduce_groebner_basis
-
+    """Criteria-free reference: every pair processed, FIFO, then reduced, by
+    the rational division of conftest."""
     basis = [g.monic(order) for g in gens if g]
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
         i, j = pairs.pop(0)
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        r = reference_normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
         if r:
             basis.append(r.monic(order))
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    return reduce_groebner_basis(basis, order)
+    return reference_reduce_groebner_basis(basis, order)
 
 
 def test_buchberger_agrees_with_naive_reference(P2, P3):
@@ -410,9 +439,9 @@ def test_buchberger_agrees_with_naive_reference(P2, P3):
                 gens.append(Polynomial({a: 1, b: -1}))
         if gens:
             cases.append((gens, nvars))
-    # random dense ideals with honest rational coefficients
-    from fractions import Fraction
-
+    # random dense ideals with honest rational coefficients: not pure
+    # differences, so the engine refuses them
+    rational = []
     for _ in range(4):
         nvars = 2
         gens = []
@@ -427,16 +456,19 @@ def test_buchberger_agrees_with_naive_reference(P2, P3):
             if g:
                 gens.append(g)
         if gens:
-            cases.append((gens, nvars))
+            rational.append((gens, nvars))
     for gens, nvars in cases:
-        orders = order_sample(nvars, permutations=1, weight_orders=1, seed=3)
-        # the graded reverse-lex orders that saturate uses
-        orders += [_RevLexLast(0), _RevLexLast(nvars - 1)]
-        for order in orders:
+        for order in _sweep_orders(nvars):
             assert buchberger(gens, order) == _naive_buchberger(gens, order)
             # trail first: each binomial as -x^lead + x^trail
             trail_first = [-g.monic(order) for g in gens if len(g.terms) == 2]
             assert buchberger(trail_first, order) == _naive_buchberger(trail_first, order)
+    for gens, nvars in rational:
+        for order in _sweep_orders(nvars):
+            with pytest.raises(ValueError, match="not a pure difference"):
+                buchberger(gens, order)
+            with pytest.raises(ValueError, match="not a pure difference"):
+                normal_form(gens[0], gens, order)
 
 
 def test_step_limit_enforced(P4):

@@ -148,6 +148,33 @@ def test_dimension(P1, P2, P4):
     assert dimension(P4) == 5
 
 
+def test_canonical_minor_basis_built_once(monkeypatch):
+    # is_balanced, is_prime and dimension share one Buchberger run on the
+    # inner minors under the canonical order, kept on the polyomino
+    from polyomino_ideals import groebner, ideals
+
+    P = Polyomino({(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)})  # fresh, nothing cached
+    minors = inner_minors(P).generators
+    canonical = repr(canonical_order(P.num_vertices))
+    runs = []
+    real = groebner.buchberger
+
+    def counting(gens, order, step_limit=None):
+        if tuple(gens) == minors and repr(order) == canonical:
+            runs.append(order)
+        return real(gens, order, step_limit)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    monkeypatch.setattr(ideals, "buchberger", counting)
+    assert is_balanced(P).balanced
+    assert is_prime(P)
+    assert dimension(P) == P.num_vertices - len(P)
+    assert len(runs) == 1
+    # a cached basis does not skip the step-limit check
+    with pytest.raises(ValueError, match="step_limit must be at least 1, got 0"):
+        dimension(P, step_limit=0)
+
+
 def test_containment_chain(fixtures, labeling_ideal_P5):
     # inner minors lie in the cell-lattice ideal, which lies in the
     # admissible-labeling ideal
