@@ -5,133 +5,125 @@ ideal of inner minors, and the proof is effective: pick a good leaf, peel one
 unit off the labels across an inner minor supported on the leaf's cell
 interval, and repeat.  The certificate lists (multiplier, inner minor) pairs
 whose products sum exactly to the labeling's binomial.
+
+The leaves peeled and the minors they use depend only on P, so the peel plan
+is built once and kept on P: the chain P_0 = P, P_1, ..., one cell, where
+P_{k+1} is P_k without its smallest good leaf, with that leaf's free
+vertices and minors.  A labeling uses a prefix of it.  Building the plan
+decides tree-likeness too: a leaf of a polyomino is a leaf of every
+sub-polyomino holding it, so peeling leaves never enters a leafless
+sub-polyomino; reaching one cell proves P tree-like, a leafless P_k that it
+is not.
 """
 
 from __future__ import annotations
 
 from .classify import GOOD, classify_leaf, is_tree_like, leaf_interval
 from .errors import NotAdmissibleError, NotTreeLikeError
-from .grid import (
-    HORIZONTAL,
-    Polyomino,
-    edge_interval_through,
-    leaves,
-    point_key,
-)
-from .ideals import inner_minor, is_admissible, labeling_binomial, labeling_vector
-from .polynomials import Polynomial, mono_gcd, mono_mul, mono_one
+from .grid import HORIZONTAL, Polyomino, edge_interval_through, leaves
+from .ideals import inner_minor, is_admissible, labeling_vector
+from .polynomials import Polynomial, mono_mul
 
 Certificate = list[tuple[Polynomial, Polynomial]]
 
 
 def expand_certificate(cert: Certificate) -> Polynomial:
     """Sum of multiplier * minor over the certificate, exact arithmetic."""
-    total = Polynomial.zero()
+    total: dict = {}
     for multiplier, minor in cert:
-        total = total + multiplier * minor
-    return total
+        for m1, c1 in multiplier.terms.items():
+            for m2, c2 in minor.terms.items():
+                m = mono_mul(m1, m2)
+                total[m] = total.get(m, 0) + c1 * c2
+    return Polynomial(total)
 
 
-def _positive_monomial(P: Polyomino, values: dict) -> tuple:
-    vec = [0] * P.num_vertices
-    idx = P.vertex_index
-    for pt, v in values.items():
-        if v > 0:
-            vec[idx[pt]] = v
-    return tuple(vec)
+def _peel_plan(P: Polyomino) -> list:
+    """(a1, a2, options) per P_k, vertex indices of P: a1 and a2 are the
+    leaf's free vertices, a2 on an edge interval as long as the leaf's cell
+    interval; options holds (c, d, step sign, minor) for each other vertex c
+    of that edge interval, in row-major order, d completing the rectangle.
 
-
-def _peel_site(sub: Polyomino):
-    """The good leaf the certificate peels from sub, its cell interval's
-    direction, and the leaf's free vertices a1 and a2 (a2 on the matching
-    edge interval)."""
-    good = [lf for lf in leaves(sub) if classify_leaf(sub, lf.cell) == GOOD]
-    if not good:
-        raise RuntimeError("tree-like polyomino without a good leaf")
-    leaf = min(good, key=lambda lf: point_key(lf.cell))
-    interval = leaf_interval(sub, leaf.cell)
-    witnesses = [
-        v
-        for v in leaf.free_vertices
-        if edge_interval_through(sub, v, interval.direction).num_edges
-        == interval.num_cells
-    ]
-    a2 = min(witnesses, key=point_key)
-    a1 = next(v for v in leaf.free_vertices if v != a2)
-    return leaf, interval.direction, a1, a2
-
-
-def _certify(P: Polyomino, values: dict) -> Certificate:
-    """Certificate for the binomial of an admissible labeling of P.
-
-    Peels one unit at a time off the labels of a good leaf's free vertices
-    across an inner minor on the leaf's cell interval; once both free labels
-    vanish the leaf cell is dropped.  The sub-polyominoes share coordinates
-    with P (no renormalization), so their minors are minors of P.  After a
-    step the rest of the binomial is cofactor * (binomial of the new
-    labels) up to sign, so sign and cofactor scale every later multiplier.
+    A leafless P_k raises NotTreeLikeError.  A P_k with leaves but no good
+    leaf ends the plan once ``is_tree_like`` confirms P is tree-like.
     """
+    plan = getattr(P, "_peel_plan", None)
+    if plan is not None:
+        return plan
     idx = P.vertex_index
+    plan = []
+    sub = P
+    while True:
+        found = leaves(sub)
+        leaf = next((lf for lf in found if classify_leaf(sub, lf.cell) == GOOD), None)
+        if leaf is None:
+            if found and is_tree_like(P).tree_like:
+                break
+            raise NotTreeLikeError("certificates require a tree-like polyomino")
+        interval = leaf_interval(sub, leaf.cell)
+        direction = interval.direction
+        a1, a2 = leaf.free_vertices
+        if edge_interval_through(sub, a1, direction).num_edges == interval.num_cells:
+            a1, a2 = a2, a1
+        options = []
+        for c in edge_interval_through(sub, a2, direction).vertices():
+            if c != a2:
+                d = (c[0], a1[1]) if direction == HORIZONTAL else (a1[0], c[1])
+                ll, ur = min(a1, a2, c, d), max(a1, a2, c, d)
+                step_sign = 1 if {a1, c} == {ll, ur} else -1
+                options.append((idx[c], idx[d], step_sign, inner_minor(P, (ll, ur))))
+        plan.append((idx[a1], idx[a2], tuple(options)))
+        if len(sub) == 1:
+            break
+        sub = Polyomino(sub.cells - {leaf.cell}, normalize=False)
+    P._peel_plan = plan
+    return plan
+
+
+def _certify(plan: list, vec: list[int]) -> Certificate:
+    """Certificate for x^p - x^q, p and q the positive and negative parts of
+    the admissible labels vec, in integer updates of the labels.
+
+    Each plan entry peels one unit at a time off the labels of a1 (made
+    positive by negating every label, which flips sign) and a2 across the
+    minor of the first option c with a positive label.  With e_v the unit
+    vector of v, the multiplier x^(p - e_a1 - e_c) times the minor is
+    x^p - x^(p - e_a1 - e_c + e_a2 + e_d), so the remainder is
+    x^(p - e_a1 - e_c + e_a2 + e_d) - x^q: zero once the new labels
+    vec - e_a1 - e_c + e_a2 + e_d vanish, else their binomial times the gcd
+    of its terms.  As p and q have disjoint supports, that gcd is e_a2 plus
+    e_d, each iff its label was negative.  So sign and the product of the
+    gcds (cofactor) scale every later multiplier.
+    """
+    vals = list(vec)
     cert: Certificate = []
     sign = 1
-    cofactor = mono_one(P.num_vertices)
-    sub = P
-    values = {pt: v for pt, v in values.items() if v}
-    while values:
-        leaf, direction, a1, a2 = _peel_site(sub)
-        while values.get(a1, 0):
-            if values[a1] < 0:
+    cofactor = [0] * len(vals)
+    for a1, a2, options in plan:
+        while vals[a1]:
+            if vals[a1] < 0:
                 sign = -sign
-                values = {pt: -v for pt, v in values.items()}
-
-            # values[a1] > 0, values[a2] < 0; find an opposite sign inside the
-            # matching interval through a2 and cancel across an inner minor
-            span = edge_interval_through(sub, a2, direction)
-            c = min(
-                (w for w in span.vertices() if values.get(w, 0) > 0),
-                key=point_key,
-            )
-            if direction == HORIZONTAL:
-                d = (c[0], a1[1])
-            else:
-                d = (a1[0], c[1])
-            corners = (a1, a2, c, d)
-            ll = min(corners)
-            ur = max(corners)
-            minor = inner_minor(P, (ll, ur))
-            step_sign = 1 if {a1, c} == {ll, ur} else -1
-
-            shift = list(_positive_monomial(P, values))
-            shift[idx[a1]] -= 1
-            shift[idx[c]] -= 1
-            multiplier = Polynomial.monomial(tuple(shift), step_sign)
-            cert.append(
-                (Polynomial.monomial(mono_mul(shift, cofactor), sign * step_sign), minor)
-            )
-
-            remainder = labeling_binomial(P, values) - multiplier * minor
-            if not remainder:
-                return cert
-            m1, m2 = remainder.terms
-            cofactor = mono_mul(cofactor, mono_gcd(m1, m2))
-            for pt, dv in ((a1, -1), (c, -1), (a2, 1), (d, 1)):
-                values[pt] = values.get(pt, 0) + dv
-            values = {pt: v for pt, v in values.items() if v}
-
-        # both free labels vanish; drop the leaf cell
-        sub = Polyomino(sub.cells - {leaf.cell}, normalize=False)
-        kept = set(sub.vertices)
-        values = {pt: v for pt, v in values.items() if pt in kept}
+                vals = [-v for v in vals]
+            c, d, step_sign, minor = next(o for o in options if vals[o[0]] > 0)
+            shift = [v + e if v > 0 else e for v, e in zip(vals, cofactor)]
+            shift[a1] -= 1
+            shift[c] -= 1
+            cert.append((Polynomial.monomial(tuple(shift), sign * step_sign), minor))
+            for v in (a2, d):
+                if vals[v] < 0:
+                    cofactor[v] += 1
+                vals[v] += 1
+            vals[a1] -= 1
+            vals[c] -= 1
+    if any(vals):
+        raise RuntimeError("tree-like polyomino without a good leaf")
     return cert
 
 
 def balanced_certificate_treelike(P: Polyomino, labeling: dict) -> Certificate:
     """Express the labeling's binomial as an explicit combination of inner
     minors; only valid for tree-like polyominoes."""
-    if not is_tree_like(P).tree_like:
-        raise NotTreeLikeError("certificates require a tree-like polyomino")
+    plan = _peel_plan(P)
     if not is_admissible(P, labeling):
         raise NotAdmissibleError("labeling does not sum to zero on all intervals")
-    vec = labeling_vector(P, labeling)
-    values = {P.vertices[k]: v for k, v in enumerate(vec) if v}
-    return _certify(P, values)
+    return _certify(plan, labeling_vector(P, labeling))

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import settings
 
 from polyomino_ideals import (
     IdealGens,
@@ -23,6 +24,13 @@ from polyomino_ideals import (
 )
 from polyomino_ideals.groebner import s_polynomial
 from polyomino_ideals.polynomials import mono_div
+
+# Property tests replay the same examples on every run: tier-1 stays
+# reproducible and writes no example database.
+settings.register_profile(
+    "polyideal", derandomize=True, deadline=None, max_examples=60, database=None
+)
+settings.load_profile("polyideal")
 
 # ---------------------------------------------------------------------------
 # fixtures

@@ -1,19 +1,27 @@
 """Constructive membership certificates on tree-like polyominoes."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polyomino_ideals import (
     NotAdmissibleError,
     NotTreeLikeError,
+    Polyomino,
     admissible_lattice,
     balanced_certificate_treelike,
+    cell_neighbors,
     cell_vector,
     expand_certificate,
     inner_minors,
+    is_admissible,
     is_pure_difference,
+    is_tree_like,
     labeling_binomial,
+    labeling_vector,
     vector_labeling,
 )
 from conftest import random_admissible_labeling, random_tree_like
@@ -105,3 +113,66 @@ def test_certificates_are_pure_difference_targets(P6):
     basis = admissible_lattice(P6)
     alpha = random_admissible_labeling(P6, basis, rng)
     assert is_pure_difference(labeling_binomial(P6, alpha))
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 1.5, 1.0, True])
+def test_non_integer_labels_are_rejected(P1, value):
+    # x00*x11 - x10*x01 scaled by a label that int() would truncate or coerce
+    alpha = {pt: value if v > 0 else -value for pt, v in ALPHA_UNIT.items()}
+    for call in (labeling_vector, is_admissible, balanced_certificate_treelike):
+        with pytest.raises(ValueError, match=r"vertex \(0, 0\)"):
+            call(P1, alpha)
+
+
+def test_certificate_raises_iff_not_tree_like(small_polyominoes):
+    # tree-likeness is derived from building the peel plan; the oracle is
+    # the exhaustive check of every connected subset
+    for P in small_polyominoes:
+        if is_tree_like(P, mode="exhaustive").tree_like:
+            assert balanced_certificate_treelike(P, {}) == []
+        else:
+            with pytest.raises(NotTreeLikeError):
+                balanced_certificate_treelike(P, {})
+
+
+@st.composite
+def tree_like_shapes(draw):
+    """Grown one cell at a time from 2 to 12 cells, each added cell keeping
+    the shape tree-like (a cell below the lowest row always does)."""
+    n = draw(st.integers(2, 12))
+    cells = {(0, 0)}
+    while len(cells) < n:
+        boundary = sorted({nb for c in cells for nb in cell_neighbors(c)} - cells)
+        options = [c for c in boundary if is_tree_like(Polyomino(cells | {c})).tree_like]
+        cells.add(draw(st.sampled_from(options)))
+    return Polyomino(cells)
+
+
+def cell_labelings(P):
+    """Integer combinations of cell vectors, admissible by construction."""
+    def combine(coeffs):
+        vec = [0] * P.num_vertices
+        for c, cell in zip(coeffs, P.cells_sorted):
+            vec = [x + c * y for x, y in zip(vec, cell_vector(P, cell))]
+        return vector_labeling(P, vec)
+
+    return st.lists(st.integers(-4, 4), min_size=len(P), max_size=len(P)).map(combine)
+
+
+@given(st.data())
+def test_certificates_property(data):
+    P = data.draw(tree_like_shapes())
+    first, second = data.draw(cell_labelings(P)), data.draw(cell_labelings(P))
+    allowed = {g.key() for g in inner_minors(P)}
+    cert = balanced_certificate_treelike(P, first)
+    if first:
+        assert expand_certificate(cert) == labeling_binomial(P, first)
+    else:
+        assert cert == []
+    for multiplier, minor in cert:
+        assert minor.key() in allowed
+        ((_, coeff),) = multiplier.terms.items()
+        assert coeff in (1, -1)
+    # the second labeling reuses the plan kept on P
+    cached = balanced_certificate_treelike(P, second)
+    assert cached == balanced_certificate_treelike(Polyomino(P.cells), second)
