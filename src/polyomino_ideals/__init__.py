@@ -120,9 +120,7 @@ from .polynomials import (
     IdealGens,
     Polynomial,
     is_pure_difference,
-    mono_degree,
     mono_divides,
-    mono_gcd,
     mono_is_squarefree,
     mono_lcm,
     mono_mul,

@@ -6,21 +6,17 @@ unit off the labels across an inner minor supported on the leaf's cell
 interval, and repeat.  The certificate lists (multiplier, inner minor) pairs
 whose products sum exactly to the labeling's binomial.
 
-The leaves peeled and the minors they use depend only on P, so the peel plan
-is built once and kept on P: the chain P_0 = P, P_1, ..., one cell, where
-P_{k+1} is P_k without its smallest good leaf, with that leaf's free
-vertices and minors.  A labeling uses a prefix of it.  Building the plan
-decides tree-likeness too: a leaf of a polyomino is a leaf of every
-sub-polyomino holding it, so peeling leaves never enters a leafless
-sub-polyomino; reaching one cell proves P tree-like, a leafless P_k that it
-is not.
+The leaves peeled depend only on P: they are the good-leaf prefix of the
+leaf-peeling chain that ``classify`` builds once per polyomino to decide
+tree-likeness.  The peel plan maps that prefix to vertex indices and inner
+minors once per P; a labeling uses a prefix of the plan.
 """
 
 from __future__ import annotations
 
-from .classify import GOOD, classify_leaf, is_tree_like, leaf_interval
+from .classify import _peel_chain
 from .errors import NotAdmissibleError, NotTreeLikeError
-from .grid import HORIZONTAL, Polyomino, edge_interval_through, leaves
+from .grid import HORIZONTAL, Polyomino
 from .ideals import inner_minor, is_admissible, labeling_vector
 from .polynomials import Polynomial, mono_mul
 
@@ -39,43 +35,32 @@ def expand_certificate(cert: Certificate) -> Polynomial:
 
 
 def _peel_plan(P: Polyomino) -> list:
-    """(a1, a2, options) per P_k, vertex indices of P: a1 and a2 are the
-    leaf's free vertices, a2 on an edge interval as long as the leaf's cell
-    interval; options holds (c, d, step sign, minor) for each other vertex c
-    of that edge interval, in row-major order, d completing the rectangle.
+    """(a1, a2, options) per good leaf peeled, as vertex indices of P: the
+    prefix of the leaf-peeling chain before its first bad leaf.  options
+    holds (c, d, step sign, minor) for each vertex c other than a2 of a2's
+    edge interval, in row-major order, d completing the rectangle a1 a2 c d.
 
-    A leafless P_k raises NotTreeLikeError.  A P_k with leaves but no good
-    leaf ends the plan once ``is_tree_like`` confirms P is tree-like.
+    A P that is not tree-like raises NotTreeLikeError.
     """
     plan = getattr(P, "_peel_plan", None)
     if plan is not None:
         return plan
+    steps, stuck = _peel_chain(P)
+    if stuck is not None:
+        raise NotTreeLikeError("certificates require a tree-like polyomino")
     idx = P.vertex_index
     plan = []
-    sub = P
-    while True:
-        found = leaves(sub)
-        leaf = next((lf for lf in found if classify_leaf(sub, lf.cell) == GOOD), None)
-        if leaf is None:
-            if found and is_tree_like(P).tree_like:
-                break
-            raise NotTreeLikeError("certificates require a tree-like polyomino")
-        interval = leaf_interval(sub, leaf.cell)
-        direction = interval.direction
-        a1, a2 = leaf.free_vertices
-        if edge_interval_through(sub, a1, direction).num_edges == interval.num_cells:
-            a1, a2 = a2, a1
+    for _, a1, a2, direction, edge in steps:
+        if a2 is None:
+            break
         options = []
-        for c in edge_interval_through(sub, a2, direction).vertices():
+        for c in edge:
             if c != a2:
                 d = (c[0], a1[1]) if direction == HORIZONTAL else (a1[0], c[1])
                 ll, ur = min(a1, a2, c, d), max(a1, a2, c, d)
                 step_sign = 1 if {a1, c} == {ll, ur} else -1
                 options.append((idx[c], idx[d], step_sign, inner_minor(P, (ll, ur))))
         plan.append((idx[a1], idx[a2], tuple(options)))
-        if len(sub) == 1:
-            break
-        sub = Polyomino(sub.cells - {leaf.cell}, normalize=False)
     P._peel_plan = plan
     return plan
 

@@ -4,17 +4,20 @@ A leaf is a cell with an edge whose two vertices belong to no other cell.  A
 leaf is good when, for at least one of its free vertices, the maximal edge
 interval through that vertex (taken in the direction of the leaf's maximal
 cell interval) spans exactly as many unit edges as that cell interval has
-cells.  The one cell polyomino is declared a good leaf so that recursions
-over leaves terminate.
+cells.  The one cell polyomino is a good leaf, so that recursions over
+leaves terminate.
+
+Tree-likeness (every sub-polyomino has a leaf) is decided by one leaf-peeling
+chain per polyomino, built once and kept on it; the tree-like certificates
+of ``certificates`` peel along the same chain.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import BoundExceededError, NotALeafError
+from .errors import NotALeafError
 from .grid import (
     HORIZONTAL,
     VERTICAL,
@@ -22,7 +25,6 @@ from .grid import (
     Point,
     Polyomino,
     cell_neighbors,
-    connected_components,
     edge_interval_through,
     free_edge,
     leaves,
@@ -117,76 +119,73 @@ def is_simple(P: Polyomino) -> SimpleReport:
     return SimpleReport(True, None)
 
 
-def _peel(P: Polyomino, rng: random.Random | None) -> TreeLikeReport:
-    cells = set(P.cells)
-    while len(cells) > 1:
-        sub = Polyomino(cells, normalize=False)
-        ls = [leaf.cell for leaf in leaves(sub)]
-        if not ls:
-            return TreeLikeReport(False, frozenset(cells))
-        if rng is None:
-            cells.remove(min(ls, key=point_key))
-        else:
-            cells.remove(rng.choice(sorted(ls, key=point_key)))
-    return TreeLikeReport(True, None)
-
-
-def _exhaustive(P: Polyomino, bound: int) -> TreeLikeReport:
-    if len(P) > bound:
-        raise BoundExceededError(
-            f"exhaustive mode supports at most {bound} cells, got {len(P)}"
-        )
-    cells = P.cells_sorted
-    n = len(cells)
-    for mask in range(1, 1 << n):
-        subset = {cells[k] for k in range(n) if mask >> k & 1}
-        if len(subset) < 2:
-            continue  # a single cell is trivially a leaf of itself
-        if len(connected_components(subset)) > 1:
-            continue
-        sub = Polyomino(subset, normalize=False)
-        if not leaves(sub):
-            return TreeLikeReport(False, frozenset(subset))
-    return TreeLikeReport(True, None)
-
-
-def is_tree_like(
-    P: Polyomino,
-    mode: str = "peel",
-    bound: int = 10,
-    rng: random.Random | None = None,
-) -> TreeLikeReport:
-    """Decide whether every subpolyomino has a leaf.
-
-    peel mode repeatedly removes a leaf (canonically smallest, or chosen by
-    rng when given; any order certifies the same answer because leafness is
-    monotone under cell removal) and succeeds iff a single cell remains.
-    exhaustive mode checks every connected subset directly and is capped at
-    ``bound`` cells.
-    """
-    if mode == "peel":
-        return _peel(P, rng)
-    if mode == "exhaustive":
-        return _exhaustive(P, bound)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def leaf_interval(P: Polyomino, cell: Point) -> CellInterval:
-    """Maximal cell interval of a leaf, taken toward its unique neighbor.
-
-    For the one cell polyomino the direction perpendicular to the reported
-    free edge is used (both candidate intervals are single cells anyway).
+def _leaf_site(P: Polyomino, cell: Point) -> tuple[tuple[Point, Point], CellInterval, Point | None]:
+    """(free edge, cell interval, good vertex) of a leaf: its maximal cell
+    interval toward its neighbor, and its first free vertex whose edge
+    interval in that direction has as many unit edges as the cell interval
+    has cells (None for a bad leaf).  The one cell polyomino has no neighbor
+    and its free edge is the bottom one; its vertical interval makes it good.
     """
     e = free_edge(P, cell)
     if e is None:
         raise NotALeafError(f"{cell} is not a leaf")
-    if len(P) == 1:
-        a, b = e
-        direction = VERTICAL if a[1] == b[1] else HORIZONTAL
-        return maximal_cell_interval(P, cell, direction)
-    neighbor = next(nb for nb in cell_neighbors(cell) if nb in P.cells)
-    direction = HORIZONTAL if neighbor[1] == cell[1] else VERTICAL
-    return maximal_cell_interval(P, cell, direction)
+    neighbor = next((nb for nb in cell_neighbors(cell) if nb in P.cells), None)
+    direction = HORIZONTAL if neighbor is not None and neighbor[1] == cell[1] else VERTICAL
+    interval = maximal_cell_interval(P, cell, direction)
+    good = next(
+        (v for v in e if edge_interval_through(P, v, direction).num_edges == interval.num_cells),
+        None,
+    )
+    return e, interval, good
+
+
+class _PeelStep(NamedTuple):
+    """One peeled leaf: a2 is its good free vertex (None for a bad leaf), a1
+    the other one, edge the vertices of a2's edge interval in direction."""
+
+    cell: Point
+    a1: Point
+    a2: Point | None
+    direction: str
+    edge: tuple[Point, ...]
+
+
+def _peel_chain(P: Polyomino) -> tuple[tuple[_PeelStep, ...], frozenset | None]:
+    """(steps, stuck): peel P, each step removing the smallest good leaf or
+    else the smallest leaf, until one cell (stuck None) or a leafless
+    sub-polyomino (stuck) remains; computed once and kept on P.
+
+    A leaf of P stays a leaf of every sub-polyomino holding it, so no peel
+    removes a cell of a leafless sub-polyomino: every peeling order stops at
+    the same stuck set, and at one cell exactly when P is tree-like.
+    """
+    chain = getattr(P, "_peel_chain", None)
+    if chain is not None:
+        return chain
+    steps = []
+    sub = P
+    while found := leaves(sub):
+        good = (lf.cell for lf in found if _leaf_site(sub, lf.cell)[2] is not None)
+        cell = next(good, found[0].cell)
+        e, interval, a2 = _leaf_site(sub, cell)
+        edge = edge_interval_through(sub, a2, interval.direction).vertices() if a2 else ()
+        steps.append(_PeelStep(cell, e[1] if a2 == e[0] else e[0], a2, interval.direction, edge))
+        if len(sub) == 1:
+            break
+        sub = Polyomino(sub.cells - {cell}, normalize=False)
+    chain = P._peel_chain = (tuple(steps), None if found else sub.cells)
+    return chain
+
+
+def is_tree_like(P: Polyomino) -> TreeLikeReport:
+    """Decide whether every subpolyomino has a leaf.
+
+    Read from the leaf-peeling chain: P is tree-like iff peeling reaches one
+    cell; otherwise stuck is the leafless sub-polyomino where peeling stops,
+    the same for every peeling order.
+    """
+    stuck = _peel_chain(P)[1]
+    return TreeLikeReport(stuck is None, stuck)
 
 
 def classify_leaf(P: Polyomino, cell: Point) -> str:
@@ -196,16 +195,7 @@ def classify_leaf(P: Polyomino, cell: Point) -> str:
     through it in the direction of the leaf's cell interval has as many unit
     edges as the cell interval has cells.
     """
-    e = free_edge(P, cell)
-    if e is None:
-        raise NotALeafError(f"{cell} is not a leaf")
-    if len(P) == 1:
-        return GOOD
-    interval = leaf_interval(P, cell)
-    for v in e:
-        if edge_interval_through(P, v, interval.direction).num_edges == interval.num_cells:
-            return GOOD
-    return BAD
+    return GOOD if _leaf_site(P, cell)[2] is not None else BAD
 
 
 def leaf_census(P: Polyomino) -> LeafCensus:
@@ -216,11 +206,11 @@ def leaf_census(P: Polyomino) -> LeafCensus:
     good, bad = [], []
     blocking: dict[Point, Point] = {}
     for leaf in leaves(P):
-        if classify_leaf(P, leaf.cell) == GOOD:
+        _, iv, vertex = _leaf_site(P, leaf.cell)
+        if vertex is not None:
             good.append(leaf.cell)
         else:
             bad.append(leaf.cell)
-            iv = leaf_interval(P, leaf.cell)
             blocking[leaf.cell] = iv.end if iv.start == leaf.cell else iv.start
     return LeafCensus(
         counts[0],

@@ -106,7 +106,6 @@ class CellInterval(NamedTuple):
 class Leaf(NamedTuple):
     cell: Point
     free_edge: tuple[Point, Point]
-    free_vertices: tuple[Point, Point]
 
 
 class Polyomino:
@@ -118,7 +117,11 @@ class Polyomino:
     """
 
     def __init__(self, cells: Iterable[Point], normalize: bool = True):
-        cellset = {(int(i), int(j)) for i, j in cells}
+        cellset = set()
+        for i, j in cells:
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"cell {(i, j)!r} is not a pair of integers")
+            cellset.add((i, j))
         if not cellset:
             raise EmptyInputError("a polyomino needs at least one cell")
         if normalize:
@@ -278,15 +281,14 @@ def free_edge(P: Polyomino, cell: Point) -> tuple[Point, Point] | None:
 def leaves(P: Polyomino) -> list[Leaf]:
     """Cells owning an edge whose two vertices touch no other cell.
 
-    The witnessing edge and its two free vertices are reported; for the one
-    cell polyomino every edge qualifies and the canonically smallest one
-    (the bottom edge) is reported.
+    The witnessing edge is reported; for the one cell polyomino every edge
+    qualifies and the canonically smallest one (the bottom edge) is reported.
     """
     out = []
     for c in P.cells_sorted:
         e = free_edge(P, c)
         if e is not None:
-            out.append(Leaf(c, e, e))
+            out.append(Leaf(c, e))
     return out
 
 

@@ -107,7 +107,11 @@ def labeling_vector(P: Polyomino, labeling: Labeling) -> list[int]:
 
 
 def vector_labeling(P: Polyomino, vec) -> Labeling:
-    return {P.vertices[k]: int(v) for k, v in enumerate(vec) if v}
+    """Sparse labeling of a dense vector; every entry must be an int."""
+    for pt, value in zip(P.vertices, vec):
+        if type(value) is not int:
+            raise ValueError(f"label of vertex {pt} is {value!r}, not an integer")
+    return {P.vertices[k]: v for k, v in enumerate(vec) if v}
 
 
 def is_admissible(P: Polyomino, labeling: Labeling) -> bool:

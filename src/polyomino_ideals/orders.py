@@ -132,13 +132,16 @@ def parse_order_spec(text: str) -> OrderSpec:
         if "=" not in part:
             raise ValueError(f"malformed order option {part!r}")
         name, _, value = part.partition("=")
-        values = tuple(int(x) for x in value.split(","))
+        if name not in ("perm", "weights"):
+            raise ValueError(f"unknown order option {name!r}")
+        try:
+            values = tuple(int(x) for x in value.split(","))
+        except ValueError:
+            raise ValueError(f"order option {name}={value!r} is not a list of integers") from None
         if name == "perm":
             perm = values
-        elif name == "weights":
-            weights = values
         else:
-            raise ValueError(f"unknown order option {name!r}")
+            weights = values
     return OrderSpec(scheme, perm, weights)
 
 

@@ -35,14 +35,6 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
-def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x if x < y else y for x, y in zip(a, b))
-
-
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 def mono_is_squarefree(a: Monomial) -> bool:
     return all(e <= 1 for e in a)
 

@@ -22,6 +22,7 @@ from polyomino_ideals import (
     mono_divides,
     mono_mul,
 )
+from polyomino_ideals.grid import connected_components
 from polyomino_ideals.groebner import s_polynomial
 from polyomino_ideals.polynomials import mono_div
 
@@ -233,6 +234,44 @@ def brute_quotient_dimension(monomials, nvars: int) -> int:
         if all(not s <= subset for s in supports):
             best = max(best, len(subset))
     return best
+
+
+def leaf_cells(cells) -> list:
+    """Cells owning an edge whose two vertices belong to no other cell."""
+    owners: dict = {}
+    for c in cells:
+        for v in cell_vertices(c):
+            owners[v] = owners.get(v, 0) + 1
+    out = []
+    for i, j in sorted(cells):
+        ring = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+        if any(owners[ring[k]] == 1 == owners[ring[k - 1]] for k in range(4)):
+            out.append((i, j))
+    return out
+
+
+def tree_like_oracle(P: Polyomino) -> frozenset | None:
+    """The largest leafless connected subset of P's cells, or None when every
+    connected subset has a leaf (P is tree-like); checks every subset, the
+    largest first."""
+    cells = sorted(P.cells)
+    for r in range(len(cells), 1, -1):
+        for subset in combinations(cells, r):
+            if not leaf_cells(subset) and len(connected_components(subset)) == 1:
+                return frozenset(subset)
+    return None
+
+
+def random_peel(P: Polyomino, rng: random.Random) -> frozenset | None:
+    """Remove leaves chosen at random; the cells left when none is a leaf, or
+    None once one cell remains."""
+    cells = set(P.cells)
+    while len(cells) > 1:
+        found = leaf_cells(cells)
+        if not found:
+            return frozenset(cells)
+        cells.remove(rng.choice(found))
+    return None
 
 
 def random_admissible_labeling(P, basis, rng: random.Random) -> dict:

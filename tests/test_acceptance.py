@@ -45,6 +45,7 @@ from conftest import (
     random_column_convex,
     random_row_convex,
     random_tree_like,
+    tree_like_oracle,
 )
 
 
@@ -193,11 +194,11 @@ def test_criterion_07_frame_negative_control(P5):
 def test_criterion_08_tree_like_modes_agree(small_polyominoes):
     failures = []
     for P in small_polyominoes:
-        peel = is_tree_like(P, mode="peel").tree_like
-        exhaustive = is_tree_like(P, mode="exhaustive").tree_like
-        if peel != exhaustive:
-            failures.append(f"modes disagree on {sorted(P.cells)}")
-    report(8, f"peel and exhaustive agree on all {len(small_polyominoes)} polyominoes with <= 7 cells", failures)
+        peel = is_tree_like(P)
+        exhaustive = tree_like_oracle(P)
+        if peel != (exhaustive is None, exhaustive):
+            failures.append(f"peel and exhaustive disagree on {sorted(P.cells)}")
+    report(8, f"peel verdict and stuck set match the exhaustive oracle on all {len(small_polyominoes)} polyominoes with <= 7 cells", failures)
 
 
 def test_criterion_09_block_determinantal_sanity(P4):

@@ -22,9 +22,11 @@ from polyomino_ideals import (
     is_tree_like,
     labeling_binomial,
     labeling_vector,
+    leaves,
     vector_labeling,
 )
-from conftest import random_admissible_labeling, random_tree_like
+from polyomino_ideals import classify
+from conftest import random_admissible_labeling, random_tree_like, tree_like_oracle
 
 ALPHA_UNIT = {(0, 0): 1, (1, 1): 1, (1, 0): -1, (0, 1): -1}
 
@@ -122,17 +124,37 @@ def test_non_integer_labels_are_rejected(P1, value):
     for call in (labeling_vector, is_admissible, balanced_certificate_treelike):
         with pytest.raises(ValueError, match=r"vertex \(0, 0\)"):
             call(P1, alpha)
+    with pytest.raises(ValueError, match=r"vertex \(0, 0\)"):
+        vector_labeling(P1, [alpha[v] for v in P1.vertices])
 
 
 def test_certificate_raises_iff_not_tree_like(small_polyominoes):
-    # tree-likeness is derived from building the peel plan; the oracle is
+    # tree-likeness is derived from the leaf-peeling chain; the oracle is
     # the exhaustive check of every connected subset
     for P in small_polyominoes:
-        if is_tree_like(P, mode="exhaustive").tree_like:
+        if tree_like_oracle(P) is None:
             assert balanced_certificate_treelike(P, {}) == []
         else:
             with pytest.raises(NotTreeLikeError):
                 balanced_certificate_treelike(P, {})
+
+
+def test_peel_chain_built_once(P6, monkeypatch):
+    # is_tree_like and the certificates read one leaf-peeling chain kept on P
+    P = Polyomino(P6.cells)
+    subs = []
+    monkeypatch.setattr(classify, "leaves", lambda Q: subs.append(Q) or leaves(Q))
+    assert is_tree_like(P).tree_like
+    assert len(subs) == len(P)  # one call per sub-polyomino down to one cell
+    alpha = vector_labeling(P, cell_vector(P, (1, 1)))
+    _assert_valid(P, alpha)
+    assert is_tree_like(P).tree_like
+    assert len(subs) == len(P)
+    # and in the other order
+    Q = Polyomino(P6.cells)
+    _assert_valid(Q, alpha)
+    assert is_tree_like(Q).tree_like
+    assert len(subs) == 2 * len(P)
 
 
 @st.composite

@@ -7,7 +7,6 @@ import pytest
 from polyomino_ideals import (
     BAD,
     GOOD,
-    BoundExceededError,
     NotALeafError,
     Polyomino,
     classify_leaf,
@@ -18,7 +17,13 @@ from polyomino_ideals import (
     is_tree_like,
     leaf_census,
 )
-from conftest import random_column_convex, random_row_convex, random_tree_like
+from conftest import (
+    random_column_convex,
+    random_peel,
+    random_row_convex,
+    random_tree_like,
+    tree_like_oracle,
+)
 
 
 def test_row_column_convex(P1, P4, P5):
@@ -49,32 +54,32 @@ def test_is_tree_like_peel(P3, P4, P6):
 
 
 def test_is_tree_like_exhaustive(P3, P4, P5):
-    assert is_tree_like(P3, mode="exhaustive").tree_like
-    report = is_tree_like(P4, mode="exhaustive")
-    assert not report.tree_like and report.stuck == P4.cells
+    assert tree_like_oracle(P3) is None
+    assert tree_like_oracle(P4) == P4.cells
     # the frame is its own leafless subpolyomino
-    assert not is_tree_like(P5, mode="exhaustive").tree_like
-
-
-def test_exhaustive_bound(P5):
-    with pytest.raises(BoundExceededError):
-        is_tree_like(P5, mode="exhaustive", bound=4)
+    assert tree_like_oracle(P5) == P5.cells
+    for P in (P3, P4, P5):
+        assert is_tree_like(P).stuck == tree_like_oracle(P)
 
 
 def test_tree_like_modes_agree_small(small_polyominoes):
     for P in small_polyominoes:
         if len(P) > 5:
             continue
-        assert is_tree_like(P).tree_like == is_tree_like(P, mode="exhaustive").tree_like
+        stuck = tree_like_oracle(P)
+        assert is_tree_like(P) == (stuck is None, stuck)
 
 
 def test_peel_order_does_not_matter(small_polyominoes):
+    # every peeling order stops at the same leafless sub-polyomino: all the
+    # shapes that are not tree-like, and a sample of the others
     rng = random.Random(17)
     sample = [P for P in small_polyominoes if len(P) in (5, 6, 7)]
-    for P in rng.sample(sample, 40):
-        expected = is_tree_like(P).tree_like
+    stuck = [P for P in sample if not is_tree_like(P).tree_like]
+    for P in stuck + rng.sample(sample, 40):
+        expected = is_tree_like(P).stuck
         for _ in range(3):
-            assert is_tree_like(P, rng=rng).tree_like == expected
+            assert random_peel(P, rng) == expected
 
 
 def test_classify_leaf(P3, P6):

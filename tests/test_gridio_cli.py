@@ -383,6 +383,9 @@ def _malformed_cases():
         yield pytest.param(["render", "-"], text, None, message, id=f"render-{name}")
     yield pytest.param(["groebner", "--order", "lex:perm=1,0", "-"], "##\n", None,
                        "error: perm must be a permutation", id="groebner-bad-order")
+    yield pytest.param(["groebner", "--order", "lex:perm=a", "-"], "##\n", None,
+                       "error: order option perm='a' is not a list of integers\n",
+                       id="groebner-order-not-an-integer")
     yield pytest.param(["fuzz", "--trials", "0"], "", None, "error: trials must be at least 1",
                        id="fuzz-no-trials")
 
