@@ -34,7 +34,6 @@ from .cycles import (
 )
 from .errors import (
     BadCharacterError,
-    BoundExceededError,
     CellNotInPolyominoError,
     EmptyInputError,
     InvalidCountError,

@@ -32,10 +32,6 @@ class NotALeafError(PolyominoError):
     pass
 
 
-class BoundExceededError(PolyominoError):
-    pass
-
-
 class ZeroLabelingError(PolyominoError):
     pass
 

@@ -38,7 +38,7 @@ from itertools import compress, repeat
 from operator import add, neg, sub
 
 from .errors import StepLimitExceededError
-from .orders import canonical_order
+from .orders import MonomialOrder, canonical_order
 from .polynomials import (
     IdealGens,
     Monomial,
@@ -73,13 +73,15 @@ def _resolve_step_limit(step_limit):
 
 def _binomial_pairs(polys, order):
     """(lead, trail) exponent pairs of polynomials c*(x^a - x^b), c nonzero;
-    any other polynomial raises ValueError."""
+    other polynomials, and orders on other variable counts, raise ValueError."""
     key = order.key
     pairs = []
     for g in polys:
         if len(g.terms) != 2 or sum(g.terms.values()):
             raise ValueError(f"not a pure difference c*(x^a - x^b): {polynomial_str(g)}")
         a, b = g.terms
+        if not pairs and isinstance(order, MonomialOrder) and order.nvars != len(a):
+            raise ValueError(f"the order has {order.nvars} variables, the polynomials {len(a)}")
         pairs.append((a, b) if key(a) > key(b) else (b, a))
     return pairs
 
@@ -145,7 +147,7 @@ def normal_form(f: Polynomial, basis, order) -> Polynomial:
     """Remainder of f under full division by the listed pure differences:
     each term c*x^m becomes c*x^std(m) (module docstring), so no term of the
     result is divisible by a leading monomial of the basis.  A basis element
-    that is not c*(x^a - x^b) raises ValueError.
+    that is not c*(x^a - x^b), or a wrong-size order, raises ValueError.
     """
     if not basis:
         return f
@@ -185,7 +187,7 @@ def reduce_groebner_basis(basis: _BinomialBasis) -> list[Polynomial]:
 def buchberger(gens, order, step_limit: int | None = None) -> list[Polynomial]:
     """Unique reduced Groebner basis of generators c*(x^a - x^b).
 
-    Any other nonzero generator raises ValueError.
+    Other generators and orders on other variable counts raise ValueError.
     """
     if isinstance(gens, IdealGens):
         gens = gens.generators

@@ -4,8 +4,9 @@ The ideal of a polyomino is generated by one pure-difference binomial per
 inner interval.  Integer labelings of the vertices that sum to zero on every
 maximal edge interval ("admissible" labelings) are exactly the integer kernel
 of the interval incidence matrix; the ideal generated by all their binomials
-is the lattice ideal of that kernel, computed here by saturating the finitely
-many basis binomials.  A polyomino is balanced when the two ideals agree.
+is the lattice ideal of that kernel.  A polyomino is balanced when the two
+ideals agree: exactly when the kernel has rank |P| and the minors equal
+their saturation by all variables (see ``is_balanced``).
 """
 
 from __future__ import annotations
@@ -194,29 +195,42 @@ class BalancedReport:
     shared_gb: tuple[Polynomial, ...] | None = None
 
 
-def _canonical_minor_basis(P: Polyomino, step_limit: int | None) -> tuple[Polynomial, ...]:
-    """Reduced basis of the inner minors under the canonical order, computed
-    once and kept on P; the step limit is checked on every call."""
+def _canonical_basis(P: Polyomino, step_limit: int | None,
+                     saturated: bool = False) -> tuple[Polynomial, ...]:
+    """Reduced basis under the canonical order of the inner minors, or with
+    saturated of their saturation by all variables; each is computed once
+    and kept on P, and the step limit is checked on every call."""
     step_limit = _resolve_step_limit(step_limit)
-    gb = getattr(P, "_canonical_minor_basis", None)
+    name = "_canonical_saturation_basis" if saturated else "_canonical_minor_basis"
+    gb = getattr(P, name, None)
     if gb is None:
-        gb = tuple(buchberger(inner_minors(P), canonical_order(P.num_vertices), step_limit))
-        P._canonical_minor_basis = gb
+        gens = inner_minors(P)
+        if saturated:
+            gens = saturate(gens, range(P.num_vertices), step_limit)
+        gb = tuple(buchberger(gens, canonical_order(P.num_vertices), step_limit))
+        setattr(P, name, gb)
     return gb
 
 
 def is_balanced(P: Polyomino, step_limit: int | None = None) -> BalancedReport:
     """Decide whether every admissible labeling's binomial lies in the
-    polyomino ideal."""
+    polyomino ideal.
+
+    The cell vectors span a saturated lattice of rank |P| (the row-major
+    largest cell (i, j) alone has vertex (i+1, j+1): unitriangular) inside
+    the saturated admissible kernel, so the two are equal iff the kernel has
+    rank |P|; then the labeling ideal is the minors' saturation by all
+    variables (Sturmfels, Lemma 12.2), the basis ``is_prime`` reads too.
+    """
     adm = admissible_lattice(P)
     ncells = len(P)
     if adm.rank != ncells:
         return BalancedReport(False, adm.rank, ncells)
-    order = canonical_order(P.num_vertices)
-    gb_minors = _canonical_minor_basis(P, step_limit)
-    gb_labelings = tuple(buchberger(lattice_ideal(P, adm, step_limit), order, step_limit))
+    gb_minors = _canonical_basis(P, step_limit)
+    gb_labelings = _canonical_basis(P, step_limit, saturated=True)
     if gb_minors == gb_labelings:
         return BalancedReport(True, adm.rank, ncells, shared_gb=gb_minors)
+    order = canonical_order(P.num_vertices)
     offending = next(
         g for g in gb_labelings if normal_form(g, gb_minors, order)
     )
@@ -229,12 +243,10 @@ def is_prime(P: Polyomino, step_limit: int | None = None) -> bool:
     The exponent vectors of the inner minors span exactly the cell lattice,
     so saturating by all variables lands on its lattice ideal, which is prime
     because the lattice is saturated; conversely a prime binomial ideal free
-    of variables equals its saturation.  Hence primality reduces to the
-    fixed-point test below, on reduced bases under the canonical order.
+    of variables equals its saturation: primality is the fixed-point test
+    below, on the canonical-order bases that ``is_balanced`` compares too.
     """
-    sat = saturate(inner_minors(P), range(P.num_vertices), step_limit)
-    canonical = _canonical_minor_basis(P, step_limit)
-    return tuple(buchberger(sat, canonical_order(P.num_vertices), step_limit)) == canonical
+    return _canonical_basis(P, step_limit, saturated=True) == _canonical_basis(P, step_limit)
 
 
 def dimension(P: Polyomino, step_limit: int | None = None) -> int:
@@ -242,7 +254,7 @@ def dimension(P: Polyomino, step_limit: int | None = None) -> int:
     by the initial ideal of the inner minors' reduced basis under the
     canonical order, the basis ``is_balanced`` and ``is_prime`` share."""
     order = canonical_order(P.num_vertices)
-    gb = _canonical_minor_basis(P, step_limit)
+    gb = _canonical_basis(P, step_limit)
     return quotient_dimension(initial_ideal(gb, order), P.num_vertices)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from polyomino_ideals import (
     IdealGens,
+    MonomialOrder,
     NotBalancedError,
     Polynomial,
     Polyomino,
@@ -24,6 +25,7 @@ from polyomino_ideals import (
     is_admissible,
     is_balanced,
     is_prime,
+    is_simple,
     is_squarefree,
     labeling_binomial,
     lattice_ideal,
@@ -31,11 +33,12 @@ from polyomino_ideals import (
     max_cycle_vertices,
     normal_form,
     order_sample,
+    parse_grid,
     universal_gb_check,
     vector_binomial,
     vector_labeling,
 )
-from conftest import spair_sweep
+from conftest import enumerate_cellsets, spair_sweep
 
 ALPHA_UNIT = {(0, 0): 1, (1, 1): 1, (1, 0): -1, (0, 1): -1}
 
@@ -150,7 +153,8 @@ def test_dimension(P1, P2, P4):
 
 def test_canonical_minor_basis_built_once(monkeypatch):
     # is_balanced, is_prime and dimension share one Buchberger run on the
-    # inner minors under the canonical order, kept on the polyomino
+    # inner minors under the canonical order and one saturation of them,
+    # both kept on the polyomino
     from polyomino_ideals import groebner, ideals
 
     P = Polyomino({(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)})  # fresh, nothing cached
@@ -164,15 +168,104 @@ def test_canonical_minor_basis_built_once(monkeypatch):
             runs.append(order)
         return real(gens, order, step_limit)
 
+    saturations = []
+    real_saturate = groebner.saturate
+
+    def counting_saturate(F, variables, step_limit=None):
+        saturations.append(F)
+        return real_saturate(F, variables, step_limit)
+
     monkeypatch.setattr(groebner, "buchberger", counting)
     monkeypatch.setattr(ideals, "buchberger", counting)
+    monkeypatch.setattr(groebner, "saturate", counting_saturate)
+    monkeypatch.setattr(ideals, "saturate", counting_saturate)
     assert is_balanced(P).balanced
     assert is_prime(P)
     assert dimension(P) == P.num_vertices - len(P)
     assert len(runs) == 1
+    # balancedness and primality read one saturation of the minors
+    assert len(saturations) == 1
     # a cached basis does not skip the step-limit check
     with pytest.raises(ValueError, match="step_limit must be at least 1, got 0"):
         dimension(P, step_limit=0)
+
+
+def _free_cellsets(max_cells):
+    """One cell set per free polyomino: the least of its eight images."""
+    def normalized(cells):
+        mi = min(i for i, _ in cells)
+        mj = min(j for _, j in cells)
+        return tuple(sorted((i - mi, j - mj) for i, j in cells))
+
+    def images(cells):
+        for a in (1, -1):
+            for b in (1, -1):
+                yield {(a * i, b * j) for i, j in cells}
+                yield {(a * j, b * i) for i, j in cells}
+
+    return {
+        min(map(normalized, images(cells)))
+        for level in enumerate_cellsets(max_cells)
+        for cells in level
+    }
+
+
+def _balanced_by_definition(P):
+    """The definition, independent of is_balanced: the admissible lattice
+    has rank |P| and its lattice ideal has the minors' reduced basis.
+    Returns the verdict and the labeling ideal's basis (None on a rank gap)."""
+    adm = admissible_lattice(P)
+    if adm.rank != len(P):
+        return False, None
+    order = canonical_order(P.num_vertices)
+    gb_labelings = tuple(buchberger(lattice_ideal(P, adm), order))
+    return gb_labelings == tuple(buchberger(inner_minors(P), order)), gb_labelings
+
+
+def test_is_balanced_matches_definition():
+    frames = [
+        {(i, j) for i in range(w) for j in range(3) if i in (0, w - 1) or j in (0, 2)}
+        for w in (3, 4)
+    ]
+    shapes = sorted(_free_cellsets(6)) + frames
+    assert len(shapes) == 56 + 2
+    for cells in shapes:
+        P = Polyomino(cells)
+        report = is_balanced(P)
+        balanced, gb_labelings = _balanced_by_definition(P)
+        assert report.balanced == balanced, sorted(cells)
+        assert (report.adm_rank, report.ncells) == (admissible_lattice(P).rank, len(P))
+        assert report.shared_gb == (gb_labelings if balanced else None)
+
+
+@pytest.mark.parametrize("grid", [
+    ".#.\n##.\n#.#\n###\n.#.",
+    ".##.\n#.##\n###.\n.#..",
+], ids=["3x5", "4x4"])
+def test_non_prime_nine_ominoes(grid):
+    # the two non-prime 9-ominoes: each encloses one hole cell, and its
+    # admissible lattice has a rank one above the cell count
+    P = parse_grid(grid)
+    assert len(P) == 9
+    assert is_prime(P) is False
+    report = is_balanced(P)
+    assert not report.balanced
+    assert (report.adm_rank, report.ncells) == (10, 9)
+    assert not is_simple(P).simple
+
+
+@pytest.mark.parametrize("nvars", [3, 10])
+def test_order_with_wrong_variable_count_is_rejected(P3, nvars):
+    # the L-tromino's minors live in 8 variables
+    order = MonomialOrder("lex", nvars)
+    message = f"the order has {nvars} variables, the polynomials 8"
+    minors = inner_minors(P3)
+    with pytest.raises(ValueError, match=message):
+        buchberger(minors, order)
+    with pytest.raises(ValueError, match=message):
+        normal_form(minors.generators[0], list(minors), order)
+    with pytest.raises(ValueError, match=message):
+        universal_gb_check(P3, [canonical_order(8), order])
 
 
 def test_containment_chain(fixtures, labeling_ideal_P5):
