@@ -3,8 +3,14 @@
 The pair queue uses the normal selection strategy (smallest lcm first) with
 the coprime and chain criteria for pruning, so runs are deterministic and the
 returned basis is the unique reduced Groebner basis (monic, auto-reduced,
-sorted ascending by leading monomial).  The number of S-pairs processed per
-run is capped; the cap comes from POLYIDEAL_GB_STEP_LIMIT when set.
+sorted ascending by leading monomial).  A pair with coprime leads is never
+queued (Gebauer-Moeller, J. Symb. Comput. 6, 1988), and the chain criterion
+counts it as treated.  Sound, by induction on the order of removal: a pair
+leaves the pending set only with a standard representation, since it
+reduced to zero or to a new element, its leads are coprime, or the chain
+criterion found a lead dividing its lcm whose pairs with both of its
+elements had left before.  The S-pairs popped per run are capped; the cap
+comes from POLYIDEAL_GB_STEP_LIMIT when set.
 
 There is one engine, for pure differences: every generator given to
 ``buchberger`` and every basis element given to ``normal_form`` must be a
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 import os
-from itertools import compress, repeat
+from itertools import compress
 from operator import add, neg, sub
 
 from .errors import StepLimitExceededError
@@ -108,12 +114,9 @@ class _BinomialBasis:
         for lead, trail in pairs:
             self.append(lead, trail)
 
-    def support(self, m: Monomial) -> int:
-        return sum(compress(self.bits, m))
-
     def append(self, lead: Monomial, trail: Monomial) -> None:
         self.leads.append(lead)
-        self.masks.append(self.support(lead))
+        self.masks.append(sum(compress(self.bits, lead)))
         self.powers.append(tuple((v, e) for v, e in enumerate(lead) if e > 1))
         self.trails.append(trail)
         self.shifts.append(tuple(map(sub, trail, lead)))
@@ -127,11 +130,15 @@ class _BinomialBasis:
             yield k
 
     def standard(self, m: Monomial) -> Monomial:
+        bits, masks, powers, shifts = self.bits, self.masks, self.powers, self.shifts
         while True:
-            k = next(self.divisors(m, ~self.support(m)), None)
-            if k is None:
+            outside = ~sum(compress(bits, m))
+            for k, mask in enumerate(masks):
+                if not mask & outside and not (powers[k] and any(m[v] < e for v, e in powers[k])):
+                    m = tuple(map(add, m, shifts[k]))
+                    break
+            else:
                 return m
-            m = tuple(map(add, m, self.shifts[k]))
 
     def reduce_pair(self, i: int, j: int, lcm: Monomial) -> bool:
         """Append the S-pair's nonzero remainder; False when it is zero."""
@@ -147,13 +154,15 @@ def normal_form(f: Polynomial, basis, order) -> Polynomial:
     """Remainder of f under full division by the listed pure differences:
     each term c*x^m becomes c*x^std(m) (module docstring), so no term of the
     result is divisible by a leading monomial of the basis.  A basis element
-    that is not c*(x^a - x^b), or a wrong-size order, raises ValueError.
+    that is not c*(x^a - x^b), or a wrong-size order or f, raises ValueError.
     """
     if not basis:
         return f
     rewrite = _BinomialBasis(_binomial_pairs(basis, order), order.key)
     out: dict = {}
     for m, c in f.terms.items():
+        if len(m) != len(rewrite.bits):
+            raise ValueError(f"f has a term in {len(m)} variables, the basis {len(rewrite.bits)}")
         m = rewrite.standard(m)
         out[m] = out.get(m, 0) + c
     return Polynomial(out)
@@ -188,6 +197,7 @@ def buchberger(gens, order, step_limit: int | None = None) -> list[Polynomial]:
     """Unique reduced Groebner basis of generators c*(x^a - x^b).
 
     Other generators and orders on other variable counts raise ValueError.
+    The step limit caps the S-pairs popped; coprime pairs are never queued.
     """
     if isinstance(gens, IdealGens):
         gens = gens.generators
@@ -201,32 +211,29 @@ def buchberger(gens, order, step_limit: int | None = None) -> list[Polynomial]:
 
     heap: list = []
     pending: set = set()
-    counter = 0
 
     def push_pairs(j: int):
-        """Queue the pairs (i, j) for every i < j."""
-        nonlocal counter
-        lead = leads[j]
+        """Queue each pair (i, j), i < j, whose leads share a variable; equal
+        lcms pop in the order queued."""
+        lead, mask = leads[j], masks[j]
         for i in range(j):
-            heapq.heappush(heap, (key(mono_lcm(leads[i], lead)), counter, i, j))
-            counter += 1
-        pending.update(zip(range(j), repeat(j)))
+            if masks[i] & mask:
+                l = mono_lcm(leads[i], lead)
+                heapq.heappush(heap, (key(l), j, i, l))
+                pending.add((i, j))
 
     for j in range(len(leads)):
         push_pairs(j)
 
     steps = 0
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, j, i, l = heapq.heappop(heap)
         pending.discard((i, j))
         steps += 1
         if steps > limit:
             raise StepLimitExceededError(
-                f"Buchberger exceeded {limit} S-pair reductions"
+                f"Buchberger exceeded {limit} S-pairs popped (coprime pairs are never queued)"
             )
-        if not masks[i] & masks[j]:
-            continue  # coprime leading terms
-        l = mono_lcm(leads[i], leads[j])
         skip = False
         for k in basis.divisors(l, ~(masks[i] | masks[j])):
             if k == i or k == j:
@@ -324,9 +331,9 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
     next variable saturated is the one that proves the most, ties going to
     the lowest index, and the loop stops once every requested variable is
     regular: the ideal is the same, the generating set may differ.  Each
-    Buchberger run gets the step limit; exceeding it names the variable
-    being saturated and counts the requested variables saturated and proven
-    regular before it.
+    Buchberger run gets the step limit on S-pairs popped; exceeding it names
+    the variable being saturated and counts the requested variables
+    saturated and proven regular before it.
     """
     n = F.nvars
     vs = sorted(set(variables))

@@ -195,6 +195,13 @@ class BalancedReport:
     shared_gb: tuple[Polynomial, ...] | None = None
 
 
+def _minors(P: Polyomino) -> IdealGens:
+    """``inner_minors(P)``, built once and kept on P like the canonical bases."""
+    if not hasattr(P, "_inner_minors"):
+        P._inner_minors = inner_minors(P)
+    return P._inner_minors
+
+
 def _canonical_basis(P: Polyomino, step_limit: int | None,
                      saturated: bool = False) -> tuple[Polynomial, ...]:
     """Reduced basis under the canonical order of the inner minors, or with
@@ -204,7 +211,7 @@ def _canonical_basis(P: Polyomino, step_limit: int | None,
     name = "_canonical_saturation_basis" if saturated else "_canonical_minor_basis"
     gb = getattr(P, name, None)
     if gb is None:
-        gens = inner_minors(P)
+        gens = _minors(P)
         if saturated:
             gens = saturate(gens, range(P.num_vertices), step_limit)
         gb = tuple(buchberger(gens, canonical_order(P.num_vertices), step_limit))
@@ -294,10 +301,11 @@ def universal_gb_check(P: Polyomino, orders,
     (a) Every candidate lies in the ideal: its two terms have one standard
     monomial modulo the canonical-order basis ``is_balanced`` computed.
     Per order: (b) the reduced basis G of the minor ideal consists of
-    candidates up to sign, (c) the initial ideal is squarefree.  (a) and (b)
-    make the candidates C a Groebner basis under that order, because then
-    in(I) = <in G> <= <in C> <= in(I); no S-pair of C needs reducing.
-    Requires a balanced polyomino.
+    candidates up to sign, (c) the initial ideal is squarefree, both read
+    off raw terms (G is monic lead - trail; x^a - x^b is fixed up to sign
+    by its monomials).  (a) and (b) make the candidates C a Groebner basis
+    under that order, because then in(I) = <in G> <= <in C> <= in(I); no
+    S-pair of C needs reducing.  Requires a balanced polyomino.
     """
     from .cycles import cycle_binomial, enumerate_cycles, max_cycle_vertices
 
@@ -311,12 +319,12 @@ def universal_gb_check(P: Polyomino, orders,
     canonical = canonical_order(P.num_vertices)
     rewrite = _BinomialBasis(_binomial_pairs(balanced.shared_gb, canonical), canonical.key)
     in_ideal = all(len({rewrite.standard(m) for m in f.terms}) == 1 for f in candidates)
-    signed = {f.key() for f in candidates} | {(-f).key() for f in candidates}
-    gens = inner_minors(P)
+    signed = {frozenset(f.terms) for f in candidates}
+    gens = _minors(P)
     outcomes = []
     for order in orders:
         gb = buchberger(gens, order, step_limit)
-        ok_gb = all(g.key() in signed for g in gb)
-        ok_sq = is_squarefree(initial_ideal(gb, order))
+        ok_gb = all(frozenset(g.terms) in signed for g in gb)
+        ok_sq = is_squarefree(m for g in gb for m, c in g.terms.items() if c == 1)
         outcomes.append(OrderOutcome(order.spec_string(), ok_gb, ok_sq, len(gb)))
     return UniversalGBReport(len(candidates), in_ideal, tuple(outcomes))

@@ -1,17 +1,18 @@
 """Monomial orders: lex, deglex, degrevlex and weight vectors.
 
-An order exposes ``key(mono) -> tuple`` so monomials compare through their
-keys; keys from different order instances are not comparable.  The variable
-permutation lists variables from greatest to least precedence.  degrevlex
-compares total degree first, then breaks ties at the last distinct exponent
-position of the permuted arrangement (larger exponent there wins), which in
-the canonical row-major arrangement makes the diagonal term of an inner
-minor the leading one.
+An order exposes ``key(mono) -> tuple``, compiled once per order, so
+monomials compare through their keys; keys from different order instances
+are not comparable.  The variable permutation lists variables from greatest
+to least precedence.  degrevlex compares total degree first, then breaks
+ties at the last distinct exponent position of the permuted arrangement
+(larger exponent there wins), which in the canonical row-major arrangement
+makes the diagonal term of an inner minor the leading one.
 """
 
 from __future__ import annotations
 
 import random
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .polynomials import Monomial
@@ -22,7 +23,7 @@ SCHEMES = ("lex", "deglex", "degrevlex")
 class MonomialOrder:
     """Total multiplicative order on monomials with 1 as minimum."""
 
-    __slots__ = ("scheme", "nvars", "perm", "weights")
+    __slots__ = ("scheme", "nvars", "perm", "weights", "key")
 
     def __init__(self, scheme: str, nvars: int, perm=None, weights=None):
         if scheme not in SCHEMES:
@@ -43,19 +44,17 @@ class MonomialOrder:
         self.nvars = nvars
         self.perm = perm
         self.weights = weights
+        # below two variables the perm is (0,) or () and itemgetter gives no tuple
+        ranked = perm[::-1] if scheme == "degrevlex" else perm
+        arrange = itemgetter(*ranked) if nvars > 1 else tuple
+        key = arrange if scheme == "lex" else lambda m: (sum(m), arrange(m))
+        if weights is not None:
+            base = key
+            key = lambda m: (sum(map(mul, weights, m)), base(m))
+        self.key = key
 
-    def key(self, m: Monomial) -> tuple:
-        arranged = tuple(m[v] for v in self.perm)
-        if self.scheme == "lex":
-            base: tuple = arranged
-        elif self.scheme == "deglex":
-            base = (sum(m), arranged)
-        else:  # degrevlex: degree, then last distinct exponent decides
-            base = (sum(m), tuple(reversed(arranged)))
-        if self.weights is not None:
-            w = sum(wi * ei for wi, ei in zip(self.weights, m))
-            return (w, base)
-        return base
+    def __reduce__(self):  # the compiled key is a closure, which pickle cannot send
+        return MonomialOrder, (self.scheme, self.nvars, self.perm, self.weights)
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
         """-1, 0 or 1 as m1 is less than, equal to or greater than m2."""

@@ -287,6 +287,23 @@ def random_admissible_labeling(P, basis, rng: random.Random) -> dict:
             return {P.vertices[k]: v for k, v in enumerate(vec) if v}
 
 
+def reference_order_key(order, m) -> tuple:
+    """The key of a ``MonomialOrder``, read off its scheme, permutation and
+    weights on every call: the compiled ``order.key`` must return the same
+    tuple."""
+    arranged = tuple(m[v] for v in order.perm)
+    if order.scheme == "lex":
+        base: tuple = arranged
+    elif order.scheme == "deglex":
+        base = (sum(m), arranged)
+    else:  # degrevlex: degree, then last distinct exponent decides
+        base = (sum(m), tuple(reversed(arranged)))
+    if order.weights is not None:
+        w = sum(wi * ei for wi, ei in zip(order.weights, m))
+        return (w, base)
+    return base
+
+
 class _EliminationKey:
     """Block order on nvars + 1 variables: the last one dominates, the rest
     compare by the canonical order."""

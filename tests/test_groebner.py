@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polyomino_ideals import (
     IdealGens,
@@ -47,6 +49,13 @@ def test_normal_form_empty_basis():
     order = canonical_order(2)
     f = Polynomial({(2, 1): 3, (0, 0): -1})
     assert normal_form(f, [], order) == f
+
+
+def test_normal_form_rejects_wrong_variable_count():
+    # f in three variables, the basis x0 - x1 in two: no mixed-size remainder
+    f = Polynomial({(1, 0, 0): 1, (0, 0, 1): 2})
+    with pytest.raises(ValueError, match="f has a term in 3 variables, the basis 2"):
+        normal_form(f, [X_MINUS_Y], MonomialOrder("lex", 2))
 
 
 def test_normal_form_of_generator_is_zero(P2):
@@ -470,10 +479,40 @@ def test_buchberger_agrees_with_naive_reference(P2, P3):
             with pytest.raises(ValueError, match="not a pure difference"):
                 normal_form(gens[0], gens, order)
 
+    # random pure differences under random permuted and weighted orders
+    @given(st.data())
+    def random_case(data):
+        nvars = data.draw(st.integers(2, 4))
+        monomial = st.tuples(*[st.integers(0, 2)] * nvars)
+        pairs = data.draw(st.lists(st.tuples(monomial, monomial), min_size=1, max_size=3))
+        gens = [Polynomial({a: 1, b: -1}) for a, b in pairs if a != b]
+        order = MonomialOrder(
+            data.draw(st.sampled_from(("lex", "deglex", "degrevlex"))),
+            nvars,
+            perm=data.draw(st.permutations(range(nvars))),
+            weights=data.draw(
+                st.none() | st.lists(st.integers(0, 5), min_size=nvars, max_size=nvars)
+            ),
+        )
+        assert buchberger(gens, order) == _naive_buchberger(gens, order)
+
+    random_case()
+
 
 def test_step_limit_enforced(P4):
     with pytest.raises(StepLimitExceededError):
         buchberger(inner_minors(P4), canonical_order(P4.num_vertices), step_limit=3)
+
+
+def test_step_limit_counts_popped_pairs():
+    # pairwise coprime leads under lex: no pair is queued, so a step limit of
+    # 1 is never reached and the binomials come back as they are
+    gens = []
+    for v in (0, 4, 8):
+        lead, trail = [0] * 12, [0] * 12
+        lead[v] = lead[v + 1] = trail[v + 2] = trail[v + 3] = 1
+        gens.append(Polynomial({tuple(lead): 1, tuple(trail): -1}))
+    assert buchberger(gens, MonomialOrder("lex", 12), step_limit=1) == gens[::-1]
 
 
 def test_step_limit_env(monkeypatch, P4):

@@ -154,7 +154,8 @@ def test_dimension(P1, P2, P4):
 def test_canonical_minor_basis_built_once(monkeypatch):
     # is_balanced, is_prime and dimension share one Buchberger run on the
     # inner minors under the canonical order and one saturation of them,
-    # both kept on the polyomino
+    # both kept on the polyomino next to the minors, which universal_gb_check
+    # reads too
     from polyomino_ideals import groebner, ideals
 
     P = Polyomino({(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)})  # fresh, nothing cached
@@ -175,16 +176,26 @@ def test_canonical_minor_basis_built_once(monkeypatch):
         saturations.append(F)
         return real_saturate(F, variables, step_limit)
 
+    built = []
+    real_minors = ideals.inner_minors
+
+    def counting_minors(Q):
+        built.append(Q)
+        return real_minors(Q)
+
     monkeypatch.setattr(groebner, "buchberger", counting)
     monkeypatch.setattr(ideals, "buchberger", counting)
     monkeypatch.setattr(groebner, "saturate", counting_saturate)
     monkeypatch.setattr(ideals, "saturate", counting_saturate)
+    monkeypatch.setattr(ideals, "inner_minors", counting_minors)
     assert is_balanced(P).balanced
     assert is_prime(P)
     assert dimension(P) == P.num_vertices - len(P)
     assert len(runs) == 1
     # balancedness and primality read one saturation of the minors
     assert len(saturations) == 1
+    assert universal_gb_check(P, [MonomialOrder("lex", P.num_vertices)]).passed
+    assert built == [P]
     # a cached basis does not skip the step-limit check
     with pytest.raises(ValueError, match="step_limit must be at least 1, got 0"):
         dimension(P, step_limit=0)
@@ -381,6 +392,57 @@ def test_universal_gb_check_rejects_candidate_outside_ideal(P4, monkeypatch):
     # no reduced basis under these orders uses a 6-cycle binomial, so checks
     # (b) and (c) alone would accept the swapped set
     assert all(o.passed for o in report.outcomes)
+
+
+def test_universal_gb_check_fails_without_a_needed_candidate(monkeypatch):
+    # negative control for check (b): the 2x3 block's first primitive cycle
+    # is a cell whose minor lies in every reduced basis, so without it no
+    # sampled order finds its basis among the candidates
+    import polyomino_ideals.cycles as cycles_mod
+
+    real = cycles_mod.enumerate_cycles
+    dropped = []
+
+    def drop_first(P, **kwargs):
+        cycles = real(P, **kwargs)
+        dropped.append(cycles[0])
+        return cycles[1:]
+
+    monkeypatch.setattr(cycles_mod, "enumerate_cycles", drop_first)
+    block = Polyomino({(i, j) for i in range(2) for j in range(3)})
+    orders = order_sample(block.num_vertices)
+    report = universal_gb_check(block, orders)
+    assert len(dropped[0].vertices) == 4
+    assert report.candidates == 41
+    assert report.candidates_in_ideal
+    assert len(report.outcomes) == len(orders) == 13
+    assert not any(o.gb_within_candidates for o in report.outcomes)
+    assert not report.passed
+
+
+def test_universal_gb_check_squarefree_reads_the_leads(P2, monkeypatch):
+    # check (c) reads the leading term of each monic basis element: a square
+    # lead fails it, a square trail does not
+    from polyomino_ideals import ideals
+
+    n = P2.num_vertices
+    square, mixed = (2, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0)
+    x0_first = MonomialOrder("lex", n)  # square > mixed
+    x1_first = MonomialOrder("lex", n, perm=(1, 0, 2, 3, 4, 5))  # mixed > square
+    real = ideals.buchberger
+    for sampled, lead, trail, squarefree in (
+        (x0_first, square, mixed, False),
+        (x1_first, mixed, square, True),
+    ):
+        def fake(gens, order, step_limit=None, sampled=sampled, lead=lead, trail=trail):
+            if order is sampled:
+                return [Polynomial({lead: 1, trail: -1})]
+            return real(gens, order, step_limit)
+
+        monkeypatch.setattr(ideals, "buchberger", fake)
+        (outcome,) = universal_gb_check(P2, [sampled]).outcomes
+        assert outcome.initial_squarefree is squarefree
+        assert not outcome.gb_within_candidates
 
 
 def test_universal_gb_check_three_by_three_block():

@@ -1,8 +1,11 @@
 """Monomial orders and the polynomial layer."""
 
+import pickle
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polyomino_ideals import (
     IdealGens,
@@ -16,6 +19,8 @@ from polyomino_ideals import (
     parse_order_spec,
     polynomial_str,
 )
+from polyomino_ideals.orders import SCHEMES
+from conftest import reference_order_key
 
 
 def test_lex_ignores_degree():
@@ -75,6 +80,32 @@ def test_order_is_multiplicative_with_one_minimal():
             assert c == shifted
             if m1 != one:
                 assert order.compare(one, m1) == -1
+
+
+@given(st.data())
+def test_compiled_key_matches_reference(data):
+    # the key compiled once per order returns the tuple the order's scheme,
+    # permutation and weights define, so every comparison stays the same
+    nvars = data.draw(st.integers(1, 8))
+    scheme = data.draw(st.sampled_from(SCHEMES))
+    perm = data.draw(st.permutations(range(nvars)))
+    weights = data.draw(st.none() | st.lists(st.integers(0, 10), min_size=nvars, max_size=nvars))
+    order = MonomialOrder(scheme, nvars, perm=perm, weights=weights)
+    monomial = st.tuples(*[st.integers(0, 4)] * nvars)
+    m1, m2 = data.draw(monomial), data.draw(monomial)
+    k1, k2 = reference_order_key(order, m1), reference_order_key(order, m2)
+    assert order.key(m1) == k1
+    assert order.key(m2) == k2
+    assert order.compare(m1, m2) == (k1 > k2) - (k1 < k2)
+    assert pickle.loads(pickle.dumps(order)).key(m1) == k1
+
+
+@pytest.mark.parametrize("weights", [None, ()])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_zero_variable_order(scheme, weights):
+    order = MonomialOrder(scheme, 0, weights=weights)
+    assert order.key(()) == reference_order_key(order, ())
+    assert order.compare((), ()) == 0
 
 
 def test_order_sample_size_and_determinism():
