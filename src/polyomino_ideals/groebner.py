@@ -34,14 +34,20 @@ changes nothing: a saturated variable stays regular (x_i*f in K : x_w^inf
 gives x_w^m*x_i*f in K, so x_w^m*f in K, so f in K : x_w^inf), and if
 c*x^a + d*x^b lies in I with every variable of x^b regular, every variable
 of x^a is regular (x_i*f in I gives x^a*f, hence x^b*f, hence f in I).
+Under graded reverse-lex the least variable is regular modulo I iff modulo
+in(I), and in(I + (x_n)) = in(I) + (x_n) (Bayer-Stillman, Invent. Math. 87,
+1987; Eisenbud, Prop. 15.12), so the least variables dividing no leading
+monomial form a regular sequence, each regular on its own (Bruns-Herzog,
+"Cohen-Macaulay Rings", Sec. 1.5).  A run that divides nothing keeps the
+ideal, so when none does ``saturate`` returns its input itself.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from itertools import compress
-from operator import add, neg, sub
+from itertools import compress, takewhile
+from operator import add, is_not, itemgetter, neg, sub
 
 from .errors import StepLimitExceededError
 from .orders import MonomialOrder, canonical_order
@@ -79,15 +85,20 @@ def _resolve_step_limit(step_limit):
 
 def _binomial_pairs(polys, order):
     """(lead, trail) exponent pairs of polynomials c*(x^a - x^b), c nonzero;
-    other polynomials, and orders on other variable counts, raise ValueError."""
+    other polynomials, and terms not in a MonomialOrder's (else the first
+    generator's) variable count, raise ValueError."""
     key = order.key
+    n = order.nvars if isinstance(order, MonomialOrder) else None
+    whose = "the first generator" if n is None else "the order"
     pairs = []
     for g in polys:
         if len(g.terms) != 2 or sum(g.terms.values()):
             raise ValueError(f"not a pure difference c*(x^a - x^b): {polynomial_str(g)}")
         a, b = g.terms
-        if not pairs and isinstance(order, MonomialOrder) and order.nvars != len(a):
-            raise ValueError(f"the order has {order.nvars} variables, the polynomials {len(a)}")
+        n = len(a) if n is None else n
+        sizes = {len(a), len(b)} - {n}
+        if sizes:
+            raise ValueError(f"{whose} has {n} variables, the polynomials {max(sizes)}")
         pairs.append((a, b) if key(a) > key(b) else (b, a))
     return pairs
 
@@ -268,13 +279,17 @@ def ideal_equal(F: IdealGens, G: IdealGens, step_limit: int | None = None) -> bo
 
 
 class _RevLexLast:
-    """Textbook graded reverse-lex order with x_v least: higher degree wins,
-    then the smaller exponent of x_v, then of x_{n-1}, ..., x_0."""
+    """Textbook graded reverse-lex order, ``tail`` ranking the variables from
+    the least up: x_v, those outside the ``proven`` bitmask, those inside,
+    each group in descending index."""
 
-    __slots__ = ("key",)
+    __slots__ = ("key", "tail")
 
-    def __init__(self, v: int):
-        self.key = lambda m: (sum(m), -m[v], tuple(map(neg, reversed(m))))
+    def __init__(self, v: int, nvars: int, proven: int):
+        rest = sorted(set(range(nvars)) - {v}, key=lambda w: (proven >> w & 1, -w))
+        self.tail = (v, *rest)
+        ranked = itemgetter(*self.tail) if nvars > 1 else tuple  # itemgetter(v) is no tuple
+        self.key = lambda m: (sum(m), tuple(map(neg, ranked(m))))
 
 
 def _divide_out(g: Polynomial, v: int) -> Polynomial:
@@ -330,9 +345,17 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
     of x^a regular (x_i*f in I gives x^a*f, hence x^b*f, hence f in I).  The
     next variable saturated is the one that proves the most, ties going to
     the lowest index, and the loop stops once every requested variable is
-    regular: the ideal is the same, the generating set may differ.  Each
-    Buchberger run gets the step limit on S-pairs popped; exceeding it names
-    the variable being saturated and counts the requested variables
+    regular: the ideal is the same, the generating set may differ.
+
+    Each run ranks x_v least, then the variables not yet proven regular
+    modulo the saturation by x_v, then the proven ones; the divided elements
+    are its Groebner basis under that order, and the unproven variables above
+    x_v up to the first dividing a leading monomial are regular too
+    (Bayer-Stillman, module docstring).  If no run divides anything, F
+    itself comes back.
+
+    Each Buchberger run gets the step limit on S-pairs popped; exceeding it
+    names the variable being saturated and counts the requested variables
     saturated and proven regular before it.
     """
     n = F.nvars
@@ -346,6 +369,7 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
     requested = sum(1 << v for v in vs)
     supports = _two_term_supports(gens, n)
     regular = saturated = 0
+    divided = False
     while requested & ~regular:
         grown = {
             v: _regular_closure(supports, regular | 1 << v)
@@ -353,8 +377,9 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
             if not regular >> v & 1
         }
         v = max(grown, key=lambda v: (grown[v].bit_count(), -v))
+        order = _RevLexLast(v, n, grown[v])
         try:
-            gb = buchberger(gens, _RevLexLast(v), step_limit)
+            gb = buchberger(gens, order, step_limit)
         except StepLimitExceededError as exc:
             done = (regular & requested).bit_count()
             raise StepLimitExceededError(
@@ -362,11 +387,16 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
                 f"of {len(vs)}): {exc}"
             ) from exc
         gens = [_divide_out(g, v) for g in gb]
+        divided = divided or any(map(is_not, gens, gb))
         saturated += 1
-        # the old generators lie in the saturation too, so grown[v] holds
+        # the old generators lie in the saturation too, so grown[v] holds;
+        # then the regular sequence read off the leading (the +1) terms
+        in_leads = {w for g in gens for m, c in g.terms.items() if c == 1
+                    for w, e in enumerate(m) if e}
+        run = takewhile(lambda w: not (grown[v] >> w & 1 or w in in_leads), order.tail[1:])
         supports = _two_term_supports(gens, n)
-        regular = _regular_closure(supports, grown[v])
-    return IdealGens(tuple(gens), n)
+        regular = _regular_closure(supports, grown[v] | sum(1 << w for w in run))
+    return IdealGens(tuple(gens), n) if divided else F
 
 
 def quotient_dimension(initial_gens, nvars: int) -> int:

@@ -163,7 +163,7 @@ def lattice_ideal(P: Polyomino, basis: LatticeBasis,
     runs one variable at a time on the binomial Groebner engine and skips
     every variable already proven regular: on a block's cell lattice, a cell
     binomial x_a*x_d - x_b*x_c with x_a and x_d regular makes x_b and x_c
-    regular too, so the 3x3 block needs 4 runs, not 16.  It needs
+    regular too, so the 3x3 block needs 3 runs, not 16.  It needs
     homogeneous binomials, so every basis vector must sum to zero; cell
     vectors and admissible labelings do, since every vertex lies on exactly
     one maximal horizontal edge interval.  Other bases raise ValueError.
@@ -206,7 +206,9 @@ def _canonical_basis(P: Polyomino, step_limit: int | None,
                      saturated: bool = False) -> tuple[Polynomial, ...]:
     """Reduced basis under the canonical order of the inner minors, or with
     saturated of their saturation by all variables; each is computed once
-    and kept on P, and the step limit is checked on every call."""
+    and kept on P, and the step limit is checked on every call.  When the
+    saturation divides nothing it is the minors' ideal, whose reduced basis
+    is unique, so the minor basis is reused without a second run."""
     step_limit = _resolve_step_limit(step_limit)
     name = "_canonical_saturation_basis" if saturated else "_canonical_minor_basis"
     gb = getattr(P, name, None)
@@ -214,7 +216,10 @@ def _canonical_basis(P: Polyomino, step_limit: int | None,
         gens = _minors(P)
         if saturated:
             gens = saturate(gens, range(P.num_vertices), step_limit)
-        gb = tuple(buchberger(gens, canonical_order(P.num_vertices), step_limit))
+        if gens is _minors(P) and saturated:  # saturating divided nothing
+            gb = _canonical_basis(P, step_limit)
+        else:
+            gb = tuple(buchberger(gens, canonical_order(P.num_vertices), step_limit))
         setattr(P, name, gb)
     return gb
 

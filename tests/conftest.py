@@ -98,6 +98,26 @@ def enumerate_cellsets(max_cells: int) -> list[set[frozenset]]:
     return levels
 
 
+def free_cellsets(max_cells: int) -> set[tuple]:
+    """One cell set per free polyomino: the least of its eight images."""
+    def normalized(cells):
+        mi = min(i for i, _ in cells)
+        mj = min(j for _, j in cells)
+        return tuple(sorted((i - mi, j - mj) for i, j in cells))
+
+    def images(cells):
+        for a in (1, -1):
+            for b in (1, -1):
+                yield {(a * i, b * j) for i, j in cells}
+                yield {(a * j, b * i) for i, j in cells}
+
+    return {
+        min(map(normalized, images(cells)))
+        for level in enumerate_cellsets(max_cells)
+        for cells in level
+    }
+
+
 @pytest.fixture(scope="session")
 def small_polyominoes():
     """All polyominoes with at most 7 cells, up to translation."""

@@ -29,6 +29,7 @@ from polyomino_ideals import (
 from polyomino_ideals.groebner import _RevLexLast, s_polynomial
 from conftest import (
     brute_quotient_dimension,
+    free_cellsets,
     reference_normal_form,
     reference_reduce_groebner_basis,
     saturate_by_elimination,
@@ -58,6 +59,19 @@ def test_normal_form_rejects_wrong_variable_count():
         normal_form(f, [X_MINUS_Y], MonomialOrder("lex", 2))
 
 
+def test_mixed_variable_counts_are_rejected():
+    # the second generator x0*x1 - x2 lives in three variables, the order in two
+    basis = [X_MINUS_Y, Polynomial({(1, 1, 0): 1, (0, 0, 1): -1})]
+    message = "the order has 2 variables, the polynomials 3"
+    with pytest.raises(ValueError, match=message):
+        buchberger(basis, MonomialOrder("lex", 2))
+    with pytest.raises(ValueError, match=message):
+        normal_form(X_MINUS_Y, basis, MonomialOrder("lex", 2))
+    # an order without nvars goes by the first generator
+    with pytest.raises(ValueError, match="the first generator has 2 variables, the polynomials 3"):
+        buchberger(basis, _RevLexLast(0, 2, 0))
+
+
 def test_normal_form_of_generator_is_zero(P2):
     order = canonical_order(P2.num_vertices)
     gens = inner_minors(P2)
@@ -80,9 +94,13 @@ def _random_pure_differences(rng, nvars, count):
 
 
 def _sweep_orders(nvars):
-    """The sampled orders plus the graded reverse-lex orders saturate uses."""
+    """The sampled orders plus graded reverse-lex orders of the kind saturate
+    uses: x_0 or x_{n-1} least, and x_{n-1} least with x_0 proven regular."""
     orders = order_sample(nvars, permutations=1, weight_orders=1, seed=3)
-    return orders + [_RevLexLast(0), _RevLexLast(nvars - 1)]
+    last = nvars - 1
+    return orders + [
+        _RevLexLast(0, nvars, 0), _RevLexLast(last, nvars, 0), _RevLexLast(last, nvars, 1)
+    ]
 
 
 def test_division_contract():
@@ -288,13 +306,33 @@ def test_saturate_skips_regular_variables(monkeypatch):
 
     monkeypatch.setattr(groebner, "buchberger", counting)
     sat = saturate(F, range(16))
-    assert 0 < len(runs) < 16
+    # x0 least, then x5, then x10: the schedule of the step-limit test below
+    assert [order.tail[0] for order in runs] == [0, 5, 10]
     assert ideal_equal(sat, expected)
 
 
+def test_saturate_matches_elimination_on_small_minors():
+    # every free polyomino with at most 5 cells is simple, hence prime: the
+    # minors are their own saturation and saturate hands them back as they
+    # came; on the 3x3 block's cell-lattice binomials division does happen
+    from polyomino_ideals import Polyomino
+
+    cases = [inner_minors(Polyomino(cells)) for cells in sorted(free_cellsets(5))]
+    assert len(cases) == 21
+    block = _cell_lattice_binomials(Polyomino(THREE_BY_THREE))
+    for F in [*cases, block]:
+        order = canonical_order(F.nvars)
+        sat = saturate(F, range(F.nvars))
+        assert (sat is F) == (F is not block)
+        expected = saturate_by_elimination(F, range(F.nvars))
+        assert buchberger(sat, order) == buchberger(expected, order)
+
+
 def test_saturate_step_limit_reports_progress(monkeypatch):
-    # the third run hits a step limit of 1: x0 and x5 are saturated, and the
-    # cell binomial x0*x5 - x1*x4 proves x1 and x4 regular too
+    # the third run hits a step limit of 1: x0 and x5 are saturated; no
+    # leading monomial of the first run's basis (x0 least, then x15) has x15,
+    # so x15 is regular; and the cell binomial x0*x5 - x1*x4 proves x1 and x4
+    # regular too
     from polyomino_ideals import Polyomino, groebner
 
     F = _cell_lattice_binomials(Polyomino(THREE_BY_THREE))
@@ -308,7 +346,7 @@ def test_saturate_step_limit_reports_progress(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", third_run_limited)
     with pytest.raises(
         StepLimitExceededError,
-        match=r"^saturating by x10 \(2 saturated, 4 regular of 16\): Buchberger exceeded 1 ",
+        match=r"^saturating by x10 \(2 saturated, 5 regular of 16\): Buchberger exceeded 1 ",
     ):
         saturate(F, range(16))
 

@@ -34,11 +34,12 @@ from polyomino_ideals import (
     normal_form,
     order_sample,
     parse_grid,
+    saturate,
     universal_gb_check,
     vector_binomial,
     vector_labeling,
 )
-from conftest import enumerate_cellsets, spair_sweep
+from conftest import free_cellsets, spair_sweep
 
 ALPHA_UNIT = {(0, 0): 1, (1, 1): 1, (1, 0): -1, (0, 1): -1}
 
@@ -155,18 +156,19 @@ def test_canonical_minor_basis_built_once(monkeypatch):
     # is_balanced, is_prime and dimension share one Buchberger run on the
     # inner minors under the canonical order and one saturation of them,
     # both kept on the polyomino next to the minors, which universal_gb_check
-    # reads too
+    # reads too; the saturation divides nothing, so its canonical basis is
+    # the minors' and no second canonical-order run is made
     from polyomino_ideals import groebner, ideals
 
     P = Polyomino({(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)})  # fresh, nothing cached
     minors = inner_minors(P).generators
     canonical = repr(canonical_order(P.num_vertices))
-    runs = []
+    runs = []  # the generators of every canonical-order run
     real = groebner.buchberger
 
     def counting(gens, order, step_limit=None):
-        if tuple(gens) == minors and repr(order) == canonical:
-            runs.append(order)
+        if repr(order) == canonical:
+            runs.append(tuple(gens))
         return real(gens, order, step_limit)
 
     saturations = []
@@ -191,7 +193,7 @@ def test_canonical_minor_basis_built_once(monkeypatch):
     assert is_balanced(P).balanced
     assert is_prime(P)
     assert dimension(P) == P.num_vertices - len(P)
-    assert len(runs) == 1
+    assert runs == [minors]
     # balancedness and primality read one saturation of the minors
     assert len(saturations) == 1
     assert universal_gb_check(P, [MonomialOrder("lex", P.num_vertices)]).passed
@@ -199,26 +201,6 @@ def test_canonical_minor_basis_built_once(monkeypatch):
     # a cached basis does not skip the step-limit check
     with pytest.raises(ValueError, match="step_limit must be at least 1, got 0"):
         dimension(P, step_limit=0)
-
-
-def _free_cellsets(max_cells):
-    """One cell set per free polyomino: the least of its eight images."""
-    def normalized(cells):
-        mi = min(i for i, _ in cells)
-        mj = min(j for _, j in cells)
-        return tuple(sorted((i - mi, j - mj) for i, j in cells))
-
-    def images(cells):
-        for a in (1, -1):
-            for b in (1, -1):
-                yield {(a * i, b * j) for i, j in cells}
-                yield {(a * j, b * i) for i, j in cells}
-
-    return {
-        min(map(normalized, images(cells)))
-        for level in enumerate_cellsets(max_cells)
-        for cells in level
-    }
 
 
 def _balanced_by_definition(P):
@@ -238,7 +220,7 @@ def test_is_balanced_matches_definition():
         {(i, j) for i in range(w) for j in range(3) if i in (0, w - 1) or j in (0, 2)}
         for w in (3, 4)
     ]
-    shapes = sorted(_free_cellsets(6)) + frames
+    shapes = sorted(free_cellsets(6)) + frames
     assert len(shapes) == 56 + 2
     for cells in shapes:
         P = Polyomino(cells)
@@ -258,6 +240,9 @@ def test_non_prime_nine_ominoes(grid):
     # admissible lattice has a rank one above the cell count
     P = parse_grid(grid)
     assert len(P) == 9
+    # saturating divides some basis element, so it hands back a new ideal
+    minors = inner_minors(P)
+    assert saturate(minors, range(P.num_vertices)) is not minors
     assert is_prime(P) is False
     report = is_balanced(P)
     assert not report.balanced
