@@ -10,9 +10,9 @@ from polyomino_ideals import (
     dimension,
     ideal_equal,
     inner_minors,
+    invariant_factors,
     is_balanced,
     is_prime,
-    is_saturated,
     lattice_ideal,
     matrix_rank,
     parse_grid,
@@ -32,7 +32,9 @@ for name, P in (("staple", staple), ("frame", frame)):
     print(f"interval constraints: {len(M)} rows of rank {matrix_rank(M)}")
     print(f"admissible labelings form a lattice of rank {adm.rank}"
           f" (cell lattice has rank {cells})")
-    print(f"cell lattice saturated: {is_saturated(cell_lattice_basis(P))}")
+    factors = invariant_factors(cell_lattice_basis(P).vectors)
+    print(f"cell matrix invariant factors: {factors}")
+    print(f"  all 1, so the cell lattice is saturated: {factors == (1,) * cells}")
 
     report = is_balanced(P)
     print(f"balanced: {report.balanced}")

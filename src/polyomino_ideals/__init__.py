@@ -3,7 +3,8 @@
 Geometry (cells, edge intervals, inner intervals), structure classification
 (convexity, simplicity, tree-likeness, leaf census), exact commutative
 algebra (Buchberger, saturation, initial ideals), integer lattices (Hermite
-and Smith normal forms, kernels), and the polyomino-specific layer: inner
+normal form with transform, saturated kernel bases, invariant factors by
+alternating Hermite forms), and the polyomino-specific layer: inner
 minor ideals, admissible labelings, balancedness, primality, cycle binomials
 and universal Groebner basis checks.
 """
@@ -16,7 +17,6 @@ from .classify import (
     SimpleReport,
     TreeLikeReport,
     classify_leaf,
-    connection_graph,
     is_column_convex,
     is_row_convex,
     is_simple,
@@ -82,7 +82,6 @@ from .ideals import (
     UniversalGBReport,
     admissible_lattice,
     admissible_matrix,
-    binomial_to_labeling,
     cell_lattice_basis,
     cell_vector,
     dimension,
@@ -102,11 +101,8 @@ from .intlinalg import (
     LatticeBasis,
     hermite_normal_form,
     invariant_factors,
-    is_saturated,
     kernel_basis,
-    lattice_coordinates,
     matrix_rank,
-    smith_normal_form,
 )
 from .orders import (
     MonomialOrder,
@@ -123,7 +119,6 @@ from .polynomials import (
     mono_is_squarefree,
     mono_lcm,
     mono_mul,
-    mono_one,
     polynomial_str,
 )
 

@@ -42,9 +42,10 @@ def _peel_plan(P: Polyomino) -> list:
 
     A P that is not tree-like raises NotTreeLikeError.
     """
-    plan = getattr(P, "_peel_plan", None)
-    if plan is not None:
-        return plan
+    return P.derived("peel_plan", lambda: _plan(P))
+
+
+def _plan(P: Polyomino) -> list:
     steps, stuck = _peel_chain(P)
     if stuck is not None:
         raise NotTreeLikeError("certificates require a tree-like polyomino")
@@ -61,7 +62,6 @@ def _peel_plan(P: Polyomino) -> list:
                 step_sign = 1 if {a1, c} == {ll, ur} else -1
                 options.append((idx[c], idx[d], step_sign, inner_minor(P, (ll, ur))))
         plan.append((idx[a1], idx[a2], tuple(options)))
-    P._peel_plan = plan
     return plan
 
 

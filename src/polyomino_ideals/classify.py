@@ -159,9 +159,10 @@ def _peel_chain(P: Polyomino) -> tuple[tuple[_PeelStep, ...], frozenset | None]:
     removes a cell of a leafless sub-polyomino: every peeling order stops at
     the same stuck set, and at one cell exactly when P is tree-like.
     """
-    chain = getattr(P, "_peel_chain", None)
-    if chain is not None:
-        return chain
+    return P.derived("peel_chain", lambda: _peel(P))
+
+
+def _peel(P: Polyomino) -> tuple[tuple[_PeelStep, ...], frozenset | None]:
     steps = []
     sub = P
     while found := leaves(sub):
@@ -173,8 +174,7 @@ def _peel_chain(P: Polyomino) -> tuple[tuple[_PeelStep, ...], frozenset | None]:
         if len(sub) == 1:
             break
         sub = Polyomino(sub.cells - {cell}, normalize=False)
-    chain = P._peel_chain = (tuple(steps), None if found else sub.cells)
-    return chain
+    return tuple(steps), None if found else sub.cells
 
 
 def is_tree_like(P: Polyomino) -> TreeLikeReport:
@@ -222,14 +222,3 @@ def leaf_census(P: Polyomino) -> LeafCensus:
         tuple(sorted(bad, key=point_key)),
         blocking,
     )
-
-
-def connection_graph(P: Polyomino) -> list[tuple[int, int]]:
-    """Edges between edge-sharing cells, on canonical cell indices."""
-    index = {c: k for k, c in enumerate(P.cells_sorted)}
-    out = []
-    for c in P.cells_sorted:
-        for nb in cell_neighbors(c):
-            if nb in index and index[c] < index[nb]:
-                out.append((index[c], index[nb]))
-    return sorted(out)

@@ -33,9 +33,6 @@ class Cycle:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def binomial_degree(self) -> int:
-        return len(self.vertices) // 2
-
 
 def _step_direction(a: Point, b: Point) -> str:
     if a[1] == b[1] and a[0] != b[0]:

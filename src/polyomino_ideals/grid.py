@@ -114,6 +114,9 @@ class Polyomino:
     Construction validates connectivity and, unless ``normalize=False`` is
     passed (used internally when working with sub-polyominoes in the ambient
     coordinates of a parent), translates the cells so min i = min j = 0.
+    Data that other modules derive from the cells once per polyomino (the
+    leaf-peeling chain, the inner minors, their canonical bases) is kept
+    through ``derived``.
     """
 
     def __init__(self, cells: Iterable[Point], normalize: bool = True):
@@ -133,6 +136,14 @@ class Polyomino:
         if len(comps) > 1:
             raise NotConnectedError(comps)
         self.cells: frozenset[Point] = frozenset(cellset)
+        self._derived: dict = {}
+
+    def derived(self, name: str, build):
+        """The value kept under name, else build()'s result, kept from then
+        on; a build that raises keeps nothing."""
+        if name not in self._derived:
+            self._derived[name] = build()
+        return self._derived[name]
 
     def __contains__(self, cell) -> bool:
         return cell in self.cells

@@ -34,7 +34,7 @@ from .groebner import (
 )
 from .intlinalg import LatticeBasis, kernel_basis
 from .orders import canonical_order
-from .polynomials import IdealGens, Polynomial, is_pure_difference
+from .polynomials import IdealGens, Polynomial
 
 Labeling = dict  # Point -> int
 
@@ -138,17 +138,6 @@ def labeling_binomial(P: Polyomino, labeling: Labeling) -> Polynomial:
     return vector_binomial(labeling_vector(P, labeling))
 
 
-def binomial_to_labeling(P: Polyomino, f: Polynomial) -> Labeling:
-    """Recover the labeling of a pure-difference binomial with coprime terms."""
-    if not is_pure_difference(f):
-        raise ValueError("not a pure-difference binomial")
-    (m1, c1), (m2, c2) = f.terms.items()
-    pos, neg = (m1, m2) if c1 == 1 else (m2, m1)
-    if any(a and b for a, b in zip(pos, neg)):
-        raise ValueError("binomial terms are not coprime")
-    return vector_labeling(P, [a - b for a, b in zip(pos, neg)])
-
-
 def admissible_lattice(P: Polyomino) -> LatticeBasis:
     """Saturated integer kernel of the admissible constraint matrix."""
     return kernel_basis(admissible_matrix(P), ncols=P.num_vertices)
@@ -197,9 +186,7 @@ class BalancedReport:
 
 def _minors(P: Polyomino) -> IdealGens:
     """``inner_minors(P)``, built once and kept on P like the canonical bases."""
-    if not hasattr(P, "_inner_minors"):
-        P._inner_minors = inner_minors(P)
-    return P._inner_minors
+    return P.derived("inner_minors", lambda: inner_minors(P))
 
 
 def _canonical_basis(P: Polyomino, step_limit: int | None,
@@ -210,18 +197,17 @@ def _canonical_basis(P: Polyomino, step_limit: int | None,
     saturation divides nothing it is the minors' ideal, whose reduced basis
     is unique, so the minor basis is reused without a second run."""
     step_limit = _resolve_step_limit(step_limit)
-    name = "_canonical_saturation_basis" if saturated else "_canonical_minor_basis"
-    gb = getattr(P, name, None)
-    if gb is None:
+
+    def build():
         gens = _minors(P)
         if saturated:
             gens = saturate(gens, range(P.num_vertices), step_limit)
-        if gens is _minors(P) and saturated:  # saturating divided nothing
-            gb = _canonical_basis(P, step_limit)
-        else:
-            gb = tuple(buchberger(gens, canonical_order(P.num_vertices), step_limit))
-        setattr(P, name, gb)
-    return gb
+            if gens is _minors(P):  # saturating divided nothing
+                return _canonical_basis(P, step_limit)
+        return tuple(buchberger(gens, canonical_order(P.num_vertices), step_limit))
+
+    name = "canonical_saturation_basis" if saturated else "canonical_minor_basis"
+    return P.derived(name, build)
 
 
 def is_balanced(P: Polyomino, step_limit: int | None = None) -> BalancedReport:

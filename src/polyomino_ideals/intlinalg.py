@@ -1,13 +1,16 @@
-"""Exact integer linear algebra: Hermite and Smith normal forms, kernels.
+"""Exact integer linear algebra: Hermite normal form, kernels, invariant factors.
 
 Matrices are plain lists of lists of Python ints, so there is no overflow to
-worry about.  Both normal forms return their unimodular transforms; the
-transforms double as solvers (kernel extraction, lattice membership).
+worry about; rows of unequal length raise ValueError.  The Hermite normal
+form returns its unimodular transform, which yields saturated kernel bases,
+and alternating Hermite forms of a matrix and its transpose give its
+invariant factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -27,6 +30,14 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _int_matrix(mat) -> list[list[int]]:
+    """A fresh copy of mat with int entries; rows of unequal length raise."""
+    rows = [[int(x) for x in row] for row in mat]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("matrix rows differ in length")
+    return rows
 
 
 def _combine_rows(H, U, r, i, c):
@@ -57,7 +68,7 @@ def hermite_normal_form(mat) -> tuple[list[list[int]], list[list[int]]]:
     H is in echelon form with positive pivots and entries above each pivot
     reduced into [0, pivot).  Zero rows sink to the bottom.
     """
-    H = [[int(x) for x in row] for row in mat]
+    H = _int_matrix(mat)
     m = len(H)
     n = len(H[0]) if m else 0
     U = identity_matrix(m)
@@ -89,96 +100,32 @@ def matrix_rank(mat) -> int:
     return sum(1 for row in H if any(row))
 
 
-def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Returns (D, S, T) with S * mat * T = D diagonal and d_k | d_{k+1}.
-
-    S and T are unimodular.
-    """
-    D = [[int(x) for x in row] for row in mat]
-    m = len(D)
-    n = len(D[0]) if m else 0
-    S = identity_matrix(m)
-    T = identity_matrix(n)
-
-    def col_combine(j1, j2, i):
-        # zero D[i][j2] against D[i][j1]
-        a, b = D[i][j1], D[i][j2]
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            q = b // a
-            for row in D:
-                row[j2] -= q * row[j1]
-            for row in T:
-                row[j2] -= q * row[j1]
-            return
-        g, x, y = xgcd(a, b)
-        ag, bg = a // g, b // g
-        for row in D:
-            row[j1], row[j2] = x * row[j1] + y * row[j2], -bg * row[j1] + ag * row[j2]
-        for row in T:
-            row[j1], row[j2] = x * row[j1] + y * row[j2], -bg * row[j1] + ag * row[j2]
-
-    def swap_cols(j1, j2):
-        for row in D:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in T:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    k = 0
-    while k < min(m, n):
-        pos = next(
-            ((i, j) for i in range(k, m) for j in range(k, n) if D[i][j]),
-            None,
-        )
-        if pos is None:
-            break
-        i0, j0 = pos
-        D[k], D[i0] = D[i0], D[k]
-        S[k], S[i0] = S[i0], S[k]
-        if j0 != k:
-            swap_cols(k, j0)
-        while True:
-            for i in range(k + 1, m):
-                _combine_rows(D, S, k, i, k)
-            if any(D[k][j] for j in range(k + 1, n)):
-                for j in range(k + 1, n):
-                    col_combine(k, j, k)
-                if any(D[i][k] for i in range(k + 1, m)):
-                    continue
-            break
-        k += 1
-
-    for k in range(min(m, n)):
-        if D[k][k] < 0:
-            D[k] = [-x for x in D[k]]
-            S[k] = [-x for x in S[k]]
-
-    changed = True
-    while changed:
-        changed = False
-        for k in range(min(m, n) - 1):
-            a, b = D[k][k], D[k + 1][k + 1]
-            if a and b and b % a:
-                changed = True
-                # bring b into row k and re-triangularize the 2x2 block
-                D[k] = [x + y for x, y in zip(D[k], D[k + 1])]
-                S[k] = [x + y for x, y in zip(S[k], S[k + 1])]
-                col_combine(k, k + 1, k)
-                _combine_rows(D, S, k, k + 1, k)
-                col_combine(k, k + 1, k)
-                if D[k][k] < 0:
-                    D[k] = [-x for x in D[k]]
-                    S[k] = [-x for x in S[k]]
-                if D[k + 1][k + 1] < 0:
-                    D[k + 1] = [-x for x in D[k + 1]]
-                    S[k + 1] = [-x for x in S[k + 1]]
-    return D, S, T
-
-
 def invariant_factors(mat) -> tuple[int, ...]:
-    D, _, _ = smith_normal_form(mat)
-    return tuple(D[k][k] for k in range(min(len(D), len(D[0]) if D else 0)) if D[k][k])
+    """Nonzero invariant factors d_1 | d_2 | ... of the Smith form of mat.
+
+    Row Hermite forms of the matrix and of its transpose alternate, zero rows
+    dropped, until every row has one nonzero entry (Kannan-Bachem, SIAM J.
+    Comput. 8, 1979).  Each round keeps the lattice's invariant factors and
+    the first pivot never grows: it shrinks until it divides its row and
+    column, so the loop ends with a diagonal up to column order.  Pairwise
+    (gcd, lcm) steps then sort each prime's exponents along the diagonal.
+    Starting on the taller orientation lets a saturated wide matrix such as
+    a cell matrix finish in one round.
+    """
+    D = _int_matrix(mat)
+    if D and len(D) < len(D[0]):
+        D = [list(col) for col in zip(*D)]
+    while True:
+        D = [row for row in hermite_normal_form(D)[0] if any(row)]
+        if all(len(row) - row.count(0) == 1 for row in D):
+            break
+        D = [list(col) for col in zip(*D)]
+    d = sorted(x for row in D for x in row if x)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(d)
 
 
 @dataclass(frozen=True)
@@ -212,6 +159,7 @@ def kernel_basis(mat, ncols: int | None = None) -> LatticeBasis:
         if ncols is None:
             raise ValueError("ncols required for an empty matrix")
         return LatticeBasis(tuple(tuple(r) for r in identity_matrix(ncols)), ncols)
+    mat = _int_matrix(mat)
     n = len(mat[0])
     N = [list(col) for col in zip(*mat)]  # n x m
     H, U = hermite_normal_form(N)
@@ -221,38 +169,3 @@ def kernel_basis(mat, ncols: int | None = None) -> LatticeBasis:
         Hk, _ = hermite_normal_form(vecs)
         vecs = [row for row in Hk if any(row)]
     return LatticeBasis(tuple(tuple(v) for v in vecs), n)
-
-
-def lattice_coordinates(basis: LatticeBasis, v) -> tuple[int, ...] | None:
-    """Integer coordinates of v in the basis, or None when v is outside.
-
-    HNF makes the basis triangular, so membership reduces to exact back
-    substitution along the pivots.
-    """
-    v = [int(x) for x in v]
-    if len(v) != basis.ambient:
-        raise ValueError("vector length does not match ambient dimension")
-    if not basis.vectors:
-        return () if not any(v) else None
-    H, U = hermite_normal_form([list(row) for row in basis.vectors])
-    r = len(basis.vectors)
-    residual = list(v)
-    y = []
-    for row in H[:r]:
-        c = next(j for j, x in enumerate(row) if x)
-        if residual[c] % row[c]:
-            return None
-        q = residual[c] // row[c]
-        y.append(q)
-        residual = [x - q * h for x, h in zip(residual, row)]
-    if any(residual):
-        return None
-    coords = [sum(yk * U[k][t] for k, yk in enumerate(y)) for t in range(r)]
-    return tuple(coords)
-
-
-def is_saturated(basis: LatticeBasis) -> bool:
-    """True iff all Smith invariant factors of the basis matrix are 1."""
-    if not basis.vectors:
-        return True
-    return all(d == 1 for d in invariant_factors([list(r) for r in basis.vectors]))

@@ -14,10 +14,6 @@ from operator import add, le, sub
 Monomial = tuple  # exponent tuple, one entry per variable
 
 
-def mono_one(nvars: int) -> Monomial:
-    return (0,) * nvars
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
@@ -137,18 +133,14 @@ def is_pure_difference(p: Polynomial) -> bool:
     return sorted(Fraction(c) for c in p.terms.values()) == [Fraction(-1), Fraction(1)]
 
 
-def polynomial_str(p: Polynomial, names=None, order=None) -> str:
-    """Readable rendering; terms sorted descending (by order when given)."""
+def polynomial_str(p: Polynomial, names=None) -> str:
+    """Readable rendering; terms sorted descending by exponent tuple."""
     if not p.terms:
         return "0"
     if names is None:
         names = [f"x{k}" for k in range(len(next(iter(p.terms))))]
-    if order is not None:
-        monos = sorted(p.terms, key=order.key, reverse=True)
-    else:
-        monos = sorted(p.terms, reverse=True)
     parts = []
-    for m in monos:
+    for m in sorted(p.terms, reverse=True):
         c = p.terms[m]
         factors = []
         for v, e in enumerate(m):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import settings
@@ -209,6 +210,35 @@ def int_det(mat) -> int:
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[-1][-1]
+
+
+def invariant_factors_by_minors(mat) -> tuple[int, ...]:
+    """Nonzero invariant factors from the determinantal divisors: Delta_k,
+    the gcd of all k x k minors, is d_1 * ... * d_k."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    factors, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        delta = 0
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                delta = gcd(delta, int_det([[mat[i][j] for j in cols] for i in rows]))
+        if delta == 0:
+            break
+        factors.append(delta // prev)
+        prev = delta
+    return tuple(factors)
+
+
+def cell_graph(P: Polyomino) -> list[tuple[int, int]]:
+    """Edges between cells sharing a full edge, on row-major cell indices."""
+    index = {c: k for k, c in enumerate(sorted(P.cells, key=lambda c: (c[1], c[0])))}
+    return sorted(
+        (index[c], index[nb])
+        for c in index
+        for nb in cell_neighbors(c)
+        if nb in index and index[c] < index[nb]
+    )
 
 
 def vertex_count_inclusion_exclusion(P: Polyomino) -> int:

@@ -10,7 +10,6 @@ from polyomino_ideals import (
     NotALeafError,
     Polyomino,
     classify_leaf,
-    connection_graph,
     is_column_convex,
     is_row_convex,
     is_simple,
@@ -18,6 +17,7 @@ from polyomino_ideals import (
     leaf_census,
 )
 from conftest import (
+    cell_graph,
     random_column_convex,
     random_peel,
     random_row_convex,
@@ -114,12 +114,6 @@ def test_leaf_census_singleton(P1):
     assert census.bad_leaves == ()
 
 
-def test_connection_graph(P1, P3, P4):
-    assert connection_graph(P1) == []
-    assert connection_graph(P3) == [(0, 1), (0, 2)]  # path on 3 vertices
-    assert connection_graph(P4) == [(0, 1), (0, 2), (1, 3), (2, 3)]  # 4-cycle
-
-
 def _is_tree(n, edges):
     if len(edges) != n - 1:
         return False
@@ -142,7 +136,7 @@ def _is_tree(n, edges):
 def test_tree_like_connection_graph_is_tree(small_polyominoes):
     for P in small_polyominoes:
         if len(P) <= 6 and is_tree_like(P).tree_like:
-            assert _is_tree(len(P), connection_graph(P))
+            assert _is_tree(len(P), cell_graph(P))
 
 
 def test_generated_classes_are_simple():

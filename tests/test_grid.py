@@ -1,6 +1,8 @@
 """Geometry layer: construction, edge intervals, inner intervals, leaves."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -200,3 +202,49 @@ def test_vertex_count_matches_inclusion_exclusion(fixtures):
 def test_polyomino_is_hashable_and_immutable(P2):
     assert hash(P2) == hash(Polyomino({(0, 0), (1, 0)}))
     assert isinstance(P2.cells, frozenset)
+
+
+def test_derived_builds_once_and_keeps_nothing_on_error(P2):
+    P = Polyomino(P2.cells)
+    builds = []
+
+    def failing():
+        builds.append("fail")
+        raise ValueError("no value")
+
+    with pytest.raises(ValueError):
+        P.derived("x", failing)
+    assert P.derived("x", lambda: builds.append("ok") or 7) == 7
+    assert P.derived("x", lambda: builds.append("again") or 8) == 7
+    assert builds == ["fail", "ok"]
+    assert Polyomino(P2.cells).derived("x", lambda: 9) == 9  # kept per polyomino
+
+
+def test_derived_data_has_one_home():
+    # Data kept on a polyomino goes through Polyomino.derived: no module but
+    # grid reads or writes attributes by name, or assigns an attribute of
+    # anything but self.  Frozen dataclasses set their fields through
+    # object.__setattr__.
+    package = Path(__file__).resolve().parent.parent / "src" / "polyomino_ideals"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "grid.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name in ("getattr", "hasattr", "setattr", "delattr") or (
+                    name.endswith("__setattr__") and name != "object.__setattr__"
+                ):
+                    found.append(f"{where} {name}")
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                targets = []
+            for t in targets:
+                if isinstance(t, ast.Attribute) and ast.unparse(t.value) != "self":
+                    found.append(f"{where} assigns {ast.unparse(t)}")
+    assert found == []

@@ -11,7 +11,6 @@ from polyomino_ideals import (
     ZeroLabelingError,
     admissible_lattice,
     admissible_matrix,
-    binomial_to_labeling,
     buchberger,
     canonical_order,
     cell_lattice_basis,
@@ -100,14 +99,6 @@ def test_labeling_binomial(P1, P2):
     assert f == Polynomial({pos: 1, neg: -1})
     with pytest.raises(ZeroLabelingError):
         labeling_binomial(P1, {})
-
-
-def test_binomial_to_labeling_round_trip(P2):
-    combined = [a + b for a, b in zip(cell_vector(P2, (0, 0)), cell_vector(P2, (1, 0)))]
-    alpha = vector_labeling(P2, combined)
-    assert binomial_to_labeling(P2, labeling_binomial(P2, alpha)) == alpha
-    with pytest.raises(ValueError):
-        binomial_to_labeling(P2, Polynomial({(1, 0, 0, 0, 0, 0): 2, (0, 0, 0, 0, 0, 1): -2}))
 
 
 def test_admissible_lattice_ranks(P1, P2, P5):

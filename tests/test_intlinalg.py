@@ -1,4 +1,4 @@
-"""Integer linear algebra: HNF, SNF, kernels, lattice membership."""
+"""Integer linear algebra: HNF, kernels, invariant factors."""
 
 import random
 
@@ -10,14 +10,17 @@ from polyomino_ideals import (
     cell_lattice_basis,
     hermite_normal_form,
     invariant_factors,
-    is_saturated,
     kernel_basis,
-    lattice_coordinates,
     matrix_rank,
-    smith_normal_form,
 )
 from polyomino_ideals.intlinalg import identity_matrix, xgcd
-from conftest import grow_polyomino, int_det, mat_mul, rational_rank
+from conftest import (
+    grow_polyomino,
+    int_det,
+    invariant_factors_by_minors,
+    mat_mul,
+    rational_rank,
+)
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -70,12 +73,12 @@ def test_hnf_transform_is_unimodular():
 
 
 def test_snf_examples():
-    D, S, T = smith_normal_form([[2, 0], [0, 3]])
-    assert D == [[1, 0], [0, 6]]
-    assert mat_mul(mat_mul(S, [[2, 0], [0, 3]]), T) == D
-
-    D, _, _ = smith_normal_form(identity_matrix(4))
-    assert D == identity_matrix(4)
+    assert invariant_factors([[2, 0], [0, 3]]) == (1, 6)
+    assert invariant_factors(identity_matrix(4)) == (1, 1, 1, 1)
+    assert invariant_factors([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == (2, 6, 12)
+    assert invariant_factors([[4, 0, 0], [0, 6, 0]]) == (2, 12)
+    assert invariant_factors([]) == invariant_factors([[]]) == ()
+    assert invariant_factors([[0, 0], [0, 0], [0, 0]]) == ()
 
 
 def test_snf_domino_cell_matrix(P2):
@@ -84,24 +87,28 @@ def test_snf_domino_cell_matrix(P2):
 
 
 def test_snf_properties_random():
+    # against the determinantal divisors, on tall, wide, square, zero and
+    # empty matrices; entries with common factors and products of thin
+    # matrices give nonunit factors and deficient rank
     rng = random.Random(3)
-    for _ in range(40):
+    mats = [[], [[]], [[0] * 4], [[0]] * 3, [[0] * 3] * 5]
+    for _ in range(150):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
-        M = random_matrix(rng, m, n)
-        D, S, T = smith_normal_form(M)
-        assert mat_mul(mat_mul(S, M), T) == D
-        assert int_det(S) in (1, -1) and int_det(T) in (1, -1)
-        diag = [D[k][k] for k in range(min(m, n))]
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert D[i][j] == 0
-        for a, b in zip(diag, diag[1:]):
-            if a == 0:
-                assert b == 0
-            elif b:
-                assert b % a == 0
-        assert all(d >= 0 for d in diag)
+        mats.append(random_matrix(rng, m, n))
+        mats.append([[rng.choice((0, 2, -4, 6, 12, -18, 30)) for _ in range(n)] for _ in range(m)])
+        k = rng.randint(1, 3)
+        mats.append(mat_mul(random_matrix(rng, m, k, -3, 3), random_matrix(rng, k, n, -3, 3)))
+    for M in mats:
+        assert invariant_factors(M) == invariant_factors_by_minors(M)
+
+
+@pytest.mark.parametrize(
+    "fn", [hermite_normal_form, matrix_rank, kernel_basis, invariant_factors]
+)
+@pytest.mark.parametrize("mat", [[[2, 4, 6], [1, 1]], [[1, 1], [2, 4, 6]], [[1], [1, 2], [3]]])
+def test_ragged_matrices_are_rejected(fn, mat):
+    with pytest.raises(ValueError, match="differ in length"):
+        fn(mat)
 
 
 def test_matrix_rank_matches_rational_rank():
@@ -129,47 +136,15 @@ def test_kernel_vectors_annihilate_and_saturate():
         kb = kernel_basis(M)
         for v in kb.vectors:
             assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in M)
-        assert is_saturated(kb)
+        assert invariant_factors(kb.vectors) == (1,) * kb.rank
         assert kb.rank == len(M[0]) - rational_rank(M)
 
 
-def test_lattice_coordinates(P1, P2):
-    B2 = cell_lattice_basis(P2)
-    idx = P2.vertex_index
-    v = [0] * 6
-    v[idx[(0, 0)]], v[idx[(0, 1)]], v[idx[(2, 0)]], v[idx[(2, 1)]] = 1, -1, -1, 1
-    assert lattice_coordinates(B2, v) == (1, 1)
-
-    B1 = cell_lattice_basis(P1)
-    assert lattice_coordinates(B1, (1, -1, -1, 1)) == (1,)
-    assert lattice_coordinates(B1, (1, 0, 0, 0)) is None
-    # scaled lattice: membership needs exact divisibility
-    assert lattice_coordinates(LatticeBasis(((2, 0),), 2), (1, 0)) is None
-    assert lattice_coordinates(LatticeBasis(((2, 0),), 2), (4, 0)) == (2,)
-
-
-def test_lattice_coordinates_round_trip():
-    rng = random.Random(6)
-    for _ in range(25):
-        n = rng.randint(2, 6)
-        r = rng.randint(1, n)
-        while True:
-            vecs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(r)]
-            if rational_rank([list(v) for v in vecs]) == r:
-                break
-        basis = LatticeBasis(tuple(vecs), n)
-        coords = tuple(rng.randint(-4, 4) for _ in range(r))
-        v = [sum(c * w[t] for c, w in zip(coords, vecs)) for t in range(n)]
-        found = lattice_coordinates(basis, v)
-        assert found is not None
-        rebuilt = [sum(c * w[t] for c, w in zip(found, vecs)) for t in range(n)]
-        assert rebuilt == v
-
-
 def test_is_saturated(P4):
-    assert is_saturated(LatticeBasis(((1, -1),), 2))
-    assert not is_saturated(LatticeBasis(((2, 0),), 2))
-    assert is_saturated(cell_lattice_basis(P4))
+    # a basis spans a saturated lattice iff its invariant factors are all 1
+    assert invariant_factors(LatticeBasis(((1, -1),), 2).vectors) == (1,)
+    assert invariant_factors(LatticeBasis(((2, 0),), 2).vectors) == (2,)
+    assert invariant_factors(cell_lattice_basis(P4).vectors) == (1,) * len(P4)
 
 
 def test_lattice_basis_rejects_dependent_rows():
