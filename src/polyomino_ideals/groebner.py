@@ -34,19 +34,23 @@ changes nothing: a saturated variable stays regular (x_i*f in K : x_w^inf
 gives x_w^m*x_i*f in K, so x_w^m*f in K, so f in K : x_w^inf), and if
 c*x^a + d*x^b lies in I with every variable of x^b regular, every variable
 of x^a is regular (x_i*f in I gives x^a*f, hence x^b*f, hence f in I).
-Under graded reverse-lex the least variable is regular modulo I iff modulo
-in(I), and in(I + (x_n)) = in(I) + (x_n) (Bayer-Stillman, Invent. Math. 87,
-1987; Eisenbud, Prop. 15.12), so the least variables dividing no leading
-monomial form a regular sequence, each regular on its own (Bruns-Herzog,
-"Cohen-Macaulay Rings", Sec. 1.5).  A run that divides nothing keeps the
-ideal, so when none does ``saturate`` returns its input itself.
+Under any order, a variable x_w dividing no leading monomial of a
+Groebner basis of I is regular modulo I.  The leads generate in(I) and x_w
+divides none, so x_w*m in in(I) gives m in in(I).  If x_w*f lies in I, so
+does x_w*r for the normal form r of f; were r nonzero, x_w*in(r) would lie
+in in(I), so in(r) would, and no term of a normal form does.  So f lies in
+I.  Under reverse-lex with x_w least this is Bayer-Stillman (Invent. Math.
+87, 1987; Eisenbud, Prop. 15.12).  So every Groebner basis that
+``saturate`` is given or computes proves its lead-free variables regular.
+A run that divides nothing keeps the ideal, so when none does ``saturate``
+returns its input itself.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from itertools import compress, takewhile
+from itertools import compress
 from operator import add, is_not, itemgetter, neg, sub
 
 from .errors import StepLimitExceededError
@@ -329,7 +333,16 @@ def _regular_closure(supports, mask: int) -> int:
         live = rest
 
 
-def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGens:
+def _lead_free(leads, nvars: int) -> int:
+    """Bitmask of the variables dividing none of the leading monomials."""
+    used = 0
+    for m in leads:
+        used |= sum(1 << w for w, e in enumerate(m) if e)
+    return ((1 << nvars) - 1) & ~used
+
+
+def saturate(F: IdealGens, variables, step_limit: int | None = None,
+             gb_order=None) -> IdealGens:
     """Saturation of F by the product of the given variables.
 
     F must be homogeneous.  One variable at a time, a Groebner basis under
@@ -347,12 +360,14 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
     the lowest index, and the loop stops once every requested variable is
     regular: the ideal is the same, the generating set may differ.
 
-    Each run ranks x_v least, then the variables not yet proven regular
-    modulo the saturation by x_v, then the proven ones; the divided elements
-    are its Groebner basis under that order, and the unproven variables above
-    x_v up to the first dividing a leading monomial are regular too
-    (Bayer-Stillman, module docstring).  If no run divides anything, F
-    itself comes back.
+    A variable dividing no leading monomial of a Groebner basis is regular
+    under any order (module docstring).  When F's generators are a Groebner
+    basis under gb_order, their lead-free variables are regular from the
+    start; after each run, so are the lead-free variables of the divided
+    elements, the run's Groebner basis of the saturation by x_v.  Each run
+    ranks x_v least, then the variables not yet proven regular modulo the
+    saturation by x_v, then the proven ones.  If no run divides anything,
+    F itself comes back.
 
     Each Buchberger run gets the step limit on S-pairs popped; exceeding it
     names the variable being saturated and counts the requested variables
@@ -369,6 +384,8 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
     requested = sum(1 << v for v in vs)
     supports = _two_term_supports(gens, n)
     regular = saturated = 0
+    if gb_order is not None:
+        regular = _regular_closure(supports, _lead_free(initial_ideal(gens, gb_order), n))
     divided = False
     while requested & ~regular:
         grown = {
@@ -390,12 +407,10 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
         divided = divided or any(map(is_not, gens, gb))
         saturated += 1
         # the old generators lie in the saturation too, so grown[v] holds;
-        # then the regular sequence read off the leading (the +1) terms
-        in_leads = {w for g in gens for m, c in g.terms.items() if c == 1
-                    for w, e in enumerate(m) if e}
-        run = takewhile(lambda w: not (grown[v] >> w & 1 or w in in_leads), order.tail[1:])
+        # the divided elements are monic, lead (the +1 term) minus trail
+        leads = (m for g in gens for m, c in g.terms.items() if c == 1)
         supports = _two_term_supports(gens, n)
-        regular = _regular_closure(supports, grown[v] | sum(1 << w for w in run))
+        regular = _regular_closure(supports, grown[v] | _lead_free(leads, n))
     return IdealGens(tuple(gens), n) if divided else F
 
 

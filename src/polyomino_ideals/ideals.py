@@ -193,18 +193,22 @@ def _canonical_basis(P: Polyomino, step_limit: int | None,
                      saturated: bool = False) -> tuple[Polynomial, ...]:
     """Reduced basis under the canonical order of the inner minors, or with
     saturated of their saturation by all variables; each is computed once
-    and kept on P, and the step limit is checked on every call.  When the
-    saturation divides nothing it is the minors' ideal, whose reduced basis
-    is unique, so the minor basis is reused without a second run."""
+    and kept on P, and the step limit is checked on every call.  The
+    saturation starts from the minor basis, whose lead-free variables are
+    regular already; when it divides nothing it is the minors' ideal, whose
+    reduced basis is unique, so the minor basis is reused without a second
+    run."""
     step_limit = _resolve_step_limit(step_limit)
+    order = canonical_order(P.num_vertices)
 
     def build():
-        gens = _minors(P)
-        if saturated:
-            gens = saturate(gens, range(P.num_vertices), step_limit)
-            if gens is _minors(P):  # saturating divided nothing
-                return _canonical_basis(P, step_limit)
-        return tuple(buchberger(gens, canonical_order(P.num_vertices), step_limit))
+        if not saturated:
+            return tuple(buchberger(_minors(P), order, step_limit))
+        base = IdealGens(_canonical_basis(P, step_limit), P.num_vertices)
+        gens = saturate(base, range(P.num_vertices), step_limit, gb_order=order)
+        if gens is base:  # saturating divided nothing
+            return base.generators
+        return tuple(buchberger(gens, order, step_limit))
 
     name = "canonical_saturation_basis" if saturated else "canonical_minor_basis"
     return P.derived(name, build)
@@ -284,6 +288,17 @@ class UniversalGBReport:
         return self.candidates_in_ideal and all(o.passed for o in self.outcomes)
 
 
+def _marked_alike(bases, order):
+    """The first reduced basis whose every monic element lead - trail keeps
+    its lead (the +1 term) under order, else None."""
+    key = order.key
+    for gb in bases:
+        terms = (g.terms.items() for g in gb)
+        if all((key(a) > key(b)) == (c > 0) for (a, c), (b, _) in terms):
+            return gb
+    return None
+
+
 def universal_gb_check(P: Polyomino, orders,
                        step_limit: int | None = None) -> UniversalGBReport:
     """Check that the primitive cycle binomials form a universal Groebner
@@ -296,25 +311,43 @@ def universal_gb_check(P: Polyomino, orders,
     off raw terms (G is monic lead - trail; x^a - x^b is fixed up to sign
     by its monomials).  (a) and (b) make the candidates C a Groebner basis
     under that order, because then in(I) = <in G> <= <in C> <= in(I); no
-    S-pair of C needs reducing.  Requires a balanced polyomino.
+    S-pair of C needs reducing.  Requires a balanced polyomino, and orders
+    on its vertex count, else ValueError.
+
+    G is read off a basis already at hand when one serves: the canonical
+    basis, or one computed for an earlier order.  If the reduced basis G of
+    I under <1 keeps every lead under <2, then in_<1(I) = <in G> lies in
+    in_<2(I), so the standard monomials of <2 are among those of <1; both
+    sets are vector-space bases of the quotient, so they are equal, and so
+    are the initial ideals.  G is then a Groebner basis under <2, still
+    monic and reduced, hence the unique reduced basis (<2 lies in the
+    Groebner cone of G: Mora-Robbiano, J. Symb. Comput. 6, 1988).
     """
     from .cycles import cycle_binomial, enumerate_cycles, max_cycle_vertices
 
     if not orders:
         raise ValueError("need at least one order")
+    n = P.num_vertices
+    for order in orders:
+        if order.nvars != n:
+            raise ValueError(f"the order has {order.nvars} variables, the polynomials {n}")
     balanced = is_balanced(P, step_limit)
     if not balanced.balanced:
         raise NotBalancedError("the polyomino is not balanced")
     cycles = enumerate_cycles(P, max_vertices=max_cycle_vertices(P), primitive_only=True)
     candidates = [cycle_binomial(P, c) for c in cycles]
-    canonical = canonical_order(P.num_vertices)
+    canonical = canonical_order(n)
     rewrite = _BinomialBasis(_binomial_pairs(balanced.shared_gb, canonical), canonical.key)
     in_ideal = all(len({rewrite.standard(m) for m in f.terms}) == 1 for f in candidates)
     signed = {frozenset(f.terms) for f in candidates}
     gens = _minors(P)
+    kept = [balanced.shared_gb]
     outcomes = []
     for order in orders:
-        gb = buchberger(gens, order, step_limit)
+        gb = _marked_alike(kept, order)
+        if gb is None:
+            gb = buchberger(gens, order, step_limit)
+            kept.append(gb)
         ok_gb = all(frozenset(g.terms) in signed for g in gb)
         ok_sq = is_squarefree(m for g in gb for m, c in g.terms.items() if c == 1)
         outcomes.append(OrderOutcome(order.spec_string(), ok_gb, ok_sq, len(gb)))

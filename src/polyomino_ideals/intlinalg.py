@@ -2,8 +2,8 @@
 
 Matrices are plain lists of lists of Python ints, so there is no overflow to
 worry about; rows of unequal length raise ValueError.  The Hermite normal
-form returns its unimodular transform, which yields saturated kernel bases,
-and alternating Hermite forms of a matrix and its transpose give its
+form builds its unimodular transform only when asked, for saturated kernel
+bases; alternating Hermite forms of a matrix and its transpose give its
 invariant factors.
 """
 
@@ -41,54 +41,57 @@ def _int_matrix(mat) -> list[list[int]]:
 
 
 def _combine_rows(H, U, r, i, c):
-    """Zero H[i][c] against H[r][c] with a unimodular 2-row operation."""
+    """Zero H[i][c] against H[r][c] with a unimodular 2-row operation,
+    applied to U too unless U is None."""
     a, b = H[r][c], H[i][c]
     if b == 0:
         return
+    mats = (H,) if U is None else (H, U)
     if a != 0 and b % a == 0:
         q = b // a
-        H[i] = [x - q * y for x, y in zip(H[i], H[r])]
-        U[i] = [x - q * y for x, y in zip(U[i], U[r])]
+        for M in mats:
+            M[i] = [x - q * y for x, y in zip(M[i], M[r])]
         return
     g, x, y = xgcd(a, b)
     ag, bg = a // g, b // g
-    H[r], H[i] = (
-        [x * p + y * q for p, q in zip(H[r], H[i])],
-        [-bg * p + ag * q for p, q in zip(H[r], H[i])],
-    )
-    U[r], U[i] = (
-        [x * p + y * q for p, q in zip(U[r], U[i])],
-        [-bg * p + ag * q for p, q in zip(U[r], U[i])],
-    )
+    for M in mats:
+        M[r], M[i] = (
+            [x * p + y * q for p, q in zip(M[r], M[i])],
+            [-bg * p + ag * q for p, q in zip(M[r], M[i])],
+        )
 
 
-def hermite_normal_form(mat) -> tuple[list[list[int]], list[list[int]]]:
+def hermite_normal_form(
+    mat, transform: bool = True
+) -> tuple[list[list[int]], list[list[int]] | None]:
     """Row-style HNF: returns (H, U) with U unimodular and U * mat = H.
 
     H is in echelon form with positive pivots and entries above each pivot
-    reduced into [0, pivot).  Zero rows sink to the bottom.
+    reduced into [0, pivot).  Zero rows sink to the bottom.  With transform
+    False, U is not built and None comes back in its place.
     """
     H = _int_matrix(mat)
     m = len(H)
     n = len(H[0]) if m else 0
-    U = identity_matrix(m)
+    U = identity_matrix(m) if transform else None
+    mats = (H,) if U is None else (H, U)
     r = 0
     for c in range(n):
         pivot = next((i for i in range(r, m) if H[i][c]), None)
         if pivot is None:
             continue
-        H[r], H[pivot] = H[pivot], H[r]
-        U[r], U[pivot] = U[pivot], U[r]
+        for M in mats:
+            M[r], M[pivot] = M[pivot], M[r]
         for i in range(r + 1, m):
             _combine_rows(H, U, r, i, c)
         if H[r][c] < 0:
-            H[r] = [-x for x in H[r]]
-            U[r] = [-x for x in U[r]]
+            for M in mats:
+                M[r] = [-x for x in M[r]]
         for i in range(r):
             q = H[i][c] // H[r][c]
             if q:
-                H[i] = [x - q * y for x, y in zip(H[i], H[r])]
-                U[i] = [x - q * y for x, y in zip(U[i], U[r])]
+                for M in mats:
+                    M[i] = [x - q * y for x, y in zip(M[i], M[r])]
         r += 1
         if r == m:
             break
@@ -96,7 +99,7 @@ def hermite_normal_form(mat) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def matrix_rank(mat) -> int:
-    H, _ = hermite_normal_form(mat)
+    H, _ = hermite_normal_form(mat, transform=False)
     return sum(1 for row in H if any(row))
 
 
@@ -116,7 +119,7 @@ def invariant_factors(mat) -> tuple[int, ...]:
     if D and len(D) < len(D[0]):
         D = [list(col) for col in zip(*D)]
     while True:
-        D = [row for row in hermite_normal_form(D)[0] if any(row)]
+        D = [row for row in hermite_normal_form(D, transform=False)[0] if any(row)]
         if all(len(row) - row.count(0) == 1 for row in D):
             break
         D = [list(col) for col in zip(*D)]
@@ -154,6 +157,7 @@ def kernel_basis(mat, ncols: int | None = None) -> LatticeBasis:
 
     Derived from the HNF transform of the transpose, so the basis spans all
     integer solutions; the result is itself put in HNF for a canonical form.
+    ncols is required for an empty matrix and must match any other.
     """
     if not mat:
         if ncols is None:
@@ -161,11 +165,13 @@ def kernel_basis(mat, ncols: int | None = None) -> LatticeBasis:
         return LatticeBasis(tuple(tuple(r) for r in identity_matrix(ncols)), ncols)
     mat = _int_matrix(mat)
     n = len(mat[0])
+    if ncols is not None and ncols != n:
+        raise ValueError(f"ncols is {ncols}, the matrix has {n} columns")
     N = [list(col) for col in zip(*mat)]  # n x m
     H, U = hermite_normal_form(N)
     rank = sum(1 for row in H if any(row))
     vecs = U[rank:]
     if vecs:
-        Hk, _ = hermite_normal_form(vecs)
+        Hk, _ = hermite_normal_form(vecs, transform=False)
         vecs = [row for row in Hk if any(row)]
     return LatticeBasis(tuple(tuple(v) for v in vecs), n)

@@ -239,7 +239,12 @@ def test_saturate_matches_elimination_oracle(P2, P3, P4):
         cases.append((F, range(n)))
         cases.extend((F, _random_variables(rng, n)) for _ in range(3))
     for F, vs in cases:
-        assert ideal_equal(saturate(F, vs), saturate_by_elimination(F, vs))
+        expected = saturate_by_elimination(F, vs)
+        assert ideal_equal(saturate(F, vs), expected)
+        # given as a Groebner basis under a sampled order, with that order
+        order = rng.choice(order_sample(F.nvars, permutations=2, weight_orders=2, seed=7))
+        G = IdealGens(tuple(buchberger(F, order)), F.nvars)
+        assert ideal_equal(saturate(G, vs, gb_order=order), expected)
 
 
 def test_saturate_rejects_inhomogeneous():
@@ -324,8 +329,32 @@ def test_saturate_matches_elimination_on_small_minors():
         order = canonical_order(F.nvars)
         sat = saturate(F, range(F.nvars))
         assert (sat is F) == (F is not block)
-        expected = saturate_by_elimination(F, range(F.nvars))
-        assert buchberger(sat, order) == buchberger(expected, order)
+        expected = buchberger(saturate_by_elimination(F, range(F.nvars)), order)
+        assert buchberger(sat, order) == expected
+        # given as a Groebner basis with its order, as _canonical_basis does
+        G = IdealGens(tuple(buchberger(F, order)), F.nvars)
+        sat = saturate(G, range(F.nvars), gb_order=order)
+        assert (sat is G) == (F is not block)
+        assert buchberger(sat, order) == expected
+
+
+def test_lead_free_variables_are_regular():
+    # a variable dividing no leading monomial of a Groebner basis of F is
+    # regular modulo F, whatever the order: by the elimination oracle,
+    # saturating F by it gives F back
+    from polyomino_ideals import Polyomino
+
+    cases = [inner_minors(Polyomino(cells)) for cells in sorted(free_cellsets(5))]
+    cases.append(_cell_lattice_binomials(Polyomino(THREE_BY_THREE)))
+    checked = 0
+    for F in cases:
+        order = canonical_order(F.nvars)
+        leads = initial_ideal(buchberger(F, order), order)
+        for w in range(F.nvars):
+            if all(m[w] == 0 for m in leads):
+                assert ideal_equal(saturate_by_elimination(F, [w]), F)
+                checked += 1
+    assert checked == 52
 
 
 def test_saturate_step_limit_reports_progress(monkeypatch):

@@ -1,11 +1,16 @@
 """Polyomino ideals: minors, labelings, lattices, balanced, prime, dimension."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polyomino_ideals import (
     IdealGens,
     MonomialOrder,
     NotBalancedError,
+    OrderOutcome,
     Polynomial,
     Polyomino,
     ZeroLabelingError,
@@ -38,6 +43,7 @@ from polyomino_ideals import (
     vector_binomial,
     vector_labeling,
 )
+from polyomino_ideals.ideals import _marked_alike
 from conftest import free_cellsets, spair_sweep
 
 ALPHA_UNIT = {(0, 0): 1, (1, 1): 1, (1, 0): -1, (0, 1): -1}
@@ -165,9 +171,9 @@ def test_canonical_minor_basis_built_once(monkeypatch):
     saturations = []
     real_saturate = groebner.saturate
 
-    def counting_saturate(F, variables, step_limit=None):
+    def counting_saturate(F, variables, step_limit=None, gb_order=None):
         saturations.append(F)
-        return real_saturate(F, variables, step_limit)
+        return real_saturate(F, variables, step_limit, gb_order)
 
     built = []
     real_minors = ideals.inner_minors
@@ -398,27 +404,97 @@ def test_universal_gb_check_fails_without_a_needed_candidate(monkeypatch):
 
 def test_universal_gb_check_squarefree_reads_the_leads(P2, monkeypatch):
     # check (c) reads the leading term of each monic basis element: a square
-    # lead fails it, a square trail does not
+    # lead fails it, a square trail does not.  The fake basis comes in as
+    # is_balanced's shared basis, which serves every order keeping its lead
     from polyomino_ideals import ideals
 
     n = P2.num_vertices
     square, mixed = (2, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0)
     x0_first = MonomialOrder("lex", n)  # square > mixed
     x1_first = MonomialOrder("lex", n, perm=(1, 0, 2, 3, 4, 5))  # mixed > square
-    real = ideals.buchberger
+    real = ideals.is_balanced
     for sampled, lead, trail, squarefree in (
         (x0_first, square, mixed, False),
         (x1_first, mixed, square, True),
     ):
-        def fake(gens, order, step_limit=None, sampled=sampled, lead=lead, trail=trail):
-            if order is sampled:
-                return [Polynomial({lead: 1, trail: -1})]
-            return real(gens, order, step_limit)
+        def fake(Q, step_limit=None, lead=lead, trail=trail):
+            report = real(Q, step_limit)
+            shared = (Polynomial({lead: 1, trail: -1}),)
+            return ideals.BalancedReport(True, report.adm_rank, report.ncells, shared_gb=shared)
 
-        monkeypatch.setattr(ideals, "buchberger", fake)
+        monkeypatch.setattr(ideals, "is_balanced", fake)
         (outcome,) = universal_gb_check(P2, [sampled]).outcomes
         assert outcome.initial_squarefree is squarefree
         assert not outcome.gb_within_candidates
+
+
+STAPLE = ((0, 1), (1, 0), (1, 1), (1, 2), (2, 0), (2, 2))
+BLOCK_3X2 = tuple((i, j) for i in range(3) for j in range(2))
+REUSE_SHAPES = [*sorted(free_cellsets(5)), STAPLE, BLOCK_3X2]
+
+
+def _fresh_outcome(P, order, signed):
+    """Checks (b) and (c) read off a fresh Buchberger run under order."""
+    gb = buchberger(inner_minors(P), order)
+    return OrderOutcome(
+        order.spec_string(),
+        all(frozenset(g.terms) in signed for g in gb),
+        is_squarefree(initial_ideal(gb, order)),
+        len(gb),
+    )
+
+
+def test_reused_bases_give_the_fresh_outcomes(monkeypatch):
+    # every order served by a kept basis reports what its own run would
+    from polyomino_ideals import ideals
+
+    runs = []
+    real = ideals.buchberger
+
+    def counting(gens, order, step_limit=None):
+        runs.append(order)
+        return real(gens, order, step_limit)
+
+    monkeypatch.setattr(ideals, "buchberger", counting)
+    sampled = computed = 0
+    for cells in REUSE_SHAPES:
+        P = Polyomino(cells)
+        cycles = enumerate_cycles(P, max_vertices=max_cycle_vertices(P), primitive_only=True)
+        signed = {frozenset(cycle_binomial(P, c).terms) for c in cycles}
+        for seed in range(3):
+            orders = order_sample(P.num_vertices, seed=seed)
+            runs.clear()
+            report = universal_gb_check(P, orders)
+            assert report.outcomes == tuple(_fresh_outcome(P, o, signed) for o in orders)
+            sampled += len(orders)
+            computed += sum(any(r is o for r in runs) for o in orders)
+    assert (sampled, computed) == (897, 632)
+
+
+@lru_cache(maxsize=None)
+def _kept_bases(cells):
+    """The minors of a shape and reduced bases of the kind universal_gb_check
+    keeps: the canonical one and those of order_sample(n, seed=0)."""
+    P = Polyomino(cells)
+    minors = inner_minors(P)
+    orders = [canonical_order(P.num_vertices), *order_sample(P.num_vertices)]
+    return minors, [buchberger(minors, order) for order in orders]
+
+
+@given(st.data())
+def test_reused_basis_is_the_reduced_basis(data):
+    # a kept basis serves a random weight order exactly when it is that
+    # order's reduced basis, as a set
+    cells = data.draw(st.sampled_from(REUSE_SHAPES))
+    minors, kept = _kept_bases(cells)
+    n = minors.nvars
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    order = MonomialOrder("degrevlex", n, weights=weights)
+    fresh = set(buchberger(minors, order))
+    served = _marked_alike(kept, order)
+    assert (served is not None) == any(set(gb) == fresh for gb in kept)
+    if served is not None:
+        assert set(served) == fresh
 
 
 def test_universal_gb_check_three_by_three_block():

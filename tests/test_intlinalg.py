@@ -72,6 +72,15 @@ def test_hnf_transform_is_unimodular():
                 assert 0 <= H[above][c] < H[k][c]
 
 
+def test_hnf_without_transform_gives_the_same_form():
+    rng = random.Random(6)
+    for _ in range(40):
+        M = random_matrix(rng, rng.randint(0, 5), rng.randint(1, 5))
+        H, U = hermite_normal_form(M, transform=False)
+        assert U is None
+        assert H == hermite_normal_form(M)[0]
+
+
 def test_snf_examples():
     assert invariant_factors([[2, 0], [0, 3]]) == (1, 6)
     assert invariant_factors(identity_matrix(4)) == (1, 1, 1, 1)
@@ -127,6 +136,12 @@ def test_kernel_basis_examples(P1, P5):
 
     adm5 = kernel_basis(admissible_matrix(P5), ncols=16)
     assert adm5.rank == 9
+
+
+@pytest.mark.parametrize("ncols", [1, 5])
+def test_kernel_basis_rejects_a_wrong_column_count(ncols):
+    with pytest.raises(ValueError, match=f"ncols is {ncols}, the matrix has 2 columns"):
+        kernel_basis([[1, 1]], ncols=ncols)
 
 
 def test_kernel_vectors_annihilate_and_saturate():
