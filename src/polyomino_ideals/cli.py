@@ -5,9 +5,10 @@ or readable text, diagnostics go to stderr.  Each row of ``_COMMANDS`` is a
 report subcommand whose handler computes only its fields and text lines;
 ``_run_report`` parses the grid, times the command and emits ``{"schema",
 "command", **fields, "timings": {"seconds": ...}}``.  Schema 1, except
-ugb-check at 2: its order-free membership verdict "candidates_in_ideal" sits
-at the top level, its per-order outcomes carry no S-pair field.  Exit codes:
-0 success, 1 usage error or malformed input, 2 fuzzing found a counterexample.
+groebner at 2 and ugb-check at 3 (their degrevlex became graded reverse-lex);
+ugb-check's order-free verdict "candidates_in_ideal" sits at the top level,
+its per-order outcomes carry no S-pair field.  Exit codes: 0 success, 1
+usage error or malformed input, 2 fuzzing found a counterexample.
 """
 
 from __future__ import annotations
@@ -248,7 +249,7 @@ _COMMANDS = (
     _Command("groebner", _groebner, "reduced Groebner basis of the polyomino ideal", (
         ("--order", {"default": "degrevlex",
                      "help": "lex|deglex|degrevlex[:perm=i,j,...][:weights=w,...]"}),
-    )),
+    ), schema=2),
     _Command("cycles", _cycles, "enumerate cycles and their binomials", (
         ("--primitive", {"action": "store_true"}),
         ("--max-vertices", {"type": int, "default": None}),
@@ -257,7 +258,7 @@ _COMMANDS = (
         ("--orders", {"type": int, "default": 5,
                       "help": "number of sampled permutations and of weight orders"}),
         ("--seed", {"type": int, "default": 0}),
-    ), schema=2),
+    ), schema=3),
     _Command("certify-treelike", _certify_treelike,
              "constructive membership certificate for an admissible labeling", (
         ("--labeling", {"required": True, "help": "file of 'i j value' lines"}),

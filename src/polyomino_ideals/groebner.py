@@ -51,7 +51,7 @@ from __future__ import annotations
 import heapq
 import os
 from itertools import compress
-from operator import add, is_not, itemgetter, neg, sub
+from operator import add, is_not, sub
 
 from .errors import StepLimitExceededError
 from .orders import MonomialOrder, canonical_order
@@ -89,20 +89,17 @@ def _resolve_step_limit(step_limit):
 
 def _binomial_pairs(polys, order):
     """(lead, trail) exponent pairs of polynomials c*(x^a - x^b), c nonzero;
-    other polynomials, and terms not in a MonomialOrder's (else the first
-    generator's) variable count, raise ValueError."""
-    key = order.key
-    n = order.nvars if isinstance(order, MonomialOrder) else None
-    whose = "the first generator" if n is None else "the order"
+    other polynomials, and terms not in the order's variable count, raise
+    ValueError."""
+    key, n = order.key, order.nvars
     pairs = []
     for g in polys:
         if len(g.terms) != 2 or sum(g.terms.values()):
             raise ValueError(f"not a pure difference c*(x^a - x^b): {polynomial_str(g)}")
         a, b = g.terms
-        n = len(a) if n is None else n
         sizes = {len(a), len(b)} - {n}
         if sizes:
-            raise ValueError(f"{whose} has {n} variables, the polynomials {max(sizes)}")
+            raise ValueError(f"the order has {n} variables, the polynomials {max(sizes)}")
         pairs.append((a, b) if key(a) > key(b) else (b, a))
     return pairs
 
@@ -282,20 +279,6 @@ def ideal_equal(F: IdealGens, G: IdealGens, step_limit: int | None = None) -> bo
     return buchberger(F, order, step_limit) == buchberger(G, order, step_limit)
 
 
-class _RevLexLast:
-    """Textbook graded reverse-lex order, ``tail`` ranking the variables from
-    the least up: x_v, those outside the ``proven`` bitmask, those inside,
-    each group in descending index."""
-
-    __slots__ = ("key", "tail")
-
-    def __init__(self, v: int, nvars: int, proven: int):
-        rest = sorted(set(range(nvars)) - {v}, key=lambda w: (proven >> w & 1, -w))
-        self.tail = (v, *rest)
-        ranked = itemgetter(*self.tail) if nvars > 1 else tuple  # itemgetter(v) is no tuple
-        self.key = lambda m: (sum(m), tuple(map(neg, ranked(m))))
-
-
 def _divide_out(g: Polynomial, v: int) -> Polynomial:
     """g divided by the largest power of x_v that divides it."""
     e = min(m[v] for m in g.terms)
@@ -367,7 +350,8 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None,
     elements, the run's Groebner basis of the saturation by x_v.  Each run
     ranks x_v least, then the variables not yet proven regular modulo the
     saturation by x_v, then the proven ones.  If no run divides anything,
-    F itself comes back.
+    F itself comes back.  A gb_order on another variable count than F
+    raises ValueError.
 
     Each Buchberger run gets the step limit on S-pairs popped; exceeding it
     names the variable being saturated and counts the requested variables
@@ -385,6 +369,8 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None,
     supports = _two_term_supports(gens, n)
     regular = saturated = 0
     if gb_order is not None:
+        if gb_order.nvars != n:
+            raise ValueError(f"the order has {gb_order.nvars} variables, the polynomials {n}")
         regular = _regular_closure(supports, _lead_free(initial_ideal(gens, gb_order), n))
     divided = False
     while requested & ~regular:
@@ -394,7 +380,9 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None,
             if not regular >> v & 1
         }
         v = max(grown, key=lambda v: (grown[v].bit_count(), -v))
-        order = _RevLexLast(v, n, grown[v])
+        # from the greatest: the proven variables, the others, x_v last
+        perm = sorted(range(n), key=lambda w: (w == v, ~grown[v] >> w & 1, w))
+        order = MonomialOrder("degrevlex", n, perm=perm)
         try:
             gb = buchberger(gens, order, step_limit)
         except StepLimitExceededError as exc:

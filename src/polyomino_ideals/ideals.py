@@ -32,7 +32,7 @@ from .groebner import (
     quotient_dimension,
     saturate,
 )
-from .intlinalg import LatticeBasis, kernel_basis
+from .intlinalg import LatticeBasis, kernel_basis, matrix_rank
 from .orders import canonical_order
 from .polynomials import IdealGens, Polynomial
 
@@ -220,23 +220,24 @@ def is_balanced(P: Polyomino, step_limit: int | None = None) -> BalancedReport:
 
     The cell vectors span a saturated lattice of rank |P| (the row-major
     largest cell (i, j) alone has vertex (i+1, j+1): unitriangular) inside
-    the saturated admissible kernel, so the two are equal iff the kernel has
-    rank |P|; then the labeling ideal is the minors' saturation by all
-    variables (Sturmfels, Lemma 12.2), the basis ``is_prime`` reads too.
+    the saturated admissible kernel, so the two are equal iff the kernel,
+    of rank |V(P)| minus that of ``admissible_matrix``, has rank |P|; then
+    the labeling ideal is the minors' saturation by all variables
+    (Sturmfels, Lemma 12.2), the basis ``is_prime`` reads too.
     """
-    adm = admissible_lattice(P)
+    adm_rank = P.num_vertices - matrix_rank(admissible_matrix(P))
     ncells = len(P)
-    if adm.rank != ncells:
-        return BalancedReport(False, adm.rank, ncells)
+    if adm_rank != ncells:
+        return BalancedReport(False, adm_rank, ncells)
     gb_minors = _canonical_basis(P, step_limit)
     gb_labelings = _canonical_basis(P, step_limit, saturated=True)
     if gb_minors == gb_labelings:
-        return BalancedReport(True, adm.rank, ncells, shared_gb=gb_minors)
+        return BalancedReport(True, adm_rank, ncells, shared_gb=gb_minors)
     order = canonical_order(P.num_vertices)
     offending = next(
         g for g in gb_labelings if normal_form(g, gb_minors, order)
     )
-    return BalancedReport(False, adm.rank, ncells, offending=offending)
+    return BalancedReport(False, adm_rank, ncells, offending=offending)
 
 
 def is_prime(P: Polyomino, step_limit: int | None = None) -> bool:

@@ -1,16 +1,17 @@
 """Exact integer linear algebra: Hermite normal form, kernels, invariant factors.
 
 Matrices are plain lists of lists of Python ints, so there is no overflow to
-worry about; rows of unequal length raise ValueError.  The Hermite normal
-form builds its unimodular transform only when asked, for saturated kernel
-bases; alternating Hermite forms of a matrix and its transpose give its
-invariant factors.
+worry about; rows of unequal length raise ValueError, non-integer entries
+TypeError.  The Hermite normal form builds its unimodular transform only
+when asked, for saturated kernel bases; alternating Hermite forms of a
+matrix and its transpose give its invariant factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -33,8 +34,8 @@ def identity_matrix(n: int) -> list[list[int]]:
 
 
 def _int_matrix(mat) -> list[list[int]]:
-    """A fresh copy of mat with int entries; rows of unequal length raise."""
-    rows = [[int(x) for x in row] for row in mat]
+    """A fresh copy of mat with int entries; ragged rows or non-integers raise."""
+    rows = [list(map(index, row)) for row in mat]
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("matrix rows differ in length")
     return rows
@@ -139,7 +140,7 @@ class LatticeBasis:
     ambient: int
 
     def __post_init__(self):
-        vecs = tuple(tuple(int(x) for x in v) for v in self.vectors)
+        vecs = tuple(tuple(map(index, v)) for v in self.vectors)
         object.__setattr__(self, "vectors", vecs)
         for v in vecs:
             if len(v) != self.ambient:

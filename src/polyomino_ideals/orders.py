@@ -3,15 +3,15 @@
 An order exposes ``key(mono) -> tuple``, compiled once per order, so
 monomials compare through their keys; keys from different order instances
 are not comparable.  The variable permutation lists variables from greatest
-to least precedence.  degrevlex compares total degree first, then breaks
-ties at the last distinct exponent position of the permuted arrangement
-(larger exponent there wins), which in the canonical row-major arrangement
-makes the diagonal term of an inner minor the leading one.
+to least precedence.  degrevlex is graded reverse-lex (Cox-Little-O'Shea,
+section 2.2): total degree first, then the smaller exponent at the last
+distinct position of the permuted arrangement wins.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -45,9 +45,13 @@ class MonomialOrder:
         self.perm = perm
         self.weights = weights
         # below two variables the perm is (0,) or () and itemgetter gives no tuple
-        ranked = perm[::-1] if scheme == "degrevlex" else perm
-        arrange = itemgetter(*ranked) if nvars > 1 else tuple
-        key = arrange if scheme == "lex" else lambda m: (sum(m), arrange(m))
+        arrange = itemgetter(*perm) if nvars > 1 else tuple
+        key = {
+            "lex": arrange,
+            "deglex": lambda m: (sum(m), arrange(m)),
+            # prefix sums from the degree down: the smaller last exponent wins
+            "degrevlex": lambda m: tuple(accumulate(arrange(m)))[::-1],
+        }[scheme]
         if weights is not None:
             base = key
             key = lambda m: (sum(map(mul, weights, m)), base(m))
@@ -78,9 +82,10 @@ class MonomialOrder:
 
 
 def canonical_order(nvars: int) -> MonomialOrder:
-    """The fixed order used for all ideal equality tests: degrevlex on the
-    row-major variable numbering."""
-    return MonomialOrder("degrevlex", nvars)
+    """The fixed order used for all ideal equality tests: deglex with the
+    row-major variables ranked in reverse, which leads every inner minor
+    with its diagonal term."""
+    return MonomialOrder("deglex", nvars, perm=range(nvars - 1, -1, -1))
 
 
 def order_sample(

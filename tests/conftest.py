@@ -7,16 +7,17 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul, neg
 
 import pytest
 from hypothesis import settings
 
 from polyomino_ideals import (
     IdealGens,
+    MonomialOrder,
     Polynomial,
     Polyomino,
     buchberger,
-    canonical_order,
     cell_neighbors,
     cell_vertices,
     is_tree_like,
@@ -338,32 +339,22 @@ def random_admissible_labeling(P, basis, rng: random.Random) -> dict:
 
 
 def reference_order_key(order, m) -> tuple:
-    """The key of a ``MonomialOrder``, read off its scheme, permutation and
-    weights on every call: the compiled ``order.key`` must return the same
-    tuple."""
-    arranged = tuple(m[v] for v in order.perm)
+    """m's dot products with the rows of the order's weight matrix (Robbiano,
+    EUROCAL 1985), which must compare as ``order.compare`` does.  lex takes
+    the unit rows e_perm[0], e_perm[1], ...; deglex puts the all-ones row in
+    front of them; degrevlex puts it in front of -e_perm[-1], -e_perm[-2],
+    ...; a weight vector goes first."""
+    n = order.nvars
+    unit = [tuple(int(w == v) for w in range(n)) for v in range(n)]
     if order.scheme == "lex":
-        base: tuple = arranged
+        rows = [unit[v] for v in order.perm]
     elif order.scheme == "deglex":
-        base = (sum(m), arranged)
-    else:  # degrevlex: degree, then last distinct exponent decides
-        base = (sum(m), tuple(reversed(arranged)))
+        rows = [(1,) * n, *(unit[v] for v in order.perm)]
+    else:
+        rows = [(1,) * n, *(tuple(map(neg, unit[v])) for v in reversed(order.perm))]
     if order.weights is not None:
-        w = sum(wi * ei for wi, ei in zip(order.weights, m))
-        return (w, base)
-    return base
-
-
-class _EliminationKey:
-    """Block order on nvars + 1 variables: the last one dominates, the rest
-    compare by the canonical order."""
-
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self.inner = canonical_order(nvars)
-
-    def key(self, m):
-        return (m[self.nvars], self.inner.key(m[: self.nvars]))
+        rows.insert(0, order.weights)
+    return tuple(sum(map(mul, row, m)) for row in rows)
 
 
 def saturate_by_elimination(F: IdealGens, variables) -> IdealGens:
@@ -377,7 +368,8 @@ def saturate_by_elimination(F: IdealGens, variables) -> IdealGens:
         prod[v] = 1
     prod[n] = 1
     ext.append(Polynomial({tuple(prod): 1, (0,) * (n + 1): -1}))
-    gb = buchberger(ext, _EliminationKey(n))
+    # deglex after a weight on w alone: an elimination order for w
+    gb = buchberger(ext, MonomialOrder("deglex", n + 1, weights=(0,) * n + (1,)))
     kept = [
         Polynomial({m[:n]: c for m, c in g.terms.items()})
         for g in gb

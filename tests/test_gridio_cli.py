@@ -175,7 +175,7 @@ def test_cli_ugb_check(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["ugb-check", str(grid), "--orders", "2", "--seed", "5", "--format", "json"])
     payload = json.loads(out)
     assert code == 0
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
     assert payload["candidates_in_ideal"] is True
     assert payload["passed"] is True
     assert len(payload["outcomes"]) == 7  # lex, deglex, degrevlex + 2 perms + 2 weights
@@ -343,7 +343,7 @@ def test_cli_report_contract(capsys, tmp_path, command):
     code, out, _ = run_cli(capsys, [*argv, str(grid), "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == (2 if command == "ugb-check" else 1)
+    assert payload["schema"] == {"groebner": 2, "ugb-check": 3}.get(command, 1)
     assert payload["command"] == command
     assert list(payload)[:2] == ["schema", "command"] and list(payload)[-1] == "timings"
     seconds = payload["timings"]["seconds"]

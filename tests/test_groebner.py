@@ -26,7 +26,7 @@ from polyomino_ideals import (
     saturate,
     vector_binomial,
 )
-from polyomino_ideals.groebner import _RevLexLast, s_polynomial
+from polyomino_ideals.groebner import s_polynomial
 from conftest import (
     brute_quotient_dimension,
     free_cellsets,
@@ -67,9 +67,6 @@ def test_mixed_variable_counts_are_rejected():
         buchberger(basis, MonomialOrder("lex", 2))
     with pytest.raises(ValueError, match=message):
         normal_form(X_MINUS_Y, basis, MonomialOrder("lex", 2))
-    # an order without nvars goes by the first generator
-    with pytest.raises(ValueError, match="the first generator has 2 variables, the polynomials 3"):
-        buchberger(basis, _RevLexLast(0, 2, 0))
 
 
 def test_normal_form_of_generator_is_zero(P2):
@@ -94,12 +91,15 @@ def _random_pure_differences(rng, nvars, count):
 
 
 def _sweep_orders(nvars):
-    """The sampled orders plus graded reverse-lex orders of the kind saturate
-    uses: x_0 or x_{n-1} least, and x_{n-1} least with x_0 proven regular."""
+    """The sampled orders, whose plain degrevlex ranks x_{n-1} least, plus
+    graded reverse-lex orders of the kind saturate uses: x_0 least, and
+    x_{n-1} least with x_1 proven regular, so ranked greatest."""
     orders = order_sample(nvars, permutations=1, weight_orders=1, seed=3)
     last = nvars - 1
+    proven_first = sorted(range(last), key=lambda w: (w != 1, w))
     return orders + [
-        _RevLexLast(0, nvars, 0), _RevLexLast(last, nvars, 0), _RevLexLast(last, nvars, 1)
+        MonomialOrder("degrevlex", nvars, perm=(*range(1, nvars), 0)),
+        MonomialOrder("degrevlex", nvars, perm=(*proven_first, last)),
     ]
 
 
@@ -253,6 +253,16 @@ def test_saturate_rejects_inhomogeneous():
         saturate(F, [0])
 
 
+def test_saturate_rejects_wrong_size_gb_order(P1):
+    # the unit square's minor lives in 4 variables: a 5-variable order would
+    # index past its monomials, a 3-variable one read truncated keys
+    minors = inner_minors(P1)
+    for nvars in (3, 5):
+        message = f"the order has {nvars} variables, the polynomials 4"
+        with pytest.raises(ValueError, match=message):
+            saturate(minors, range(4), gb_order=MonomialOrder("deglex", nvars))
+
+
 def test_saturate_step_limit_names_the_variable(P4):
     with pytest.raises(StepLimitExceededError, match="saturating by x0"):
         saturate(inner_minors(P4), range(P4.num_vertices), step_limit=1)
@@ -312,7 +322,7 @@ def test_saturate_skips_regular_variables(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", counting)
     sat = saturate(F, range(16))
     # x0 least, then x5, then x10: the schedule of the step-limit test below
-    assert [order.tail[0] for order in runs] == [0, 5, 10]
+    assert [order.perm[-1] for order in runs] == [0, 5, 10]
     assert ideal_equal(sat, expected)
 
 

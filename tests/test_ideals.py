@@ -468,7 +468,7 @@ def test_reused_bases_give_the_fresh_outcomes(monkeypatch):
             assert report.outcomes == tuple(_fresh_outcome(P, o, signed) for o in orders)
             sampled += len(orders)
             computed += sum(any(r is o for r in runs) for o in orders)
-    assert (sampled, computed) == (897, 632)
+    assert (sampled, computed) == (897, 693)
 
 
 @lru_cache(maxsize=None)

@@ -120,6 +120,22 @@ def test_ragged_matrices_are_rejected(fn, mat):
         fn(mat)
 
 
+@pytest.mark.parametrize(
+    "fn", [hermite_normal_form, matrix_rank, kernel_basis, invariant_factors]
+)
+@pytest.mark.parametrize("mat", [[[1.5, -1]], [[2.9, 0], [0, 3.2]], [[2.0, 1]]])
+def test_non_integral_entries_are_rejected(fn, mat):
+    # int() would truncate: the kernel of [1.5, -1] would come back as (1, 1)
+    # and the invariant factors of diag(2.9, 3.2) as (1, 6)
+    with pytest.raises(TypeError):
+        fn(mat)
+
+
+def test_lattice_basis_rejects_non_integral_vectors():
+    with pytest.raises(TypeError):
+        LatticeBasis(((1.0, -1),), 2)
+
+
 def test_matrix_rank_matches_rational_rank():
     rng = random.Random(4)
     for _ in range(40):
