@@ -1,12 +1,12 @@
 """Polyomino ideals over exact rationals.
 
-Geometry (cells, edge intervals, inner intervals), structure classification
-(convexity, simplicity, tree-likeness, leaf census), exact commutative
-algebra (Buchberger, saturation, initial ideals), integer lattices (Hermite
-normal form with transform, saturated kernel bases, invariant factors by
-alternating Hermite forms), and the polyomino-specific layer: inner
-minor ideals, admissible labelings, balancedness, primality, cycle binomials
-and universal Groebner basis checks.
+Geometry (cells, edge intervals, inner intervals, free polyominoes),
+structure classification (convexity, simplicity, tree-likeness, leaf
+census), exact commutative algebra (Buchberger, saturation, initial ideals),
+integer lattices (Hermite normal form with transform, saturated kernel
+bases, invariant factors by alternating Hermite forms), and the
+polyomino-specific layer: inner minor ideals, admissible labelings,
+balancedness, primality, cycle binomials and universal Groebner basis checks.
 """
 
 from .certificates import balanced_certificate_treelike, expand_certificate
@@ -60,13 +60,14 @@ from .grid import (
     cell_neighbors,
     cell_vertices,
     edge_interval_through,
+    free_polyominoes,
     inner_intervals,
     leaves,
     maximal_cell_interval,
     maximal_edge_intervals,
     point_key,
 )
-from .gridio import fuzz_conjecture, parse_grid, random_polyomino, render_grid
+from .gridio import parse_grid, render_grid
 from .groebner import (
     buchberger,
     ideal_equal,

@@ -15,6 +15,7 @@ of ``certificates`` peel along the same chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import NotALeafError
@@ -166,9 +167,9 @@ def _peel(P: Polyomino) -> tuple[tuple[_PeelStep, ...], frozenset | None]:
     steps = []
     sub = P
     while found := leaves(sub):
-        good = (lf.cell for lf in found if _leaf_site(sub, lf.cell)[2] is not None)
-        cell = next(good, found[0].cell)
-        e, interval, a2 = _leaf_site(sub, cell)
+        sites = ((lf.cell, *_leaf_site(sub, lf.cell)) for lf in found)
+        first = next(sites)
+        cell, e, interval, a2 = next((s for s in chain((first,), sites) if s[3] is not None), first)
         edge = edge_interval_through(sub, a2, interval.direction).vertices() if a2 else ()
         steps.append(_PeelStep(cell, e[1] if a2 == e[0] else e[0], a2, interval.direction, edge))
         if len(sub) == 1:

@@ -2,13 +2,14 @@
 
 Grids come from a file argument or stdin ('-'), reports go to stdout as JSON
 or readable text, diagnostics go to stderr.  Each row of ``_COMMANDS`` is a
-report subcommand whose handler computes only its fields and text lines;
-``_run_report`` parses the grid, times the command and emits ``{"schema",
-"command", **fields, "timings": {"seconds": ...}}``.  Schema 1, except
-groebner at 2 and ugb-check at 3 (their degrevlex became graded reverse-lex);
-ugb-check's order-free verdict "candidates_in_ideal" sits at the top level,
-its per-order outcomes carry no S-pair field.  Exit codes: 0 success, 1
-usage error or malformed input, 2 fuzzing found a counterexample.
+report subcommand whose handler computes only its fields and text lines
+from the parsed grid, as ``census`` does from every free polyomino;
+``_run_report`` times a report and emits ``{"schema", "command", **fields,
+"timings": {"seconds": ...}}``.  Schema 1, except groebner at 2 and
+ugb-check at 3 (their degrevlex became graded reverse-lex); ugb-check's
+order-free verdict "candidates_in_ideal" sits at the top level, its
+per-order outcomes carry no S-pair field.  Exit codes: 0 success, 1 usage
+error or malformed input, 2 the census found simple and balanced disagree.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import time
 from collections import Counter
 from dataclasses import asdict
 from functools import partial
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -27,8 +29,8 @@ from .certificates import balanced_certificate_treelike, expand_certificate
 from .classify import is_column_convex, is_row_convex, is_simple, is_tree_like, leaf_census
 from .cycles import cycle_binomial, enumerate_cycles
 from .errors import PolyominoError
-from .grid import Polyomino
-from .gridio import fuzz_conjecture, parse_grid, render_grid
+from .grid import Polyomino, free_polyominoes
+from .gridio import parse_grid, render_grid
 from .groebner import buchberger, initial_ideal, is_squarefree
 from .ideals import (
     dimension,
@@ -59,10 +61,6 @@ def _poly_str(P: Polyomino, f) -> str:
 def _lines(fields: dict, *keys: str) -> list[str]:
     """One 'key: value' text line per named field."""
     return [f"{key}: {fields[key]}" for key in keys]
-
-
-def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
-    print(json.dumps(payload, indent=2) if fmt == "json" else "\n".join(text_lines))
 
 
 def _read_labeling(path: str) -> dict:
@@ -266,17 +264,20 @@ _COMMANDS = (
 )
 
 
-def _run_report(command: _Command, args) -> int:
-    text = _read_text(args.grid)
+def _run_report(name: str, schema: int, report: Callable[[], _Report], fmt: str) -> dict:
+    """Time report(), emit its fields in the envelope and return them."""
     started = time.perf_counter()
-    fields, lines = command.report(parse_grid(text), args)
-    payload = {
-        "schema": command.schema,
-        "command": command.name,
-        **fields,
-        "timings": {"seconds": time.perf_counter() - started},
-    }
-    _emit(payload, args.format, lines)
+    fields, lines = report()
+    payload = {"schema": schema, "command": name, **fields,
+               "timings": {"seconds": time.perf_counter() - started}}
+    print(json.dumps(payload, indent=2) if fmt == "json" else "\n".join(lines))
+    return fields
+
+
+def _run_grid_report(command: _Command, args) -> int:
+    text = _read_text(args.grid)
+    _run_report(command.name, command.schema,
+                lambda: command.report(parse_grid(text), args), args.format)
     return 0
 
 
@@ -285,14 +286,29 @@ def _render(args) -> int:
     return 0
 
 
-def _fuzz(args) -> int:
-    summary = fuzz_conjecture(args.trials, args.max_cells, args.seed)
-    found = len(summary["counterexamples"])
-    _emit(summary, args.format, _lines(summary, "trials", "agreements") + [
-        f"counterexamples: {found}",
-    ])
+def _census_report(max_cells: int) -> _Report:
+    """Check simple iff balanced on every free polyomino with at most
+    max_cells cells; each disagreement is a counterexample, in full."""
+    levels = free_polyominoes(max_cells)
+    counterexamples = []
+    for P in chain.from_iterable(levels.values()):
+        simple, balanced = is_simple(P), is_balanced(P)
+        if simple.simple != balanced.balanced:
+            counterexamples.append({"grid": render_grid(P), **simple._asdict(),
+                                    "balanced": balanced.balanced,
+                                    "adm_rank": balanced.adm_rank, "ncells": balanced.ncells})
+    shapes = {n: len(level) for n, level in levels.items()}
+    fields = {"max_cells": max_cells, "shapes": {str(n): k for n, k in shapes.items()},
+              "counterexamples": counterexamples}
+    return fields, [f"max_cells: {max_cells}", f"shapes: {shapes}",
+                    f"counterexamples: {len(counterexamples)}", *map(json.dumps, counterexamples)]
+
+
+def _census(args) -> int:
+    fields = _run_report("census", 1, partial(_census_report, args.max_cells), args.format)
+    found = len(fields["counterexamples"])
     if found:
-        print(f"found {found} conjecture counterexample(s)", file=sys.stderr)
+        print(f"found {found} polyomino(es) where simple and balanced disagree", file=sys.stderr)
         return 2
     return 0
 
@@ -312,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     for command in _COMMANDS:
-        p = add(command.name, partial(_run_report, command), command.help)
+        p = add(command.name, partial(_run_grid_report, command), command.help)
         p.add_argument("grid", nargs="?", default="-")
         for flag, options in command.arguments:
             p.add_argument(flag, **options)
@@ -320,10 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("render", _render, "render a JSON cell list as grid text")
     p.add_argument("cells", nargs="?", default="-")
 
-    p = add("fuzz", _fuzz, "random search for simple/balanced disagreement")
-    p.add_argument("--trials", type=int, default=100)
+    p = add("census", _census, "check simple iff balanced on every free polyomino")
     p.add_argument("--max-cells", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
 
     return parser
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .errors import CellNotInPolyominoError, EmptyInputError, NotConnectedError
+from .errors import CellNotInPolyominoError, EmptyInputError, InvalidCountError, NotConnectedError
 
 Point = tuple[int, int]
 
@@ -196,6 +196,39 @@ class Polyomino:
                 for v in iv.vertices():
                     table[(v, direction)] = iv
         return table
+
+
+def _free_form(cells) -> tuple[Point, ...]:
+    """The least sorted, translation-normalized image of a cell set under the
+    eight symmetries of the square: one representative per dihedral class."""
+    forms = []
+    for a in (1, -1):
+        for b in (1, -1):
+            for image in ([(a * i, b * j) for i, j in cells], [(a * j, b * i) for i, j in cells]):
+                mini = min(i for i, _ in image)
+                minj = min(j for _, j in image)
+                forms.append(tuple(sorted((i - mini, j - minj) for i, j in image)))
+    return min(forms)
+
+
+def free_polyominoes(max_cells: int) -> dict[int, list[Polyomino]]:
+    """Every free polyomino with at most max_cells cells, keyed by cell count.
+
+    Level n+1 grows every shape of level n by one boundary cell and keeps
+    one shape per dihedral class, its ``_free_form``.  This reaches every
+    class: removing a leaf of a spanning tree of the cell graph leaves an
+    n-cell polyomino.  The level sizes are OEIS A000105.
+    """
+    if max_cells < 1:
+        raise InvalidCountError(f"max_cells must be at least 1, got {max_cells}")
+    levels = {1: {((0, 0),)}}
+    for n in range(2, max_cells + 1):
+        grown = set()
+        for shape in levels[n - 1]:
+            for nb in {nb for c in shape for nb in cell_neighbors(c)} - set(shape):
+                grown.add(_free_form([*shape, nb]))
+        levels[n] = grown
+    return {n: [Polyomino(cells) for cells in sorted(shapes)] for n, shapes in levels.items()}
 
 
 def _merge_runs(values: list[int]) -> list[tuple[int, int]]:

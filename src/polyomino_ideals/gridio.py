@@ -1,4 +1,4 @@
-"""Grid text parsing/rendering, seeded random polyominoes, conjecture fuzzing.
+"""Grid text parsing and rendering.
 
 Grid text uses '#' for a present cell and '.' for an absent one; the first
 text row is the top row of the grid (highest j).  Lines may have ragged
@@ -7,13 +7,8 @@ right edges, which are padded with '.'.
 
 from __future__ import annotations
 
-import random
-import time
-
-from .classify import is_simple
-from .errors import BadCharacterError, EmptyInputError, InvalidCountError
-from .grid import Point, Polyomino, cell_neighbors, point_key
-from .ideals import is_balanced
+from .errors import BadCharacterError, EmptyInputError
+from .grid import Polyomino
 
 
 def parse_grid(text: str) -> Polyomino:
@@ -46,75 +41,3 @@ def render_grid(P: Polyomino) -> str:
     for j in range(maxj, -1, -1):
         rows.append("".join("#" if (i, j) in P.cells else "." for i in range(maxi + 1)))
     return "\n".join(rows)
-
-
-def random_polyomino(n: int, seed) -> Polyomino:
-    """Connected n-cell polyomino grown by uniform boundary attachment.
-
-    Reproducible for a fixed seed; no uniformity guarantee over all
-    n-ominoes.
-    """
-    if n < 1:
-        raise InvalidCountError(f"cell count must be at least 1, got {n}")
-    rng = random.Random(seed)
-    cells: set[Point] = {(0, 0)}
-    while len(cells) < n:
-        boundary = sorted(
-            {nb for c in cells for nb in cell_neighbors(c)} - cells,
-            key=point_key,
-        )
-        cells.add(rng.choice(boundary))
-    return Polyomino(cells)
-
-
-def fuzz_conjecture(trials: int, max_cells: int, seed) -> dict:
-    """Probe simple versus balanced agreement on random polyominoes.
-
-    Returns a machine-readable summary; any disagreement is recorded in full
-    as a counterexample, never suppressed.
-    """
-    if trials < 1:
-        raise InvalidCountError(f"trials must be at least 1, got {trials}")
-    if max_cells < 1:
-        raise InvalidCountError(f"max_cells must be at least 1, got {max_cells}")
-    rng = random.Random(seed)
-    results = []
-    counterexamples = []
-    started = time.perf_counter()
-    for t in range(trials):
-        n = rng.randint(1, max_cells)
-        sub_seed = rng.randrange(2**32)
-        P = random_polyomino(n, sub_seed)
-        simple = is_simple(P)
-        balanced = is_balanced(P)
-        agree = simple.simple == balanced.balanced
-        entry = {
-            "trial": t,
-            "cells": len(P),
-            "simple": simple.simple,
-            "balanced": balanced.balanced,
-            "agree": agree,
-        }
-        results.append(entry)
-        if not agree:
-            counterexamples.append(
-                {
-                    "trial": t,
-                    "grid": render_grid(P),
-                    "simple": simple.simple,
-                    "hole": simple.hole,
-                    "balanced": balanced.balanced,
-                    "adm_rank": balanced.adm_rank,
-                    "ncells": balanced.ncells,
-                }
-            )
-    return {
-        "schema": 1,
-        "trials": trials,
-        "max_cells": max_cells,
-        "seed": seed,
-        "agreements": sum(1 for r in results if r["agree"]),
-        "counterexamples": counterexamples,
-        "results": results,
-        "timings": {"seconds": time.perf_counter() - started},
-    }

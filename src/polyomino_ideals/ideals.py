@@ -32,7 +32,7 @@ from .groebner import (
     quotient_dimension,
     saturate,
 )
-from .intlinalg import LatticeBasis, kernel_basis, matrix_rank
+from .intlinalg import LatticeBasis, kernel_basis
 from .orders import canonical_order
 from .polynomials import IdealGens, Polynomial
 
@@ -224,8 +224,16 @@ def is_balanced(P: Polyomino, step_limit: int | None = None) -> BalancedReport:
     of rank |V(P)| minus that of ``admissible_matrix``, has rank |P|; then
     the labeling ideal is the minors' saturation by all variables
     (Sturmfels, Lemma 12.2), the basis ``is_prime`` reads too.
+
+    That rank is counted, not computed.  ``admissible_matrix`` is the
+    unsigned incidence matrix of a bipartite graph: its nodes are the
+    maximal edge intervals, and each vertex of P is an edge joining its
+    horizontal interval to its vertical one.  Over Q such a matrix has rank
+    nodes minus components.  The graph is connected because P is: a cell's
+    corners join its four edge intervals, and neighboring cells share an
+    edge.  So the rank is the number of maximal edge intervals minus one.
     """
-    adm_rank = P.num_vertices - matrix_rank(admissible_matrix(P))
+    adm_rank = P.num_vertices - len(set(P.interval_through.values())) + 1
     ncells = len(P)
     if adm_rank != ncells:
         return BalancedReport(False, adm_rank, ncells)

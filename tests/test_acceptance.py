@@ -20,6 +20,7 @@ from polyomino_ideals import (
     dimension,
     enumerate_cycles,
     expand_certificate,
+    free_polyominoes,
     ideal_equal,
     initial_ideal,
     inner_minors,
@@ -38,7 +39,6 @@ from polyomino_ideals import (
     max_cycle_vertices,
     normal_form,
     order_sample,
-    random_polyomino,
 )
 from conftest import (
     random_admissible_labeling,
@@ -77,9 +77,8 @@ def balanced_reports(balanced_family):
 
 def test_criterion_01_lattice_lemma(fixtures):
     failures = []
-    rng = random.Random(101)
     samples = list(fixtures.values())
-    samples += [random_polyomino(rng.randint(1, 9), rng.randrange(2**32)) for _ in range(200)]
+    samples += [P for level in free_polyominoes(9).values() for P in level]
     for P in samples:
         matrix = [list(v) for v in cell_lattice_basis(P).vectors]
         if matrix_rank(matrix) != len(P):

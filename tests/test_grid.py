@@ -12,16 +12,18 @@ from polyomino_ideals import (
     CellNotInPolyominoError,
     EdgeInterval,
     EmptyInputError,
+    InvalidCountError,
     NotConnectedError,
     Polyomino,
     cell_degree,
     cell_edges,
+    free_polyominoes,
     inner_intervals,
     leaves,
     maximal_cell_interval,
     maximal_edge_intervals,
 )
-from conftest import grow_polyomino, point_leq, vertex_count_inclusion_exclusion
+from conftest import free_cellsets, grow_polyomino, point_leq, vertex_count_inclusion_exclusion
 
 
 def test_point_partial_order():
@@ -197,6 +199,26 @@ def test_vertex_count_matches_inclusion_exclusion(fixtures):
     small += [grow_polyomino(rng.randint(1, 5), rng) for _ in range(10)]
     for P in small:
         assert P.num_vertices == vertex_count_inclusion_exclusion(P)
+
+
+def test_free_polyominoes_match_fixed_enumeration():
+    # the oracle enumerates fixed polyominoes, then takes each one's least image
+    levels = free_polyominoes(7)
+    assert all(len(P) == n for n, level in levels.items() for P in level)
+    shapes = [tuple(sorted(P.cells)) for level in levels.values() for P in level]
+    assert len(shapes) == len(set(shapes))
+    assert set(shapes) == free_cellsets(7)
+
+
+def test_free_polyomino_counts():
+    levels = free_polyominoes(9)
+    # OEIS A000105
+    assert [len(levels[n]) for n in range(1, 10)] == [1, 1, 2, 5, 12, 35, 108, 369, 1285]
+
+
+def test_free_polyominoes_rejects_no_cells():
+    with pytest.raises(InvalidCountError):
+        free_polyominoes(0)
 
 
 def test_polyomino_is_hashable_and_immutable(P2):

@@ -1,7 +1,9 @@
-"""Grid text round trips, random generation, fuzzing, and the CLI surface."""
+"""Grid text round trips, the census, and the CLI surface."""
 
+import dataclasses
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,18 +13,17 @@ import pytest
 from polyomino_ideals import (
     BadCharacterError,
     EmptyInputError,
-    InvalidCountError,
     NotConnectedError,
     Polyomino,
-    fuzz_conjecture,
     parse_grid,
-    random_polyomino,
     render_grid,
 )
+from polyomino_ideals import cli
 from polyomino_ideals.cli import main
 from conftest import grow_polyomino
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def test_parse_examples(P2, P5):
@@ -55,46 +56,6 @@ def test_parse_render_round_trip(fixtures):
 
 def test_ragged_lines_pad_right():
     assert parse_grid("##\n#") == Polyomino({(0, 0), (0, 1), (1, 1)})
-
-
-def test_random_polyomino():
-    assert random_polyomino(1, 99) == Polyomino({(0, 0)})
-    assert random_polyomino(5, 42) == random_polyomino(5, 42)
-    assert len(random_polyomino(8, 7)) == 8
-    with pytest.raises(InvalidCountError):
-        random_polyomino(0, 1)
-
-
-def test_fuzz_trivial():
-    summary = fuzz_conjecture(1, 1, 0)
-    assert summary["agreements"] == 1
-    assert summary["results"][0] == {
-        "trial": 0,
-        "cells": 1,
-        "simple": True,
-        "balanced": True,
-        "agree": True,
-    }
-
-
-def test_fuzz_small_cells_always_agree():
-    summary = fuzz_conjecture(10, 3, 1)
-    assert summary["agreements"] == 10
-    assert summary["counterexamples"] == []
-
-
-def test_fuzz_hundred_trials_no_counterexample():
-    summary = fuzz_conjecture(100, 6, 7)
-    assert summary["trials"] == 100
-    assert summary["counterexamples"] == []
-    assert summary["agreements"] == 100
-
-
-def test_fuzz_validation():
-    with pytest.raises(InvalidCountError):
-        fuzz_conjecture(0, 3, 1)
-    with pytest.raises(InvalidCountError):
-        fuzz_conjecture(3, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,30 +156,26 @@ def test_cli_certify_treelike(capsys, tmp_path):
     assert payload["length"] >= 1
 
 
-def test_cli_fuzz_exit_codes(capsys, monkeypatch):
-    code, out, _ = run_cli(capsys, ["fuzz", "--trials", "3", "--max-cells", "3", "--seed", "2", "--format", "json"])
-    assert code == 0
+def test_cli_census_exit_codes(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, ["census", "--max-cells", "4", "--format", "json"])
+    assert code == 0 and err == ""
     assert json.loads(out)["counterexamples"] == []
 
-    # exit code 2 is reserved for a found counterexample; force one through a stub
-    import polyomino_ideals.cli as cli_mod
+    # exit code 2 is reserved for a counterexample; force one by flipping the
+    # domino's balanced verdict
+    balanced = cli.is_balanced
 
-    def fake_fuzz(trials, max_cells, seed):
-        return {
-            "schema": 1,
-            "trials": trials,
-            "max_cells": max_cells,
-            "seed": seed,
-            "agreements": trials - 1,
-            "counterexamples": [{"trial": 0, "grid": "##"}],
-            "results": [],
-            "timings": {},
-        }
+    def flipped(P):
+        report = balanced(P)
+        return dataclasses.replace(report, balanced=not report.balanced) if len(P) == 2 else report
 
-    monkeypatch.setattr(cli_mod, "fuzz_conjecture", fake_fuzz)
-    code, _, err = run_cli(capsys, ["fuzz", "--trials", "3", "--max-cells", "3"])
+    monkeypatch.setattr(cli, "is_balanced", flipped)
+    code, out, err = run_cli(capsys, ["census", "--max-cells", "4", "--format", "json"])
     assert code == 2
-    assert "counterexample" in err
+    assert "simple and balanced disagree" in err
+    assert json.loads(out)["counterexamples"] == [{
+        "grid": "#\n#", "simple": True, "hole": None, "balanced": False, "adm_rank": 2, "ncells": 2,
+    }]
 
 
 def test_cli_json_determinism(capsys, tmp_path):
@@ -350,13 +307,26 @@ def test_cli_report_contract(capsys, tmp_path, command):
     assert isinstance(seconds, float) and seconds >= 0
 
 
-def test_cli_fuzz_report_contract(capsys):
-    code, out, _ = run_cli(capsys, ["fuzz", "--trials", "2", "--max-cells", "2", "--format", "json"])
+def test_cli_census_report_contract(capsys):
+    code, out, _ = run_cli(capsys, ["census", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == 1
+    assert list(payload) == ["schema", "command", "max_cells", "shapes", "counterexamples", "timings"]
+    assert payload["schema"] == 1 and payload["command"] == "census"
+    assert payload["max_cells"] == 6
+    assert payload["shapes"] == {"1": 1, "2": 1, "3": 2, "4": 5, "5": 12, "6": 35}
+    assert payload["counterexamples"] == []
     seconds = payload["timings"]["seconds"]
     assert isinstance(seconds, float) and seconds >= 0
+
+
+def test_readme_names_every_subcommand():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Subcommands:(.*?`)\.", readme, re.DOTALL).group(1)
+    named = [item.split()[0] for item in re.findall(r"`([^`]*)`", sentence)]
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    assert sorted(named) == sorted(subparsers.choices)
 
 
 def _malformed_cases():
@@ -386,8 +356,8 @@ def _malformed_cases():
     yield pytest.param(["groebner", "--order", "lex:perm=a", "-"], "##\n", None,
                        "error: order option perm='a' is not a list of integers\n",
                        id="groebner-order-not-an-integer")
-    yield pytest.param(["fuzz", "--trials", "0"], "", None, "error: trials must be at least 1",
-                       id="fuzz-no-trials")
+    yield pytest.param(["census", "--max-cells", "0"], "", None,
+                       "error: max_cells must be at least 1", id="census-no-cells")
 
 
 @pytest.mark.parametrize("argv, stdin, labeling, message", _malformed_cases())
