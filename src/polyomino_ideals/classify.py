@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from .errors import NotALeafError
 from .grid import (
@@ -26,7 +26,7 @@ from .grid import (
     Point,
     Polyomino,
     cell_neighbors,
-    edge_interval_through,
+    connected_components,
     free_edge,
     leaves,
     maximal_cell_interval,
@@ -84,65 +84,54 @@ def is_column_convex(P: Polyomino) -> bool:
 
 
 def is_simple(P: Polyomino) -> SimpleReport:
-    """Flood fill over the complement inside a one cell padded bounding box.
+    """Components of the complement inside a one cell padded bounding box.
 
-    The polyomino is simple when every box cell outside P escapes to the
-    padding ring through cells outside P.  When it is not, the canonically
-    smallest trapped cell is returned as a witness.
+    The polyomino is simple when every box cell outside P lies in the
+    component of the padding corner (-1, -1), which holds the whole padding
+    ring.  Any other such cell is a hole; the canonically smallest one is
+    returned as a witness.
     """
-    maxi = max(i for i, _ in P.cells)
-    maxj = max(j for _, j in P.cells)
-    seen = set()
-    frontier = []
-    for i in range(-1, maxi + 2):
-        for j in (-1, maxj + 1):
-            frontier.append((i, j))
-    for j in range(0, maxj + 1):
-        for i in (-1, maxi + 1):
-            frontier.append((i, j))
-    seen.update(frontier)
-    while frontier:
-        c = frontier.pop()
-        for nb in cell_neighbors(c):
-            i, j = nb
-            if -1 <= i <= maxi + 1 and -1 <= j <= maxj + 1:
-                if nb not in seen and nb not in P.cells:
-                    seen.add(nb)
-                    frontier.append(nb)
-    holes = [
-        (i, j)
-        for j in range(maxj + 1)
-        for i in range(maxi + 1)
-        if (i, j) not in P.cells and (i, j) not in seen
-    ]
+    maxi, maxj = max(i for i, _ in P.cells), max(j for _, j in P.cells)
+    box = {(i, j) for i in range(-1, maxi + 2) for j in range(-1, maxj + 2)}
+    outside = connected_components(box - P.cells)
+    holes = [c for comp in outside if (-1, -1) not in comp for c in comp]
     if holes:
         return SimpleReport(False, min(holes, key=point_key))
     return SimpleReport(True, None)
 
 
-def _leaf_site(P: Polyomino, cell: Point) -> tuple[tuple[Point, Point], CellInterval, Point | None]:
-    """(free edge, cell interval, good vertex) of a leaf: its maximal cell
-    interval toward its neighbor, and its first free vertex whose edge
-    interval in that direction has as many unit edges as the cell interval
-    has cells (None for a bad leaf).  The one cell polyomino has no neighbor
-    and its free edge is the bottom one; its vertical interval makes it good.
+def _leaf_site(
+    P: Collection[Point], cell: Point, free: tuple[Point, Point]
+) -> tuple[CellInterval, Point | None]:
+    """(cell interval, good vertex) of the leaf cell of P, given the free
+    edge that ``leaves`` reported for it.
+
+    The cell interval is the leaf's maximal one toward its neighbor (vertical
+    for the one cell polyomino, whose free edge is the bottom one).  The good
+    vertex is the first vertex v of the free edge whose edge interval in that
+    direction has as many unit edges as the cell interval has cells, k; None
+    for a bad leaf.  Read off cells: the edge interval through v starts at v,
+    because no cell lies behind a free vertex.  It runs along the cell
+    interval.  The cell straight beyond the far end is absent, because the
+    interval is maximal.  So it has exactly k edges iff the cell diagonally
+    beyond the far end, on v's side, is absent.
     """
-    e = free_edge(P, cell)
-    if e is None:
-        raise NotALeafError(f"{cell} is not a leaf")
-    neighbor = next((nb for nb in cell_neighbors(cell) if nb in P.cells), None)
+    neighbor = next((nb for nb in cell_neighbors(cell) if nb in P), None)
     direction = HORIZONTAL if neighbor is not None and neighbor[1] == cell[1] else VERTICAL
     interval = maximal_cell_interval(P, cell, direction)
-    good = next(
-        (v for v in e if edge_interval_through(P, v, direction).num_edges == interval.num_cells),
-        None,
-    )
-    return e, interval, good
+    step = 1 if interval.start == cell else -1
+    i, j = interval.end if step == 1 else interval.start  # the far end
+    if direction == HORIZONTAL:
+        diagonal = [(i + step, 2 * y - j - 1) for _, y in free]
+    else:
+        diagonal = [(2 * x - i - 1, j + step) for x, _ in free]
+    return interval, next((v for v, c in zip(free, diagonal) if c not in P), None)
 
 
 class _PeelStep(NamedTuple):
     """One peeled leaf: a2 is its good free vertex (None for a bad leaf), a1
-    the other one, edge the vertices of a2's edge interval in direction."""
+    the other one, edge a2's edge interval in direction: the k + 1 vertices
+    on a2's side of the leaf's k-cell interval, in row-major order."""
 
     cell: Point
     a1: Point
@@ -156,6 +145,7 @@ def _peel_chain(P: Polyomino) -> tuple[tuple[_PeelStep, ...], frozenset | None]:
     else the smallest leaf, until one cell (stuck None) or a leafless
     sub-polyomino (stuck) remains; computed once and kept on P.
 
+    The peel shrinks a plain set of P's cells; no sub-polyomino is built.
     A leaf of P stays a leaf of every sub-polyomino holding it, so no peel
     removes a cell of a leafless sub-polyomino: every peeling order stops at
     the same stuck set, and at one cell exactly when P is tree-like.
@@ -165,17 +155,22 @@ def _peel_chain(P: Polyomino) -> tuple[tuple[_PeelStep, ...], frozenset | None]:
 
 def _peel(P: Polyomino) -> tuple[tuple[_PeelStep, ...], frozenset | None]:
     steps = []
-    sub = P
-    while found := leaves(sub):
-        sites = ((lf.cell, *_leaf_site(sub, lf.cell)) for lf in found)
+    cells = set(P.cells)
+    while found := leaves(cells):
+        sites = ((lf.cell, lf.free_edge, *_leaf_site(cells, *lf)) for lf in found)
         first = next(sites)
         cell, e, interval, a2 = next((s for s in chain((first,), sites) if s[3] is not None), first)
-        edge = edge_interval_through(sub, a2, interval.direction).vertices() if a2 else ()
+        if a2 is None:
+            edge = ()
+        elif interval.direction == HORIZONTAL:
+            edge = tuple((x, a2[1]) for x in range(interval.start[0], interval.end[0] + 2))
+        else:
+            edge = tuple((a2[0], y) for y in range(interval.start[1], interval.end[1] + 2))
         steps.append(_PeelStep(cell, e[1] if a2 == e[0] else e[0], a2, interval.direction, edge))
-        if len(sub) == 1:
+        if len(cells) == 1:
             break
-        sub = Polyomino(sub.cells - {cell}, normalize=False)
-    return tuple(steps), None if found else sub.cells
+        cells.remove(cell)
+    return tuple(steps), None if found else frozenset(cells)
 
 
 def is_tree_like(P: Polyomino) -> TreeLikeReport:
@@ -196,7 +191,10 @@ def classify_leaf(P: Polyomino, cell: Point) -> str:
     through it in the direction of the leaf's cell interval has as many unit
     edges as the cell interval has cells.
     """
-    return GOOD if _leaf_site(P, cell)[2] is not None else BAD
+    free = free_edge(P, cell)
+    if free is None:
+        raise NotALeafError(f"{cell} is not a leaf")
+    return GOOD if _leaf_site(P, cell, free)[1] is not None else BAD
 
 
 def leaf_census(P: Polyomino) -> LeafCensus:
@@ -207,19 +205,10 @@ def leaf_census(P: Polyomino) -> LeafCensus:
     good, bad = [], []
     blocking: dict[Point, Point] = {}
     for leaf in leaves(P):
-        _, iv, vertex = _leaf_site(P, leaf.cell)
+        iv, vertex = _leaf_site(P, *leaf)
         if vertex is not None:
             good.append(leaf.cell)
         else:
             bad.append(leaf.cell)
             blocking[leaf.cell] = iv.end if iv.start == leaf.cell else iv.start
-    return LeafCensus(
-        counts[0],
-        counts[1],
-        counts[2],
-        counts[3],
-        counts[4],
-        tuple(sorted(good, key=point_key)),
-        tuple(sorted(bad, key=point_key)),
-        blocking,
-    )
+    return LeafCensus(*counts, tuple(good), tuple(bad), blocking)

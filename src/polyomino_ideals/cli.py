@@ -1,7 +1,8 @@
 """Command line front end.
 
 Grids come from a file argument or stdin ('-'), reports go to stdout as JSON
-or readable text, diagnostics go to stderr.  Each row of ``_COMMANDS`` is a
+or readable text (``--format``; ``render`` prints grid text and takes no
+``--format``), diagnostics go to stderr.  Each row of ``_COMMANDS`` is a
 report subcommand whose handler computes only its fields and text lines
 from the parsed grid, as ``census`` does from every free polyomino;
 ``_run_report`` times a report and emits ``{"schema", "command", **fields,
@@ -9,7 +10,8 @@ from the parsed grid, as ``census`` does from every free polyomino;
 ugb-check at 3 (their degrevlex became graded reverse-lex); ugb-check's
 order-free verdict "candidates_in_ideal" sits at the top level, its
 per-order outcomes carry no S-pair field.  Exit codes: 0 success, 1 usage
-error or malformed input, 2 the census found simple and balanced disagree.
+error (a bad or missing argument, an unknown subcommand) or malformed input,
+2 the census found simple and balanced disagree.
 """
 
 from __future__ import annotations
@@ -313,8 +315,15 @@ def _census(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on malformed input; 2 is the census's."""
+
+    def error(self, message):
+        self.exit(1, f"error: {self.prog}: {message}\n{self.format_usage()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyideal",
         description="Polyomino ideals: classification, Groebner bases, balancedness.",
     )
@@ -333,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, options in command.arguments:
             p.add_argument(flag, **options)
 
-    p = add("render", _render, "render a JSON cell list as grid text")
+    p = sub.add_parser("render", help="render a JSON cell list as grid text")
+    p.set_defaults(fn=_render)
     p.add_argument("cells", nargs="?", default="-")
 
     p = add("census", _census, "check simple iff balanced on every free polyomino")

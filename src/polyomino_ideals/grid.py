@@ -9,7 +9,7 @@ immutable and every function is pure, so values can be shared freely.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .errors import CellNotInPolyominoError, EmptyInputError, InvalidCountError, NotConnectedError
 
@@ -86,21 +86,11 @@ class EdgeInterval(NamedTuple):
 
 
 class CellInterval(NamedTuple):
-    """A run of consecutive cells; length counts cells."""
+    """A run of consecutive cells, from start to end."""
 
     start: Point
     end: Point
     direction: str
-
-    @property
-    def num_cells(self) -> int:
-        return (self.end[0] - self.start[0]) + (self.end[1] - self.start[1]) + 1
-
-    def cells(self) -> tuple[Point, ...]:
-        i, j = self.start
-        if self.direction == HORIZONTAL:
-            return tuple((x, j) for x in range(i, self.end[0] + 1))
-        return tuple((i, y) for y in range(j, self.end[1] + 1))
 
 
 class Leaf(NamedTuple):
@@ -111,15 +101,15 @@ class Leaf(NamedTuple):
 class Polyomino:
     """Immutable edge-connected set of unit cells.
 
-    Construction validates connectivity and, unless ``normalize=False`` is
-    passed (used internally when working with sub-polyominoes in the ambient
-    coordinates of a parent), translates the cells so min i = min j = 0.
+    Construction validates connectivity and translates the cells so
+    min i = min j = 0.  Iteration yields the cells in row-major order, so a
+    Polyomino and a plain set of cells serve the leaf helpers below alike.
     Data that other modules derive from the cells once per polyomino (the
     leaf-peeling chain, the inner minors, their canonical bases) is kept
     through ``derived``.
     """
 
-    def __init__(self, cells: Iterable[Point], normalize: bool = True):
+    def __init__(self, cells: Iterable[Point]):
         cellset = set()
         for i, j in cells:
             if type(i) is not int or type(j) is not int:
@@ -127,11 +117,10 @@ class Polyomino:
             cellset.add((i, j))
         if not cellset:
             raise EmptyInputError("a polyomino needs at least one cell")
-        if normalize:
-            mini = min(i for i, _ in cellset)
-            minj = min(j for _, j in cellset)
-            if mini or minj:
-                cellset = {(i - mini, j - minj) for i, j in cellset}
+        mini = min(i for i, _ in cellset)
+        minj = min(j for _, j in cellset)
+        if mini or minj:
+            cellset = {(i - mini, j - minj) for i, j in cellset}
         comps = connected_components(cellset)
         if len(comps) > 1:
             raise NotConnectedError(comps)
@@ -147,6 +136,9 @@ class Polyomino:
 
     def __contains__(self, cell) -> bool:
         return cell in self.cells
+
+    def __iter__(self):
+        return iter(self.cells_sorted)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -177,15 +169,6 @@ class Polyomino:
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
-
-    @cached_property
-    def vertex_cells(self) -> dict[Point, tuple[Point, ...]]:
-        """For each vertex, the cells of the polyomino containing it."""
-        out: dict[Point, list[Point]] = {}
-        for c in self.cells_sorted:
-            for v in cell_vertices(c):
-                out.setdefault(v, []).append(c)
-        return {v: tuple(cs) for v, cs in out.items()}
 
     @cached_property
     def interval_through(self) -> dict[tuple[Point, str], EdgeInterval]:
@@ -312,41 +295,40 @@ def cell_degree(P: Polyomino, cell: Point) -> int:
     return sum(1 for nb in cell_neighbors(cell) if nb in P.cells)
 
 
-def free_edge(P: Polyomino, cell: Point) -> tuple[Point, Point] | None:
+def free_edge(P: Collection[Point], cell: Point) -> tuple[Point, Point] | None:
     """First edge of the cell (canonical order) whose two vertices belong to
     no other cell of P, or None."""
-    vc = P.vertex_cells
-    for a, b in cell_edges(cell):
-        if len(vc[a]) == 1 and len(vc[b]) == 1:
-            return (a, b)
+    for edge in cell_edges(cell):
+        if not any(
+            c != cell and c in P
+            for x, y in edge
+            for c in ((x - 1, y - 1), (x, y - 1), (x - 1, y), (x, y))
+        ):
+            return edge
     return None
 
 
-def leaves(P: Polyomino) -> list[Leaf]:
-    """Cells owning an edge whose two vertices touch no other cell.
+def leaves(P: Collection[Point]) -> list[Leaf]:
+    """Cells owning an edge whose two vertices touch no other cell, in
+    row-major order.
 
     The witnessing edge is reported; for the one cell polyomino every edge
     qualifies and the canonically smallest one (the bottom edge) is reported.
     """
-    out = []
-    for c in P.cells_sorted:
-        e = free_edge(P, c)
-        if e is not None:
-            out.append(Leaf(c, e))
-    return out
+    return [Leaf(c, e) for c in sorted(P, key=point_key) if (e := free_edge(P, c)) is not None]
 
 
-def maximal_cell_interval(P: Polyomino, cell: Point, direction: str) -> CellInterval:
+def maximal_cell_interval(P: Collection[Point], cell: Point, direction: str) -> CellInterval:
     """Longest run of consecutive cells of P through the cell, in direction."""
-    if cell not in P.cells:
+    if cell not in P:
         raise CellNotInPolyominoError(f"{cell} is not a cell of the polyomino")
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
     di, dj = (1, 0) if direction == HORIZONTAL else (0, 1)
     lo = cell
-    while (lo[0] - di, lo[1] - dj) in P.cells:
+    while (lo[0] - di, lo[1] - dj) in P:
         lo = (lo[0] - di, lo[1] - dj)
     hi = cell
-    while (hi[0] + di, hi[1] + dj) in P.cells:
+    while (hi[0] + di, hi[1] + dj) in P:
         hi = (hi[0] + di, hi[1] + dj)
     return CellInterval(lo, hi, direction)

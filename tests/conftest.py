@@ -325,6 +325,61 @@ def random_peel(P: Polyomino, rng: random.Random) -> frozenset | None:
     return None
 
 
+def unit_edges(cells) -> set:
+    """Every unit edge of the cells, as its (lower, upper) vertex pair."""
+    out = set()
+    for i, j in cells:
+        out |= {((i, j), (i + 1, j)), ((i, j), (i, j + 1)),
+                ((i + 1, j), (i + 1, j + 1)), ((i, j + 1), (i + 1, j + 1))}
+    return out
+
+
+def good_leaf_runs(cells, leaf) -> dict:
+    """The paper's good-leaf test on a raw cell set, by walking runs.
+
+    Take the leaf's maximal cell interval toward its one neighbor (vertical
+    for a single cell) and, for each free vertex v of the leaf (a vertex of
+    no other cell), the maximal run of unit edges through v in that
+    direction.  Returns {v: the run's vertices, in increasing order} for the
+    free vertices whose run has as many edges as the interval has cells;
+    the leaf is good iff this is nonempty.
+    """
+    cells = set(cells)
+    (nb,) = [c for c in cell_neighbors(leaf) if c in cells] or [(leaf[0], leaf[1] + 1)]
+    step = (abs(nb[0] - leaf[0]), abs(nb[1] - leaf[1]))
+
+    def shift(p, k):
+        return (p[0] + k * step[0], p[1] + k * step[1])
+
+    length = 1
+    for sign in (1, -1):
+        k = 1
+        while shift(leaf, sign * k) in cells:
+            length, k = length + 1, k + 1
+    edges = unit_edges(cells)
+    others = {v for c in cells - {leaf} for v in cell_vertices(c)}
+    runs = {}
+    for v in cell_vertices(leaf):
+        if v in others:
+            continue
+        lo = v
+        while (shift(lo, -1), lo) in edges:
+            lo = shift(lo, -1)
+        run = [lo]
+        while (run[-1], shift(run[-1], 1)) in edges:
+            run.append(shift(run[-1], 1))
+        if len(run) - 1 == length:
+            runs[v] = tuple(run)
+    return runs
+
+
+def euler_simple(cells) -> bool:
+    """Simple iff the Euler characteristic |V| - |unit edges| + |cells| of
+    the connected cell complex is 1: every hole lowers it by one."""
+    vertices = {v for c in cells for v in cell_vertices(c)}
+    return len(vertices) - len(unit_edges(cells)) + len(cells) == 1
+
+
 def random_admissible_labeling(P, basis, rng: random.Random) -> dict:
     """Nonzero integer combination of admissible kernel basis vectors."""
     n = P.num_vertices

@@ -10,14 +10,20 @@ from polyomino_ideals import (
     NotALeafError,
     Polyomino,
     classify_leaf,
+    free_polyominoes,
     is_column_convex,
     is_row_convex,
     is_simple,
     is_tree_like,
     leaf_census,
+    leaves,
 )
+from polyomino_ideals.classify import _peel_chain
 from conftest import (
     cell_graph,
+    euler_simple,
+    good_leaf_runs,
+    leaf_cells,
     random_column_convex,
     random_peel,
     random_row_convex,
@@ -145,3 +151,59 @@ def test_generated_classes_are_simple():
         for _ in range(10):
             P = make(7, rng)
             assert is_simple(P).simple
+
+
+def _row_major(cell):
+    return (cell[1], cell[0])
+
+
+def _frame(width, height):
+    return Polyomino({(i, j) for i in range(width) for j in range(height)
+                      if i in (0, width - 1) or j in (0, height - 1)})
+
+
+def test_good_leaf_oracle_matches_classify_leaf_and_census():
+    # every leaf of every free <= 8-omino, against the paper's definition
+    # walked on unit-edge runs
+    for P in (P for level in free_polyominoes(8).values() for P in level):
+        found = leaf_cells(P.cells)
+        assert sorted(lf.cell for lf in leaves(P)) == sorted(found)
+        good = sorted((c for c in found if good_leaf_runs(P.cells, c)), key=_row_major)
+        bad = sorted((c for c in found if c not in good), key=_row_major)
+        for c in found:
+            assert classify_leaf(P, c) == (GOOD if c in good else BAD)
+        census = leaf_census(P)
+        assert (census.good_leaves, census.bad_leaves) == (tuple(good), tuple(bad))
+
+
+def test_peel_chain_steps_match_good_leaf_oracle():
+    # at every step, on the cells still present: a good leaf is peeled while
+    # there is one, the smallest, with a2 good and edge its unit-edge run;
+    # else the smallest leaf; stuck is what is left when no leaf is
+    rng = random.Random(31)
+    shapes = [P for level in free_polyominoes(8).values() for P in level]
+    shapes += [random_tree_like(14, rng) for _ in range(40)]
+    for P in shapes:
+        steps, stuck = _peel_chain(P)
+        cells = set(P.cells)
+        for step in steps:
+            found = leaf_cells(cells)
+            good = [c for c in found if good_leaf_runs(cells, c)]
+            if step.a2 is None:
+                assert good == [] and step.cell == min(found, key=_row_major)
+            else:
+                assert step.cell == min(good, key=_row_major)
+                assert good_leaf_runs(cells, step.cell)[step.a2] == step.edge
+            cells.remove(step.cell)
+        assert leaf_cells(cells) == []
+        assert (frozenset(cells) or None) == stuck
+
+
+def test_is_simple_matches_euler_characteristic():
+    shapes = [P for level in free_polyominoes(9).values() for P in level]
+    shapes += [_frame(3, 3), _frame(4, 3), _frame(4, 4)]
+    for P in shapes:
+        report = is_simple(P)
+        assert report.simple == euler_simple(P.cells)
+        assert report.hole is None or report.hole not in P
+    assert [is_simple(P).simple for P in shapes[-3:]] == [False] * 3

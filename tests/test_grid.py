@@ -185,10 +185,9 @@ def test_leaves_have_degree_one(small_polyominoes):
 
 def test_maximal_cell_interval(P3, P4):
     iv = maximal_cell_interval(P3, (1, 0), HORIZONTAL)
-    assert iv.cells() == ((0, 0), (1, 0))
-    assert iv.num_cells == 2
-    assert maximal_cell_interval(P3, (1, 0), VERTICAL).num_cells == 1
-    assert maximal_cell_interval(P4, (0, 0), HORIZONTAL).num_cells == 2
+    assert (iv.start, iv.end) == ((0, 0), (1, 0))
+    assert maximal_cell_interval(P3, (1, 0), VERTICAL)[:2] == ((1, 0), (1, 0))
+    assert maximal_cell_interval(P4, (0, 0), HORIZONTAL)[:2] == ((0, 0), (1, 0))
     with pytest.raises(CellNotInPolyominoError):
         maximal_cell_interval(P3, (5, 5), HORIZONTAL)
 
@@ -269,4 +268,18 @@ def test_derived_data_has_one_home():
             for t in targets:
                 if isinstance(t, ast.Attribute) and ast.unparse(t.value) != "self":
                     found.append(f"{where} assigns {ast.unparse(t)}")
+    assert found == []
+
+
+def test_leaf_peel_builds_no_polyomino():
+    # classify peels on a plain set of cells and certificates reads its
+    # chain: neither builds a Polyomino, so per-step construction cannot
+    # come back unnoticed
+    package = Path(__file__).resolve().parent.parent / "src" / "polyomino_ideals"
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("classify.py", "certificates.py")
+        for node in ast.walk(ast.parse((package / name).read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Polyomino"
+    ]
     assert found == []

@@ -207,6 +207,12 @@ def test_cli_usage_errors(capsys, monkeypatch, tmp_path):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["census", "--help"]])
+def test_cli_help_and_version_exit_0(argv):
+    proc = _run_module(argv)
+    assert proc.returncode == 0 and proc.stderr == "" and "polyideal" in proc.stdout
+
+
 def test_cli_certify_large_labels_without_traceback(tmp_path):
     labeling = tmp_path / "lab.txt"
     labeling.write_text("0 0 2000\n2 1 2000\n0 1 -2000\n2 0 -2000\n")
@@ -358,6 +364,16 @@ def _malformed_cases():
                        id="groebner-order-not-an-integer")
     yield pytest.param(["census", "--max-cells", "0"], "", None,
                        "error: max_cells must be at least 1", id="census-no-cells")
+    # argparse's usage errors exit 1 too: 2 is the census's counterexample
+    for argv, message, name in (
+        (["certify-treelike", "-"], "required: --labeling", "certify-treelike-no-labeling"),
+        (["census", "--max-cells", "x"], "argument --max-cells: invalid int value", "census-bad-int"),
+        (["cycles", "--max-vertices", "y", "-"], "argument --max-vertices: invalid int value",
+         "cycles-bad-int"),
+        (["frobnicate"], "invalid choice: 'frobnicate'", "unknown-subcommand"),
+        (["render", "--format", "json"], "unrecognized arguments: --format", "render-format"),
+    ):
+        yield pytest.param(argv, "##\n", None, message, id=f"usage-{name}")
 
 
 @pytest.mark.parametrize("argv, stdin, labeling, message", _malformed_cases())
