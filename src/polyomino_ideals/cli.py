@@ -7,7 +7,8 @@ report subcommand whose handler computes only its fields and text lines
 from the parsed grid, as ``census`` does from every free polyomino;
 ``_run_report`` times a report and emits ``{"schema", "command", **fields,
 "timings": {"seconds": ...}}``.  Schema 1, except groebner at 2 and
-ugb-check at 3 (their degrevlex became graded reverse-lex); ugb-check's
+ugb-check at 3 (their degrevlex became graded reverse-lex) and balanced at
+2 (its certificate counts chordless cycles checked); ugb-check's
 order-free verdict "candidates_in_ideal" sits at the top level, its
 per-order outcomes carry no S-pair field.  Exit codes: 0 success, 1 usage
 error (a bad or missing argument, an unknown subcommand) or malformed input,
@@ -155,14 +156,15 @@ def _balanced(P: Polyomino, args) -> _Report:
         "adm_rank": report.adm_rank,
         "num_cells": report.ncells,
         "offending": _poly_str(P, report.offending) if report.offending else None,
-        "shared_gb_size": len(report.shared_gb) if report.shared_gb else None,
+        "cycles_checked": report.cycles_checked,
     }
     if report.adm_rank != report.ncells:
         witness = f"witness: admissible lattice rank {report.adm_rank} != cells {report.ncells}"
     elif report.offending is not None:
         witness = f"witness: {_poly_str(P, report.offending)} lies outside the minor ideal"
     else:
-        witness = f"certificate: shared reduced basis of size {len(report.shared_gb)}"
+        witness = (f"certificate: all {report.cycles_checked} chordless cycles of the "
+                   "interval graph are inner 4-cycles")
     return fields, [*_lines(fields, "balanced"), witness]
 
 
@@ -243,7 +245,7 @@ _COMMANDS = (
     _Command("parse", _parse, "parse grid text into a normalized cell list"),
     _Command("classify", _classify, "convexity, simplicity, tree-likeness, leaf census"),
     _Command("ideal", _ideal, "inner minor generators of the polyomino ideal"),
-    _Command("balanced", _balanced, "decide balancedness, with witness"),
+    _Command("balanced", _balanced, "decide balancedness, with witness", schema=2),
     _Command("prime", _prime, "decide primality of the polyomino ideal"),
     _Command("dimension", _dimension, "Krull dimension of the coordinate ring"),
     _Command("groebner", _groebner, "reduced Groebner basis of the polyomino ideal", (

@@ -53,4 +53,5 @@ class InvalidCountError(PolyominoError):
 
 
 class StepLimitExceededError(PolyominoError):
-    """The Buchberger loop processed more S-pairs than the configured cap."""
+    """A search passed the configured step cap: S-pairs popped by a
+    Buchberger run, or path extensions of the chordless-cycle search."""

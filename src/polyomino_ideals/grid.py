@@ -1,4 +1,5 @@
-"""Polyomino geometry: cells, vertices, edge intervals, inner intervals, leaves.
+"""Polyomino geometry: cells, vertices, edge intervals and their graph,
+inner intervals, leaves.
 
 A cell is the unit square with lower left corner (i, j); i counts columns and
 j counts rows.  A polyomino is a finite, edge-connected set of cells,
@@ -104,7 +105,7 @@ class Polyomino:
     Construction validates connectivity and translates the cells so
     min i = min j = 0.  Iteration yields the cells in row-major order, so a
     Polyomino and a plain set of cells serve the leaf helpers below alike.
-    Data that other modules derive from the cells once per polyomino (the
+    Data derived from the cells once per polyomino (the interval graph, the
     leaf-peeling chain, the inner minors, their canonical bases) is kept
     through ``derived``.
     """
@@ -254,6 +255,45 @@ def maximal_edge_intervals(P: Polyomino, direction: str) -> list[EdgeInterval]:
                 out.append(EdgeInterval((line, a), (line, b + 1), direction))
     out.sort(key=lambda iv: point_key(iv.start))
     return out
+
+
+class IntervalGraph(NamedTuple):
+    """The bipartite interval graph G_P of a polyomino.
+
+    Its nodes are the maximal edge intervals, the horizontal ones first,
+    each direction in row-major order of the intervals' first vertices, as
+    ``maximal_edge_intervals`` lists them; each vertex of P is an edge
+    joining its horizontal interval to its vertical one, so two nodes share
+    at most one edge.  adjacency[k] is the bitmask of node k's neighbours.
+    """
+
+    nodes: tuple[EdgeInterval, ...]
+    adjacency: tuple[int, ...]
+
+    def vertex(self, a: int, b: int) -> Point:
+        """The vertex of P where adjacent nodes a and b meet."""
+        h, v = self.nodes[a], self.nodes[b]
+        if h.direction == VERTICAL:
+            h, v = v, h
+        return (v.start[0], h.start[1])
+
+
+def interval_graph(P: Polyomino) -> IntervalGraph:
+    """G_P, built once per polyomino and kept on it."""
+
+    def build():
+        through = P.interval_through
+        nodes = tuple(dict.fromkeys(through[(v, d)] for d in DIRECTIONS for v in P.vertices))
+        number = {iv: k for k, iv in enumerate(nodes)}
+        adjacency = [0] * len(nodes)
+        for v in P.vertices:
+            a = number[through[(v, HORIZONTAL)]]
+            b = number[through[(v, VERTICAL)]]
+            adjacency[a] |= 1 << b
+            adjacency[b] |= 1 << a
+        return IntervalGraph(nodes, tuple(adjacency))
+
+    return P.derived("interval_graph", build)
 
 
 def edge_interval_through(P: Polyomino, v: Point, direction: str) -> EdgeInterval:

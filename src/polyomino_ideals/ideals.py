@@ -1,24 +1,34 @@
 """Polyomino ideals: inner minors, labelings, lattices, balanced and prime.
 
-The ideal of a polyomino is generated by one pure-difference binomial per
-inner interval.  Integer labelings of the vertices that sum to zero on every
-maximal edge interval ("admissible" labelings) are exactly the integer kernel
-of the interval incidence matrix; the ideal generated by all their binomials
-is the lattice ideal of that kernel.  A polyomino is balanced when the two
-ideals agree: exactly when the kernel has rank |P| and the minors equal
-their saturation by all variables (see ``is_balanced``).
+The ideal I_P of a polyomino is generated by one pure-difference binomial
+per inner interval.  Integer labelings of the vertices that sum to zero on
+every maximal edge interval ("admissible" labelings) are exactly the
+integer kernel of the interval incidence matrix; the ideal J_P generated by
+all their binomials is the lattice ideal of that kernel.  A polyomino is
+balanced when the two ideals agree.  J_P is the toric ideal of the
+bipartite interval graph G_P (``grid.interval_graph``), so its chordless
+cycles generate it, and a chordless 4-cycle on an inner interval gives
+that interval's minor: P is balanced once the kernel has rank |P| and
+every chordless cycle is such a 4-cycle (the chain of theorems is in
+``is_balanced``).  At that rank primality is balancedness and the
+dimension is |V(P)| - |P|; only shapes of another rank saturate the
+minors (``is_prime``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotBalancedError, ZeroLabelingError
+from .errors import NotBalancedError, StepLimitExceededError, ZeroLabelingError
 from .grid import (
     DIRECTIONS,
+    HORIZONTAL,
+    VERTICAL,
+    IntervalGraph,
     Point,
     Polyomino,
     inner_intervals,
+    interval_graph,
     maximal_edge_intervals,
 )
 from .groebner import (
@@ -172,16 +182,16 @@ class BalancedReport:
 
     When the admissible kernel rank differs from the cell count the heights
     of the two ideals already differ, and (adm_rank, ncells) is the witness.
-    Otherwise the reduced bases are compared: shared_gb certifies equality,
-    and offending is a generator of the labeling ideal outside the minor
-    ideal when they differ.
+    Otherwise the chordless cycles of the interval graph are checked:
+    cycles_checked counts them, and offending is the binomial of one outside
+    the minor ideal when the polyomino is not balanced.
     """
 
     balanced: bool
     adm_rank: int
     ncells: int
     offending: Polynomial | None = None
-    shared_gb: tuple[Polynomial, ...] | None = None
+    cycles_checked: int = 0
 
 
 def _minors(P: Polyomino) -> IdealGens:
@@ -214,56 +224,165 @@ def _canonical_basis(P: Polyomino, step_limit: int | None,
     return P.derived(name, build)
 
 
+def _chordless_cycles(adjacency, step_limit: int) -> list[tuple[int, ...]]:
+    """Every chordless cycle of the graph with the given adjacency bitmasks,
+    once, as the node tuple that starts at its least node s and whose second
+    node is below its last.
+
+    From each s, induced paths grow through nodes above s.  A node adjacent
+    to an interior path node (neither s nor the end) would be a chord's end,
+    so it is rejected before the closing test; a node adjacent to s closes
+    a cycle and is not grown further, since s would then be adjacent to an
+    interior node.  Every extension of a path counts against step_limit;
+    passing it raises StepLimitExceededError.
+    """
+    cycles = []
+    steps = 0
+
+    def grow(path, closing, blocked):
+        nonlocal steps
+        end = path[-1]
+        candidates = adjacency[end] & ~blocked
+        if len(path) > 1:
+            blocked |= adjacency[end]  # end is interior once the path grows
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            steps += 1
+            if steps > step_limit:
+                raise StepLimitExceededError(
+                    f"chordless-cycle search exceeded {step_limit} path extensions"
+                )
+            w = low.bit_length() - 1
+            if len(path) > 1 and closing & low:
+                if path[1] < w:
+                    cycles.append((*path, w))
+            else:
+                path.append(w)
+                grow(path, closing, blocked | low)
+                path.pop()
+
+    for s, neighbours in enumerate(adjacency):
+        below = (2 << s) - 1  # s and the nodes under it
+        grow([s], neighbours & ~below, below)
+    return cycles
+
+
+def _is_inner_four_cycle(P: Polyomino, graph: IntervalGraph, cycle) -> bool:
+    """Whether the cycle is the 4-cycle of an inner interval: its two
+    horizontal nodes lie on rows j < l, its two vertical ones on columns
+    i < k, and every cell of [i, k) x [j, l) is in P."""
+    if len(cycle) != 4:
+        return False
+    nodes = [graph.nodes[a] for a in cycle]
+    j, l = sorted(iv.start[1] for iv in nodes if iv.direction == HORIZONTAL)
+    i, k = sorted(iv.start[0] for iv in nodes if iv.direction == VERTICAL)
+    return all((r, t) in P.cells for r in range(i, k) for t in range(j, l))
+
+
+def _admissible_rank(P: Polyomino) -> int:
+    """Rank of the admissible lattice, counted on G_P (``is_balanced``)."""
+    return P.num_vertices - len(interval_graph(P).nodes) + 1
+
+
+def _cycle_verdict(P: Polyomino, step_limit: int) -> BalancedReport:
+    """``is_balanced`` without the rank shortcut: P is balanced iff the
+    binomial of every chordless cycle of G_P lies in the minor ideal.  An
+    inner 4-cycle's binomial is an inner minor; any other is tested by its
+    normal form modulo the canonical minor basis, and the first with a
+    nonzero one is the offending witness."""
+    graph = interval_graph(P)
+    cycles = P.derived("chordless_cycles", lambda: _chordless_cycles(graph.adjacency, step_limit))
+    outside = [c for c in cycles if not _is_inner_four_cycle(P, graph, c)]
+    offending = None
+    if outside:
+        from .cycles import canonical_cycle, cycle_binomial
+
+        gb = _canonical_basis(P, step_limit)
+        order = canonical_order(P.num_vertices)
+        binomials = (  # a cycle's edges are the vertices where its nodes meet
+            cycle_binomial(P, canonical_cycle(P, map(graph.vertex, c, c[1:] + c[:1])))
+            for c in outside
+        )
+        offending = next((f for f in binomials if normal_form(f, gb, order)), None)
+    return BalancedReport(offending is None, _admissible_rank(P), len(P), offending, len(cycles))
+
+
 def is_balanced(P: Polyomino, step_limit: int | None = None) -> BalancedReport:
     """Decide whether every admissible labeling's binomial lies in the
-    polyomino ideal.
+    polyomino ideal I_P, that is, whether the labeling ideal J_P equals it.
 
     The cell vectors span a saturated lattice of rank |P| (the row-major
     largest cell (i, j) alone has vertex (i+1, j+1): unitriangular) inside
     the saturated admissible kernel, so the two are equal iff the kernel,
-    of rank |V(P)| minus that of ``admissible_matrix``, has rank |P|; then
-    the labeling ideal is the minors' saturation by all variables
-    (Sturmfels, Lemma 12.2), the basis ``is_prime`` reads too.
+    of rank |V(P)| minus that of ``admissible_matrix``, has rank |P|.
 
     That rank is counted, not computed.  ``admissible_matrix`` is the
-    unsigned incidence matrix of a bipartite graph: its nodes are the
-    maximal edge intervals, and each vertex of P is an edge joining its
-    horizontal interval to its vertical one.  Over Q such a matrix has rank
-    nodes minus components.  The graph is connected because P is: a cell's
-    corners join its four edge intervals, and neighboring cells share an
-    edge.  So the rank is the number of maximal edge intervals minus one.
+    unsigned incidence matrix of the interval graph G_P
+    (``grid.interval_graph``): its nodes are the maximal edge intervals,
+    and each vertex of P is an edge joining its horizontal interval to its
+    vertical one.  Over Q such a matrix has rank nodes minus components.
+    The graph is connected because P is: a cell's corners join its four
+    edge intervals, and neighboring cells share an edge.  So the rank is
+    the number of maximal edge intervals minus one, and a rank other than
+    |P| means P is not balanced.
+
+    Otherwise the chordless cycles of G_P decide, with no Groebner basis
+    when P is balanced:
+    - J_P is the lattice ideal of the admissible kernel, the toric ideal of
+      the bipartite graph G_P, so the binomials of its even cycles generate
+      it (Villarreal, Comm. Algebra 23, 1995);
+    - a chord splits an even cycle C into two shorter even cycles C1, C2
+      with f_C = u*f_C1 + v*f_C2 for monomials u, v, so the chordless
+      cycles generate J_P (Ohsugi-Hibi, J. Algebra 218, 1999);
+    - the binomial of a chordless 4-cycle whose four vertices span an inner
+      interval is that interval's inner minor.
+    So if every chordless cycle is such a 4-cycle, J_P lies in I_P and P is
+    balanced.  Each other cycle is tested by normal form modulo the
+    canonical minor basis (``_cycle_verdict``), sound at any rank since the
+    chordless cycles generate J_P either way.  None passes: a monomial of
+    an inner minor dividing the product of a chordless cycle's alternate
+    edges is two of those edges, and the minor's other monomial is the two
+    edges closing them to a 4-cycle, chords unless the cycle is that inner
+    4-cycle; so no minor moves either monomial of the cycle's binomial.
+    The first such cycle is offending, and a balanced P has only inner
+    4-cycles.
     """
-    adm_rank = P.num_vertices - len(set(P.interval_through.values())) + 1
-    ncells = len(P)
-    if adm_rank != ncells:
-        return BalancedReport(False, adm_rank, ncells)
-    gb_minors = _canonical_basis(P, step_limit)
-    gb_labelings = _canonical_basis(P, step_limit, saturated=True)
-    if gb_minors == gb_labelings:
-        return BalancedReport(True, adm_rank, ncells, shared_gb=gb_minors)
-    order = canonical_order(P.num_vertices)
-    offending = next(
-        g for g in gb_labelings if normal_form(g, gb_minors, order)
-    )
-    return BalancedReport(False, adm_rank, ncells, offending=offending)
+    step_limit = _resolve_step_limit(step_limit)
+    adm_rank = _admissible_rank(P)
+    if adm_rank != len(P):
+        return BalancedReport(False, adm_rank, len(P))
+    return _cycle_verdict(P, step_limit)
 
 
 def is_prime(P: Polyomino, step_limit: int | None = None) -> bool:
     """Primality of the polyomino ideal.
 
     The exponent vectors of the inner minors span exactly the cell lattice,
-    so saturating by all variables lands on its lattice ideal, which is prime
-    because the lattice is saturated; conversely a prime binomial ideal free
-    of variables equals its saturation: primality is the fixed-point test
-    below, on the canonical-order bases that ``is_balanced`` compares too.
+    so saturating by all variables lands on its lattice ideal, which is
+    prime because the lattice is saturated; conversely a prime binomial
+    ideal free of variables equals its saturation.  When the admissible
+    kernel has rank |P| it is the cell lattice, so that saturation is the
+    labeling ideal and primality is balancedness, decided on the interval
+    graph.  Otherwise primality is the fixed-point test on the canonical
+    bases of the minors and of their saturation.
     """
+    report = is_balanced(P, step_limit)
+    if report.adm_rank == report.ncells:
+        return report.balanced
     return _canonical_basis(P, step_limit, saturated=True) == _canonical_basis(P, step_limit)
 
 
 def dimension(P: Polyomino, step_limit: int | None = None) -> int:
-    """Krull dimension of the coordinate ring: the dimension of the quotient
-    by the initial ideal of the inner minors' reduced basis under the
-    canonical order, the basis ``is_balanced`` and ``is_prime`` share."""
+    """Krull dimension of the coordinate ring.
+
+    A prime polyomino ideal is the lattice ideal of the cell lattice, of
+    height its rank |P|, so the dimension is |V(P)| - |P|.  Otherwise it is
+    the dimension of the quotient by the initial ideal of the inner minors'
+    reduced basis under the canonical order.
+    """
+    if is_prime(P, step_limit):
+        return P.num_vertices - len(P)
     order = canonical_order(P.num_vertices)
     gb = _canonical_basis(P, step_limit)
     return quotient_dimension(initial_ideal(gb, order), P.num_vertices)
@@ -314,7 +433,7 @@ def universal_gb_check(P: Polyomino, orders,
     basis of the polyomino ideal over the sampled orders.
 
     (a) Every candidate lies in the ideal: its two terms have one standard
-    monomial modulo the canonical-order basis ``is_balanced`` computed.
+    monomial modulo the canonical-order reduced basis of the inner minors.
     Per order: (b) the reduced basis G of the minor ideal consists of
     candidates up to sign, (c) the initial ideal is squarefree, both read
     off raw terms (G is monic lead - trail; x^a - x^b is fixed up to sign
@@ -340,17 +459,17 @@ def universal_gb_check(P: Polyomino, orders,
     for order in orders:
         if order.nvars != n:
             raise ValueError(f"the order has {order.nvars} variables, the polynomials {n}")
-    balanced = is_balanced(P, step_limit)
-    if not balanced.balanced:
+    if not is_balanced(P, step_limit).balanced:
         raise NotBalancedError("the polyomino is not balanced")
     cycles = enumerate_cycles(P, max_vertices=max_cycle_vertices(P), primitive_only=True)
     candidates = [cycle_binomial(P, c) for c in cycles]
     canonical = canonical_order(n)
-    rewrite = _BinomialBasis(_binomial_pairs(balanced.shared_gb, canonical), canonical.key)
+    canonical_gb = _canonical_basis(P, step_limit)
+    rewrite = _BinomialBasis(_binomial_pairs(canonical_gb, canonical), canonical.key)
     in_ideal = all(len({rewrite.standard(m) for m in f.terms}) == 1 for f in candidates)
     signed = {frozenset(f.terms) for f in candidates}
     gens = _minors(P)
-    kept = [balanced.shared_gb]
+    kept = [canonical_gb]
     outcomes = []
     for order in orders:
         gb = _marked_alike(kept, order)

@@ -132,9 +132,26 @@ def invariant_factors(mat) -> tuple[int, ...]:
     return tuple(d)
 
 
+def _in_echelon_form(rows) -> bool:
+    """Whether every row is nonzero and leads strictly right of the row
+    above it, which makes the rows independent."""
+    last = -1
+    for row in rows:
+        lead = next((k for k, x in enumerate(row) if x), None)
+        if lead is None or lead <= last:
+            return False
+        last = lead
+    return True
+
+
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Rows span an integer lattice; rows are rationally independent."""
+    """Rows span an integer lattice; rows are rationally independent.
+
+    Rows in echelon form are independent as they stand, such as
+    ``kernel_basis``'s Hermite rows and cell vectors in row-major order;
+    any other rows are checked by their rank.
+    """
 
     vectors: tuple[tuple[int, ...], ...]
     ambient: int
@@ -145,7 +162,7 @@ class LatticeBasis:
         for v in vecs:
             if len(v) != self.ambient:
                 raise ValueError("vector length does not match ambient dimension")
-        if vecs and matrix_rank(list(map(list, vecs))) != len(vecs):
+        if not _in_echelon_form(vecs) and matrix_rank(list(map(list, vecs))) != len(vecs):
             raise ValueError("basis vectors are not linearly independent")
 
     @property

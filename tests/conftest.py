@@ -373,6 +373,48 @@ def good_leaf_runs(cells, leaf) -> dict:
     return runs
 
 
+def chordless_cycles_brute(cells) -> set:
+    """The chordless cycles of the interval graph of a cell set, each as the
+    set of its edges, which are vertices of the cells.
+
+    A node is a maximal run of unit edges in one direction, named by its
+    lowest vertex; a vertex joins its horizontal run to its vertical one.
+    Every set of nodes is tried: it spans a chordless cycle iff the vertices
+    with both runs in it give each node two edges and connect it.
+    """
+    edges = unit_edges(cells)
+    vertices = {v for c in cells for v in cell_vertices(c)}
+
+    def run(v, di, dj):
+        while ((v[0] - di, v[1] - dj), v) in edges:
+            v = (v[0] - di, v[1] - dj)
+        return (di, v)
+
+    ends = {v: (run(v, 1, 0), run(v, 0, 1)) for v in vertices}
+    nodes = sorted({node for pair in ends.values() for node in pair})
+    out = set()
+    for mask in range(1, 1 << len(nodes)):
+        chosen = {node for k, node in enumerate(nodes) if mask >> k & 1}
+        if len(chosen) < 3:
+            continue
+        cycle = [v for v, (h, w) in ends.items() if h in chosen and w in chosen]
+        degree = {node: 0 for node in chosen}
+        for v in cycle:
+            for node in ends[v]:
+                degree[node] += 1
+        if len(cycle) != len(chosen) or set(degree.values()) != {2}:
+            continue
+        reached, frontier = set(), [next(iter(chosen))]
+        while frontier:
+            node = frontier.pop()
+            if node not in reached:
+                reached.add(node)
+                frontier.extend(x for v in cycle if node in ends[v] for x in ends[v])
+        if reached == chosen:
+            out.add(frozenset(cycle))
+    return out
+
+
 def euler_simple(cells) -> bool:
     """Simple iff the Euler characteristic |V| - |unit edges| + |cells| of
     the connected cell complex is 1: every hole lowers it by one."""

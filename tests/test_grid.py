@@ -17,6 +17,7 @@ from polyomino_ideals import (
     Polyomino,
     cell_degree,
     cell_edges,
+    edge_interval_through,
     free_polyominoes,
     inner_intervals,
     leaves,
@@ -283,3 +284,26 @@ def test_leaf_peel_builds_no_polyomino():
         if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Polyomino"
     ]
     assert found == []
+
+
+def test_interval_graph_joins_each_vertex_its_two_intervals():
+    from polyomino_ideals.grid import interval_graph
+
+    for cells in sorted(free_cellsets(6)):
+        P = Polyomino(cells)
+        graph = interval_graph(P)
+        assert graph.nodes == tuple(
+            iv for d in (HORIZONTAL, VERTICAL) for iv in maximal_edge_intervals(P, d)
+        )
+        number = {iv: k for k, iv in enumerate(graph.nodes)}
+        edges = set()
+        for v in P.vertices:
+            a = number[edge_interval_through(P, v, HORIZONTAL)]
+            b = number[edge_interval_through(P, v, VERTICAL)]
+            assert graph.vertex(a, b) == graph.vertex(b, a) == v
+            edges.add((a, b))
+        assert {
+            (a, b) for a, mask in enumerate(graph.adjacency)
+            for b in range(len(graph.nodes)) if mask >> b & 1 and a < b
+        } == edges
+        assert interval_graph(P) is graph  # built once

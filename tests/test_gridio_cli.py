@@ -110,7 +110,15 @@ def test_cli_balanced_prime_dimension(capsys, tmp_path):
     grid = tmp_path / "p3.txt"
     grid.write_text("#.\n##\n")
     code, out, _ = run_cli(capsys, ["balanced", str(grid), "--format", "json"])
-    assert code == 0 and json.loads(out)["balanced"] is True
+    payload = json.loads(out)
+    assert code == 0 and payload["schema"] == 2
+    assert (payload["balanced"], payload["offending"], payload["cycles_checked"]) == (True, None, 5)
+    assert "shared_gb_size" not in payload
+    code, out, _ = run_cli(capsys, ["balanced", str(grid)])
+    assert code == 0 and out.splitlines() == [
+        "balanced: True",
+        "certificate: all 5 chordless cycles of the interval graph are inner 4-cycles",
+    ]
     code, out, _ = run_cli(capsys, ["prime", str(grid), "--format", "json"])
     assert code == 0 and json.loads(out)["prime"] is True
     code, out, _ = run_cli(capsys, ["dimension", str(grid), "--format", "json"])
@@ -306,7 +314,7 @@ def test_cli_report_contract(capsys, tmp_path, command):
     code, out, _ = run_cli(capsys, [*argv, str(grid), "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == {"groebner": 2, "ugb-check": 3}.get(command, 1)
+    assert payload["schema"] == {"balanced": 2, "groebner": 2, "ugb-check": 3}.get(command, 1)
     assert payload["command"] == command
     assert list(payload)[:2] == ["schema", "command"] and list(payload)[-1] == "timings"
     seconds = payload["timings"]["seconds"]

@@ -1,6 +1,7 @@
 """Polyomino ideals: minors, labelings, lattices, balanced, prime, dimension."""
 
 from functools import lru_cache
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from polyomino_ideals import (
     OrderOutcome,
     Polynomial,
     Polyomino,
+    StepLimitExceededError,
     ZeroLabelingError,
     admissible_lattice,
     admissible_matrix,
@@ -23,6 +25,7 @@ from polyomino_ideals import (
     cycle_binomial,
     dimension,
     enumerate_cycles,
+    free_polyominoes,
     ideal_equal,
     initial_ideal,
     inner_minors,
@@ -38,13 +41,14 @@ from polyomino_ideals import (
     normal_form,
     order_sample,
     parse_grid,
+    quotient_dimension,
     saturate,
     universal_gb_check,
     vector_binomial,
     vector_labeling,
 )
 from polyomino_ideals.ideals import _marked_alike
-from conftest import free_cellsets, spair_sweep
+from conftest import chordless_cycles_brute, free_cellsets, spair_sweep
 
 ALPHA_UNIT = {(0, 0): 1, (1, 1): 1, (1, 0): -1, (0, 1): -1}
 
@@ -124,7 +128,8 @@ def test_lattice_ideal_domino_is_balanced_instance(P2):
 def test_is_balanced(P1, P4, P5):
     assert is_balanced(P1).balanced
     report4 = is_balanced(P4)
-    assert report4.balanced and report4.shared_gb is not None
+    # the 2x2 block's interval graph is K_{3,3}: nine 4-cycles, all inner
+    assert report4.balanced and report4.cycles_checked == 9
     report5 = is_balanced(P5)
     assert not report5.balanced
     assert (report5.adm_rank, report5.ncells) == (9, 8)
@@ -150,12 +155,11 @@ def test_dimension(P1, P2, P4):
 
 
 def test_canonical_minor_basis_built_once(monkeypatch):
-    # is_balanced, is_prime and dimension share one Buchberger run on the
-    # inner minors under the canonical order and one saturation of them,
-    # both kept on the polyomino next to the minors, which universal_gb_check
-    # reads too; the saturation divides nothing, so its canonical basis is
-    # the minors' and no second canonical-order run is made
-    from polyomino_ideals import groebner, ideals
+    # is_balanced, is_prime and dimension settle a simple shape on its
+    # interval graph, with no Buchberger run, saturation or simplicity test;
+    # universal_gb_check then builds the one canonical minor basis it reads,
+    # and keeps it for a second call
+    from polyomino_ideals import classify, groebner, ideals
 
     P = Polyomino({(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)})  # fresh, nothing cached
     minors = inner_minors(P).generators
@@ -175,6 +179,9 @@ def test_canonical_minor_basis_built_once(monkeypatch):
         saturations.append(F)
         return real_saturate(F, variables, step_limit, gb_order)
 
+    def no_simple(Q):
+        raise AssertionError("is_simple fed the decision")
+
     built = []
     real_minors = ideals.inner_minors
 
@@ -186,52 +193,142 @@ def test_canonical_minor_basis_built_once(monkeypatch):
     monkeypatch.setattr(ideals, "buchberger", counting)
     monkeypatch.setattr(groebner, "saturate", counting_saturate)
     monkeypatch.setattr(ideals, "saturate", counting_saturate)
+    monkeypatch.setattr(classify, "is_simple", no_simple)
     monkeypatch.setattr(ideals, "inner_minors", counting_minors)
     assert is_balanced(P).balanced
     assert is_prime(P)
     assert dimension(P) == P.num_vertices - len(P)
-    assert runs == [minors]
-    # balancedness and primality read one saturation of the minors
-    assert len(saturations) == 1
+    assert (runs, saturations, built) == ([], [], [])
     assert universal_gb_check(P, [MonomialOrder("lex", P.num_vertices)]).passed
-    assert built == [P]
-    # a cached basis does not skip the step-limit check
+    assert universal_gb_check(P, [canonical_order(P.num_vertices)]).passed
+    assert (runs, saturations, built) == ([minors], [], [P])
+    # a kept verdict does not skip the step-limit check
     with pytest.raises(ValueError, match="step_limit must be at least 1, got 0"):
         dimension(P, step_limit=0)
 
 
+def test_chordless_cycle_search_counts_against_the_step_limit():
+    block = Polyomino({(i, j) for i in range(3) for j in range(3)})  # fresh
+    with pytest.raises(StepLimitExceededError, match="^chordless-cycle search exceeded 1 "):
+        is_balanced(block, step_limit=1)
+    assert is_balanced(block).cycles_checked == 36  # K_{4,4}: C(4,2)^2 inner 4-cycles
+
+
 def _balanced_by_definition(P):
     """The definition, independent of is_balanced: the admissible lattice
-    has rank |P| and its lattice ideal has the minors' reduced basis.
-    Returns the verdict and the labeling ideal's basis (None on a rank gap)."""
+    has rank |P| and its lattice ideal has the minors' reduced basis."""
     adm = admissible_lattice(P)
     if adm.rank != len(P):
-        return False, None
+        return False
     order = canonical_order(P.num_vertices)
-    gb_labelings = tuple(buchberger(lattice_ideal(P, adm), order))
-    return gb_labelings == tuple(buchberger(inner_minors(P), order)), gb_labelings
+    return buchberger(lattice_ideal(P, adm), order) == buchberger(inner_minors(P), order)
+
+
+def _prime_by_saturation(P):
+    """Primality as the saturation fixed point: the minors' reduced basis
+    is that of their saturation by all variables."""
+    order = canonical_order(P.num_vertices)
+    minors = inner_minors(P)
+    saturated = saturate(minors, range(P.num_vertices))
+    return buchberger(saturated, order) == buchberger(minors, order)
+
+
+# the two non-prime 9-ominoes
+NON_PRIME = [".#.\n##.\n#.#\n###\n.#.", ".##.\n#.##\n###.\n.#.."]
+
+FRAMES = [
+    {(i, j) for i in range(w) for j in range(h) if i in (0, w - 1) or j in (0, h - 1)}
+    for w, h in ((3, 3), (4, 3), (4, 4))
+]
 
 
 def test_is_balanced_matches_definition():
-    frames = [
-        {(i, j) for i in range(w) for j in range(3) if i in (0, w - 1) or j in (0, 2)}
-        for w in (3, 4)
-    ]
-    shapes = sorted(free_cellsets(6)) + frames
-    assert len(shapes) == 56 + 2
-    for cells in shapes:
-        P = Polyomino(cells)
+    # the interval-graph route against saturation: balanced as the rank test
+    # plus the saturation fixed point (the two agree at equal rank, and
+    # with the definition itself up to 6 cells), primality as that fixed
+    # point, and the dimension of the minors' initial ideal
+    shapes = [*map(Polyomino, sorted(free_cellsets(8)) + FRAMES), *map(parse_grid, NON_PRIME)]
+    assert len(shapes) == 533 + 3 + 2
+    nonprime = 0
+    for P in shapes:
         report = is_balanced(P)
-        balanced, gb_labelings = _balanced_by_definition(P)
-        assert report.balanced == balanced, sorted(cells)
-        assert (report.adm_rank, report.ncells) == (admissible_lattice(P).rank, len(P))
-        assert report.shared_gb == (gb_labelings if balanced else None)
+        adm_rank = admissible_lattice(P).rank
+        prime = _prime_by_saturation(P)
+        balanced = adm_rank == len(P) and prime
+        if len(P) <= 6:
+            assert balanced == _balanced_by_definition(P), P
+        order = canonical_order(P.num_vertices)
+        gb = buchberger(inner_minors(P), order)
+        dim = quotient_dimension(initial_ideal(gb, order), P.num_vertices)
+        assert (report.balanced, report.adm_rank, report.ncells) == (balanced, adm_rank, len(P)), P
+        assert report.offending is None
+        assert (is_prime(P), dimension(P)) == (prime, dim), P
+        nonprime += not prime
+    assert nonprime == 2
 
 
-@pytest.mark.parametrize("grid", [
-    ".#.\n##.\n#.#\n###\n.#.",
-    ".##.\n#.##\n###.\n.#..",
-], ids=["3x5", "4x4"])
+def test_forced_cycle_fallback_finds_an_offending_cycle():
+    # with the rank shortcut skipped, the frames reach the normal-form test:
+    # the witness is a chordless cycle's binomial outside the minor ideal
+    from polyomino_ideals.ideals import _cycle_verdict
+
+    for cells in FRAMES:
+        P = Polyomino(cells)
+        report = _cycle_verdict(P, 10**6)
+        assert not report.balanced
+        assert report.cycles_checked == len(chordless_cycles_brute(cells))
+        pos, neg = report.offending.terms
+        support = {v for v, a, b in zip(P.vertices, pos, neg) if a or b}
+        assert support in chordless_cycles_brute(cells)
+        assert is_admissible(P, vector_labeling(P, [a - b for a, b in zip(pos, neg)]))
+        order = canonical_order(P.num_vertices)
+        assert normal_form(report.offending, buchberger(inner_minors(P), order), order)
+
+
+@pytest.mark.parametrize("cells", sorted(free_cellsets(6)) + FRAMES + [
+    tuple((i, j) for i in range(3) for j in range(3)),
+    tuple((i, j) for i in range(4) for j in range(4)),
+])
+def test_chordless_cycles_match_brute_force(cells):
+    from polyomino_ideals.grid import interval_graph
+    from polyomino_ideals.ideals import _chordless_cycles
+
+    P = Polyomino(cells)
+    graph = interval_graph(P)
+    cycles = _chordless_cycles(graph.adjacency, 10**6)
+    for c in cycles:  # least node first, one direction, consecutive nodes adjacent
+        assert c[0] == min(c) and c[1] < c[-1]
+        assert all(graph.adjacency[a] >> b & 1 for a, b in zip(c, c[1:] + c[:1]))
+    found = [frozenset(graph.vertex(a, b) for a, b in zip(c, c[1:] + c[:1])) for c in cycles]
+    assert len(set(found)) == len(found)
+    assert set(found) == chordless_cycles_brute(cells)
+
+
+def test_unequal_rank_alone_saturates(monkeypatch):
+    # is_balanced, is_prime and dimension saturate a shape's minors only when
+    # its admissible rank is not its cell count, and then once
+    from polyomino_ideals import groebner, ideals
+
+    saturated = []
+    real = groebner.saturate
+
+    def recording(F, variables, step_limit=None, gb_order=None):
+        saturated.append(F)
+        return real(F, variables, step_limit, gb_order)
+
+    monkeypatch.setattr(ideals, "saturate", recording)
+    unequal = 0
+    for P in [*chain.from_iterable(free_polyominoes(8).values()), *map(Polyomino, FRAMES)]:
+        before = len(saturated)
+        report = is_balanced(P)
+        is_prime(P)
+        dimension(P)
+        unequal += report.adm_rank != report.ncells
+        assert len(saturated) - before == (report.adm_rank != report.ncells)
+    assert unequal == len(saturated) == 1 + 6 + 3  # non-simple 7- and 8-ominoes, frames
+
+
+@pytest.mark.parametrize("grid", NON_PRIME, ids=["3x5", "4x4"])
 def test_non_prime_nine_ominoes(grid):
     # the two non-prime 9-ominoes: each encloses one hole cell, and its
     # admissible lattice has a rank one above the cell count
@@ -402,28 +499,23 @@ def test_universal_gb_check_fails_without_a_needed_candidate(monkeypatch):
     assert not report.passed
 
 
-def test_universal_gb_check_squarefree_reads_the_leads(P2, monkeypatch):
+def test_universal_gb_check_squarefree_reads_the_leads(P2):
     # check (c) reads the leading term of each monic basis element: a square
     # lead fails it, a square trail does not.  The fake basis comes in as
-    # is_balanced's shared basis, which serves every order keeping its lead
-    from polyomino_ideals import ideals
-
+    # the canonical minor basis kept on the polyomino, which serves every
+    # order keeping its lead
     n = P2.num_vertices
     square, mixed = (2, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0)
     x0_first = MonomialOrder("lex", n)  # square > mixed
     x1_first = MonomialOrder("lex", n, perm=(1, 0, 2, 3, 4, 5))  # mixed > square
-    real = ideals.is_balanced
     for sampled, lead, trail, squarefree in (
         (x0_first, square, mixed, False),
         (x1_first, mixed, square, True),
     ):
-        def fake(Q, step_limit=None, lead=lead, trail=trail):
-            report = real(Q, step_limit)
-            shared = (Polynomial({lead: 1, trail: -1}),)
-            return ideals.BalancedReport(True, report.adm_rank, report.ncells, shared_gb=shared)
-
-        monkeypatch.setattr(ideals, "is_balanced", fake)
-        (outcome,) = universal_gb_check(P2, [sampled]).outcomes
+        P = Polyomino(P2.cells)  # fresh, nothing kept
+        fake = (Polynomial({lead: 1, trail: -1}),)
+        assert P.derived("canonical_minor_basis", lambda: fake) == fake
+        (outcome,) = universal_gb_check(P, [sampled]).outcomes
         assert outcome.initial_squarefree is squarefree
         assert not outcome.gb_within_candidates
 

@@ -168,7 +168,24 @@ def test_kernel_vectors_annihilate_and_saturate():
         for v in kb.vectors:
             assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in M)
         assert invariant_factors(kb.vectors) == (1,) * kb.rank
-        assert kb.rank == len(M[0]) - rational_rank(M)
+        assert kb.rank == len(M[0]) - rational_rank(M) == rational_rank(kb.vectors)
+
+
+def test_kernel_basis_makes_two_hermite_forms(monkeypatch, P5):
+    # one with transform for the kernel, one for its canonical form; the
+    # echelon rows need no rank check
+    from polyomino_ideals import intlinalg
+
+    calls = []
+    real = intlinalg.hermite_normal_form
+
+    def counting(mat, transform=True):
+        calls.append(transform)
+        return real(mat, transform)
+
+    monkeypatch.setattr(intlinalg, "hermite_normal_form", counting)
+    assert kernel_basis(admissible_matrix(P5), ncols=16).rank == 9
+    assert calls == [True, False]
 
 
 def test_is_saturated(P4):
@@ -179,8 +196,11 @@ def test_is_saturated(P4):
 
 
 def test_lattice_basis_rejects_dependent_rows():
-    with pytest.raises(ValueError):
-        LatticeBasis(((1, 2), (2, 4)), 2)
+    for rows in (((1, 2), (2, 4)), ((1, 2), (0, 0)), ((0, 0), (0, 1)), ((0, 1), (0, 3))):
+        with pytest.raises(ValueError):
+            LatticeBasis(rows, 2)
+    # independent rows pass in and out of echelon form
+    assert LatticeBasis(((0, 1), (1, 0)), 2).rank == LatticeBasis(((1, 0), (0, 1)), 2).rank == 2
 
 
 def test_cell_matrices_have_unit_invariant_factors(fixtures):
