@@ -9,7 +9,9 @@ whose products sum exactly to the labeling's binomial.
 The leaves peeled depend only on P: they are the good-leaf prefix of the
 leaf-peeling chain that ``classify`` builds once per polyomino to decide
 tree-likeness.  The peel plan maps that prefix to vertex indices and inner
-minors once per P; a labeling uses a prefix of the plan.
+minors once per P; a labeling uses a prefix of the plan, and each of its
+steps changes the labels and the multiplier in four places, then copies
+the multiplier's exponent into a tuple.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from .classify import _peel_chain
 from .errors import NotAdmissibleError, NotTreeLikeError
 from .grid import HORIZONTAL, Polyomino
-from .ideals import inner_minor, is_admissible, labeling_vector
+from .ideals import _admissible_vector, inner_minor, labeling_vector
 from .polynomials import Polynomial, mono_mul
 
 Certificate = list[tuple[Polynomial, Polynomial]]
@@ -79,21 +81,32 @@ def _certify(plan: list, vec: list[int]) -> Certificate:
     of its terms.  As p and q have disjoint supports, that gcd is e_a2 plus
     e_d, each iff its label was negative.  So sign and the product of the
     gcds (cofactor) scale every later multiplier.
+
+    shift = p + cofactor, the multiplier's exponent plus e_a1 + e_c, is
+    kept across steps: a step lowers it at a1 and c, and raises the label
+    or else the cofactor at a2 and d.  It is rebuilt when the labels flip.
     """
     vals = list(vec)
     cert: Certificate = []
     sign = 1
     cofactor = [0] * len(vals)
+    shift = [v if v > 0 else 0 for v in vals]
     for a1, a2, options in plan:
         while vals[a1]:
             if vals[a1] < 0:
                 sign = -sign
                 vals = [-v for v in vals]
-            c, d, step_sign, minor = next(o for o in options if vals[o[0]] > 0)
-            shift = [v + e if v > 0 else e for v, e in zip(vals, cofactor)]
+                shift = [v + e if v > 0 else e for v, e in zip(vals, cofactor)]
+            for c, d, step_sign, minor in options:
+                if vals[c] > 0:
+                    break
+            else:
+                raise RuntimeError("good leaf without an option of positive label")
             shift[a1] -= 1
             shift[c] -= 1
             cert.append((Polynomial.monomial(tuple(shift), sign * step_sign), minor))
+            shift[a2] += 1
+            shift[d] += 1
             for v in (a2, d):
                 if vals[v] < 0:
                     cofactor[v] += 1
@@ -109,6 +122,7 @@ def balanced_certificate_treelike(P: Polyomino, labeling: dict) -> Certificate:
     """Express the labeling's binomial as an explicit combination of inner
     minors; only valid for tree-like polyominoes."""
     plan = _peel_plan(P)
-    if not is_admissible(P, labeling):
+    vec = labeling_vector(P, labeling)
+    if not _admissible_vector(P, vec):
         raise NotAdmissibleError("labeling does not sum to zero on all intervals")
-    return _certify(plan, labeling_vector(P, labeling))
+    return _certify(plan, vec)

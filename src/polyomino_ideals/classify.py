@@ -9,7 +9,8 @@ leaves terminate.
 
 Tree-likeness (every sub-polyomino has a leaf) is decided by one leaf-peeling
 chain per polyomino, built once and kept on it; the tree-like certificates
-of ``certificates`` peel along the same chain.
+of ``certificates`` peel along the same chain.  A peel step re-tests one
+cell's free edge and builds nothing.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ def is_simple(P: Polyomino) -> SimpleReport:
 def _leaf_site(
     P: Collection[Point], cell: Point, free: tuple[Point, Point]
 ) -> tuple[CellInterval, Point | None]:
-    """(cell interval, good vertex) of the leaf cell of P, given the free
-    edge that ``leaves`` reported for it.
+    """(cell interval, good vertex) of the leaf cell of P, given its free
+    edge as ``free_edge`` reports it.
 
     The cell interval is the leaf's maximal one toward its neighbor (vertical
     for the one cell polyomino, whose free edge is the bottom one).  The good
@@ -145,7 +146,12 @@ def _peel_chain(P: Polyomino) -> tuple[tuple[_PeelStep, ...], frozenset | None]:
     else the smallest leaf, until one cell (stuck None) or a leafless
     sub-polyomino (stuck) remains; computed once and kept on P.
 
-    The peel shrinks a plain set of P's cells; no sub-polyomino is built.
+    The peel shrinks a dict mapping P's remaining cells, in row-major
+    order, to their free edges; no sub-polyomino is built.  Removing a leaf
+    can change the free edge of its one neighbor only: no other cell
+    touches the leaf's free vertices, and the neighbor touches the other
+    two.  So a peel calls ``free_edge`` fewer than 2|P| times.
+
     A leaf of P stays a leaf of every sub-polyomino holding it, so no peel
     removes a cell of a leafless sub-polyomino: every peeling order stops at
     the same stuck set, and at one cell exactly when P is tree-like.
@@ -155,9 +161,11 @@ def _peel_chain(P: Polyomino) -> tuple[tuple[_PeelStep, ...], frozenset | None]:
 
 def _peel(P: Polyomino) -> tuple[tuple[_PeelStep, ...], frozenset | None]:
     steps = []
-    cells = set(P.cells)
-    while found := leaves(cells):
-        sites = ((lf.cell, lf.free_edge, *_leaf_site(cells, *lf)) for lf in found)
+    cells = dict.fromkeys(P.cells_sorted)  # each remaining cell's free edge
+    for c in cells:
+        cells[c] = free_edge(cells, c)
+    while found := [(c, e) for c, e in cells.items() if e is not None]:
+        sites = ((c, e, *_leaf_site(cells, c, e)) for c, e in found)
         first = next(sites)
         cell, e, interval, a2 = next((s for s in chain((first,), sites) if s[3] is not None), first)
         if a2 is None:
@@ -169,7 +177,10 @@ def _peel(P: Polyomino) -> tuple[tuple[_PeelStep, ...], frozenset | None]:
         steps.append(_PeelStep(cell, e[1] if a2 == e[0] else e[0], a2, interval.direction, edge))
         if len(cells) == 1:
             break
-        cells.remove(cell)
+        del cells[cell]
+        for nb in cell_neighbors(cell):
+            if nb in cells:
+                cells[nb] = free_edge(cells, nb)
     return tuple(steps), None if found else frozenset(cells)
 
 

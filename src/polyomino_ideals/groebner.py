@@ -349,9 +349,11 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None,
     start; after each run, so are the lead-free variables of the divided
     elements, the run's Groebner basis of the saturation by x_v.  Each run
     ranks x_v least, then the variables not yet proven regular modulo the
-    saturation by x_v, then the proven ones.  If no run divides anything,
-    F itself comes back.  A gb_order on another variable count than F
-    raises ValueError.
+    saturation by x_v, then the proven ones.  Until a run divides
+    something the ideal is F's, so each run starts from F's generators,
+    usually fewer than the last run's basis, for the same reduced basis.
+    If no run divides anything, F itself comes back.  A gb_order on another
+    variable count than F raises ValueError.
 
     Each Buchberger run gets the step limit on S-pairs popped; exceeding it
     names the variable being saturated and counts the requested variables
@@ -391,13 +393,15 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None,
                 f"saturating by x{v} ({saturated} saturated, {done} regular "
                 f"of {len(vs)}): {exc}"
             ) from exc
-        gens = [_divide_out(g, v) for g in gb]
-        divided = divided or any(map(is_not, gens, gb))
+        quotients = [_divide_out(g, v) for g in gb]
+        divided = divided or any(map(is_not, quotients, gb))
+        if divided:
+            gens = quotients
         saturated += 1
         # the old generators lie in the saturation too, so grown[v] holds;
         # the divided elements are monic, lead (the +1 term) minus trail
-        leads = (m for g in gens for m, c in g.terms.items() if c == 1)
-        supports = _two_term_supports(gens, n)
+        leads = (m for g in quotients for m, c in g.terms.items() if c == 1)
+        supports = _two_term_supports(quotients, n)
         regular = _regular_closure(supports, grown[v] | _lead_free(leads, n))
     return IdealGens(tuple(gens), n) if divided else F
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .errors import NotBalancedError, StepLimitExceededError, ZeroLabelingError
 from .grid import (
-    DIRECTIONS,
     HORIZONTAL,
     VERTICAL,
     IntervalGraph,
@@ -29,7 +28,6 @@ from .grid import (
     Polyomino,
     inner_intervals,
     interval_graph,
-    maximal_edge_intervals,
 )
 from .groebner import (
     _BinomialBasis,
@@ -38,7 +36,6 @@ from .groebner import (
     buchberger,
     initial_ideal,
     is_squarefree,
-    normal_form,
     quotient_dimension,
     saturate,
 )
@@ -91,16 +88,24 @@ def cell_lattice_basis(P: Polyomino) -> LatticeBasis:
     )
 
 
-def admissible_matrix(P: Polyomino) -> list[list[int]]:
-    """0/1 incidence of maximal edge intervals (rows) versus vertices."""
+def _interval_rows(P: Polyomino) -> tuple[tuple[int, ...], ...]:
+    """The vertex indices of each maximal edge interval, in the node order
+    of ``grid.interval_graph``; built once and kept on P."""
     idx = P.vertex_index
+    return P.derived("interval_rows", lambda: tuple(
+        tuple(idx[v] for v in iv.vertices()) for iv in interval_graph(P).nodes
+    ))
+
+
+def admissible_matrix(P: Polyomino) -> list[list[int]]:
+    """0/1 incidence of maximal edge intervals (rows) versus vertices, the
+    horizontal intervals first, each direction in row-major order."""
     rows = []
-    for direction in DIRECTIONS:
-        for iv in maximal_edge_intervals(P, direction):
-            row = [0] * P.num_vertices
-            for v in iv.vertices():
-                row[idx[v]] = 1
-            rows.append(row)
+    for ks in _interval_rows(P):
+        row = [0] * P.num_vertices
+        for k in ks:
+            row[k] = 1
+        rows.append(row)
     return rows
 
 
@@ -127,11 +132,12 @@ def vector_labeling(P: Polyomino, vec) -> Labeling:
 
 def is_admissible(P: Polyomino, labeling: Labeling) -> bool:
     """True iff the labeling sums to zero on every maximal edge interval."""
-    labels = dict(zip(P.vertices, labeling_vector(P, labeling)))
-    return all(
-        sum(labels[v] for v in iv.vertices()) == 0
-        for iv in set(P.interval_through.values())
-    )
+    return _admissible_vector(P, labeling_vector(P, labeling))
+
+
+def _admissible_vector(P: Polyomino, vec: list[int]) -> bool:
+    """``is_admissible`` on a dense labeling vector."""
+    return all(sum(map(vec.__getitem__, ks)) == 0 for ks in _interval_rows(P))
 
 
 def vector_binomial(vec) -> Polynomial:
@@ -286,26 +292,24 @@ def _admissible_rank(P: Polyomino) -> int:
 
 
 def _cycle_verdict(P: Polyomino, step_limit: int) -> BalancedReport:
-    """``is_balanced`` without the rank shortcut: P is balanced iff the
-    binomial of every chordless cycle of G_P lies in the minor ideal.  An
-    inner 4-cycle's binomial is an inner minor; any other is tested by its
-    normal form modulo the canonical minor basis, and the first with a
-    nonzero one is the offending witness."""
-    graph = interval_graph(P)
-    cycles = P.derived("chordless_cycles", lambda: _chordless_cycles(graph.adjacency, step_limit))
-    outside = [c for c in cycles if not _is_inner_four_cycle(P, graph, c)]
-    offending = None
-    if outside:
+    """``is_balanced`` without the rank shortcut, kept on P: P is balanced
+    iff every chordless cycle of G_P is an inner 4-cycle, whose binomial is
+    an inner minor.  Otherwise the binomial of the first other cycle lies
+    outside the minor ideal (``is_balanced``) and is the offending witness."""
+
+    def build():
         from .cycles import canonical_cycle, cycle_binomial
 
-        gb = _canonical_basis(P, step_limit)
-        order = canonical_order(P.num_vertices)
-        binomials = (  # a cycle's edges are the vertices where its nodes meet
-            cycle_binomial(P, canonical_cycle(P, map(graph.vertex, c, c[1:] + c[:1])))
-            for c in outside
-        )
-        offending = next((f for f in binomials if normal_form(f, gb, order)), None)
-    return BalancedReport(offending is None, _admissible_rank(P), len(P), offending, len(cycles))
+        graph = interval_graph(P)
+        cycles = _chordless_cycles(graph.adjacency, step_limit)
+        outside = next((c for c in cycles if not _is_inner_four_cycle(P, graph, c)), None)
+        offending = None
+        if outside is not None:  # a cycle's edges are the vertices where its nodes meet
+            edges = map(graph.vertex, outside, outside[1:] + outside[:1])
+            offending = cycle_binomial(P, canonical_cycle(P, edges))
+        return BalancedReport(offending is None, _admissible_rank(P), len(P), offending, len(cycles))
+
+    return P.derived("cycle_verdict", build)
 
 
 def is_balanced(P: Polyomino, step_limit: int | None = None) -> BalancedReport:
@@ -327,8 +331,7 @@ def is_balanced(P: Polyomino, step_limit: int | None = None) -> BalancedReport:
     the number of maximal edge intervals minus one, and a rank other than
     |P| means P is not balanced.
 
-    Otherwise the chordless cycles of G_P decide, with no Groebner basis
-    when P is balanced:
+    Otherwise the chordless cycles of G_P decide, with no Groebner basis:
     - J_P is the lattice ideal of the admissible kernel, the toric ideal of
       the bipartite graph G_P, so the binomials of its even cycles generate
       it (Villarreal, Comm. Algebra 23, 1995);
@@ -338,15 +341,16 @@ def is_balanced(P: Polyomino, step_limit: int | None = None) -> BalancedReport:
     - the binomial of a chordless 4-cycle whose four vertices span an inner
       interval is that interval's inner minor.
     So if every chordless cycle is such a 4-cycle, J_P lies in I_P and P is
-    balanced.  Each other cycle is tested by normal form modulo the
-    canonical minor basis (``_cycle_verdict``), sound at any rank since the
-    chordless cycles generate J_P either way.  None passes: a monomial of
-    an inner minor dividing the product of a chordless cycle's alternate
-    edges is two of those edges, and the minor's other monomial is the two
-    edges closing them to a 4-cycle, chords unless the cycle is that inner
-    4-cycle; so no minor moves either monomial of the cycle's binomial.
-    The first such cycle is offending, and a balanced P has only inner
-    4-cycles.
+    balanced.  Any other chordless cycle's binomial lies outside I_P: a
+    monomial of an inner minor dividing the product of the cycle's
+    alternate edges is two of those edges, and the minor's other monomial
+    is the two edges closing them to a 4-cycle, chords unless the cycle is
+    that inner 4-cycle; so no minor moves either monomial of the cycle's
+    binomial, each monomial is alone in its class modulo I_P, and the
+    binomial is its own nonzero normal form under every order.
+    So the first such cycle is offending (``_cycle_verdict``), and a
+    balanced P has only inner 4-cycles.  The verdict is kept on P, so
+    ``is_prime`` and ``dimension`` reuse it.
     """
     step_limit = _resolve_step_limit(step_limit)
     adm_rank = _admissible_rank(P)

@@ -325,6 +325,59 @@ def random_peel(P: Polyomino, rng: random.Random) -> frozenset | None:
     return None
 
 
+def rescan_peel(P: Polyomino):
+    """The leaf-peeling chain rebuilt from scratch at every step: ``leaves``
+    of the whole remaining cell set, the smallest good leaf, else the
+    smallest leaf.  Oracle for the incremental ``classify._peel``."""
+    from polyomino_ideals.classify import _leaf_site, _PeelStep
+    from polyomino_ideals.grid import HORIZONTAL, leaves
+
+    steps = []
+    cells = set(P.cells)
+    while found := leaves(cells):
+        sites = [(lf.cell, lf.free_edge, *_leaf_site(cells, *lf)) for lf in found]
+        cell, e, interval, a2 = next((s for s in sites if s[3] is not None), sites[0])
+        if a2 is None:
+            edge = ()
+        elif interval.direction == HORIZONTAL:
+            edge = tuple((x, a2[1]) for x in range(interval.start[0], interval.end[0] + 2))
+        else:
+            edge = tuple((a2[0], y) for y in range(interval.start[1], interval.end[1] + 2))
+        steps.append(_PeelStep(cell, e[1] if a2 == e[0] else e[0], a2, interval.direction, edge))
+        if len(cells) == 1:
+            break
+        cells.remove(cell)
+    return tuple(steps), None if found else frozenset(cells)
+
+
+def rebuild_certify(plan, vec) -> list:
+    """The tree-like certificate with every multiplier rebuilt from the
+    labels and cofactors, and the option found by a scan.  Oracle for the
+    running multiplier of ``certificates._certify``."""
+    vals = list(vec)
+    cert = []
+    sign = 1
+    cofactor = [0] * len(vals)
+    for a1, a2, options in plan:
+        while vals[a1]:
+            if vals[a1] < 0:
+                sign = -sign
+                vals = [-v for v in vals]
+            c, d, step_sign, minor = next(o for o in options if vals[o[0]] > 0)
+            shift = [v + e if v > 0 else e for v, e in zip(vals, cofactor)]
+            shift[a1] -= 1
+            shift[c] -= 1
+            cert.append((Polynomial.monomial(tuple(shift), sign * step_sign), minor))
+            for v in (a2, d):
+                if vals[v] < 0:
+                    cofactor[v] += 1
+                vals[v] += 1
+            vals[a1] -= 1
+            vals[c] -= 1
+    assert not any(vals)
+    return cert
+
+
 def unit_edges(cells) -> set:
     """Every unit edge of the cells, as its (lower, upper) vertex pair."""
     out = set()

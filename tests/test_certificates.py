@@ -16,17 +16,24 @@ from polyomino_ideals import (
     cell_neighbors,
     cell_vector,
     expand_certificate,
+    free_polyominoes,
     inner_minors,
     is_admissible,
     is_pure_difference,
     is_tree_like,
     labeling_binomial,
     labeling_vector,
-    leaves,
     vector_labeling,
 )
 from polyomino_ideals import classify
-from conftest import random_admissible_labeling, random_tree_like, tree_like_oracle
+from polyomino_ideals.certificates import _certify, _peel_plan
+from conftest import (
+    random_admissible_labeling,
+    random_tree_like,
+    rebuild_certify,
+    rescan_peel,
+    tree_like_oracle,
+)
 
 ALPHA_UNIT = {(0, 0): 1, (1, 1): 1, (1, 0): -1, (0, 1): -1}
 
@@ -140,21 +147,37 @@ def test_certificate_raises_iff_not_tree_like(small_polyominoes):
 
 
 def test_peel_chain_built_once(P6, monkeypatch):
-    # is_tree_like and the certificates read one leaf-peeling chain kept on P
+    # is_tree_like and the certificates read one leaf-peeling chain kept on
+    # P, and the peel re-tests only the neighbor of each removed leaf
+    builds, calls = [], []
+    real_peel, real_free_edge = classify._peel, classify.free_edge
+    monkeypatch.setattr(classify, "_peel", lambda Q: builds.append(Q) or real_peel(Q))
+    monkeypatch.setattr(classify, "free_edge", lambda Q, c: calls.append(c) or real_free_edge(Q, c))
     P = Polyomino(P6.cells)
-    subs = []
-    monkeypatch.setattr(classify, "leaves", lambda Q: subs.append(Q) or leaves(Q))
     assert is_tree_like(P).tree_like
-    assert len(subs) == len(P)  # one call per sub-polyomino down to one cell
+    assert builds == [P]
+    assert len(calls) == 2 * len(P) - 1  # one neighbor per removed leaf
     alpha = vector_labeling(P, cell_vector(P, (1, 1)))
     _assert_valid(P, alpha)
     assert is_tree_like(P).tree_like
-    assert len(subs) == len(P)
+    assert builds == [P]
     # and in the other order
     Q = Polyomino(P6.cells)
     _assert_valid(Q, alpha)
     assert is_tree_like(Q).tree_like
-    assert len(subs) == 2 * len(P)
+    assert len(builds) == 2 and builds[1] is Q
+
+
+def test_peel_free_edge_calls_bounded(monkeypatch):
+    # once per cell, then once per removed leaf, for its neighbor; a peel
+    # rescanning the whole remaining set makes about n^2/2 on an n-cell strip
+    calls = []
+    real = classify.free_edge
+    monkeypatch.setattr(classify, "free_edge", lambda Q, c: calls.append(c) or real(Q, c))
+    for P in [Polyomino((i, 0) for i in range(30)), *free_polyominoes(8)[8]]:
+        calls.clear()
+        classify._peel(P)
+        assert len(P) <= len(calls) < 2 * len(P), P
 
 
 @st.composite
@@ -195,6 +218,25 @@ def test_certificates_property(data):
         assert minor.key() in allowed
         ((_, coeff),) = multiplier.terms.items()
         assert coeff in (1, -1)
+    # the same chain as a whole-set rescan, the same certificate as
+    # rebuilding every multiplier
+    assert classify._peel(P) == rescan_peel(P)
+    assert cert == rebuild_certify(_peel_plan(P), labeling_vector(P, first))
     # the second labeling reuses the plan kept on P
     cached = balanced_certificate_treelike(P, second)
     assert cached == balanced_certificate_treelike(Polyomino(P.cells), second)
+
+
+def test_incremental_peel_and_running_multiplier_match_rebuilds():
+    # every free <= 8-omino: the same chain as peeling by whole-set rescans;
+    # on the tree-like ones, the same certificates as rebuilding each
+    # multiplier
+    rng = random.Random(43)
+    shapes = [P for level in free_polyominoes(8).values() for P in level]
+    for P in shapes:
+        assert classify._peel(P) == rescan_peel(P), P
+        if is_tree_like(P).tree_like:
+            plan, basis = _peel_plan(P), admissible_lattice(P)
+            for _ in range(2):
+                vec = labeling_vector(P, random_admissible_labeling(P, basis, rng))
+                assert _certify(plan, vec) == rebuild_certify(plan, vec), P

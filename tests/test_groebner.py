@@ -326,6 +326,35 @@ def test_saturate_skips_regular_variables(monkeypatch):
     assert ideal_equal(sat, expected)
 
 
+def test_saturate_runs_start_from_the_generators_until_one_divides(monkeypatch):
+    # a run that divides nothing leaves F's ideal, so the next run starts
+    # from F's generators again; after one divides, from its divided basis
+    from polyomino_ideals import Polyomino, groebner
+
+    runs = []
+    real = groebner.buchberger
+
+    def recording(gens, order, step_limit=None):
+        out = real(gens, order, step_limit)
+        runs.append((list(gens), out, order.perm[-1]))
+        return out
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    frame = inner_minors(Polyomino({(i, j) for i in range(3) for j in range(3)} - {(1, 1)}))
+    block = _cell_lattice_binomials(Polyomino(THREE_BY_THREE))
+    for F, divides in ((frame, False), (block, True)):
+        runs.clear()
+        sat = saturate(F, range(F.nvars))
+        assert len(runs) > 1 and (sat is not F) == divides
+        gens = list(F.generators)
+        for given, out, v in runs:
+            assert given == gens
+            quotients = [groebner._divide_out(g, v) for g in out]
+            if quotients != out or gens != list(F.generators):
+                gens = quotients
+        assert (gens != list(F.generators)) == divides
+
+
 def test_saturate_matches_elimination_on_small_minors():
     # every free polyomino with at most 5 cells is simple, hence prime: the
     # minors are their own saturation and saturate hands them back as they

@@ -268,8 +268,9 @@ def test_is_balanced_matches_definition():
 
 
 def test_forced_cycle_fallback_finds_an_offending_cycle():
-    # with the rank shortcut skipped, the frames reach the normal-form test:
-    # the witness is a chordless cycle's binomial outside the minor ideal
+    # with the rank shortcut skipped, the frames reach the cycle test: the
+    # witness is a chordless cycle's binomial, and its normal form modulo
+    # the minors shows it outside the minor ideal
     from polyomino_ideals.ideals import _cycle_verdict
 
     for cells in FRAMES:
@@ -306,25 +307,28 @@ def test_chordless_cycles_match_brute_force(cells):
 
 def test_unequal_rank_alone_saturates(monkeypatch):
     # is_balanced, is_prime and dimension saturate a shape's minors only when
-    # its admissible rank is not its cell count, and then once
+    # its admissible rank is not its cell count, and then once; otherwise
+    # they search the chordless cycles once
     from polyomino_ideals import groebner, ideals
 
-    saturated = []
-    real = groebner.saturate
+    saturated, searched = [], []
+    real, real_search = groebner.saturate, ideals._chordless_cycles
 
     def recording(F, variables, step_limit=None, gb_order=None):
         saturated.append(F)
         return real(F, variables, step_limit, gb_order)
 
     monkeypatch.setattr(ideals, "saturate", recording)
+    monkeypatch.setattr(ideals, "_chordless_cycles", lambda *a: searched.append(a) or real_search(*a))
     unequal = 0
     for P in [*chain.from_iterable(free_polyominoes(8).values()), *map(Polyomino, FRAMES)]:
-        before = len(saturated)
+        before, searches = len(saturated), len(searched)
         report = is_balanced(P)
         is_prime(P)
         dimension(P)
         unequal += report.adm_rank != report.ncells
         assert len(saturated) - before == (report.adm_rank != report.ncells)
+        assert len(searched) - searches == (report.adm_rank == report.ncells)
     assert unequal == len(saturated) == 1 + 6 + 3  # non-simple 7- and 8-ominoes, frames
 
 
