@@ -30,7 +30,6 @@ from .cycles import (
     cycle_binomial,
     enumerate_cycles,
     extract_cycle,
-    max_cycle_vertices,
 )
 from .errors import (
     BadCharacterError,

@@ -5,20 +5,28 @@ vertices span alternating horizontal and vertical edge intervals of the
 polyomino, the wrap-around included.  Cycles are kept in a canonical form:
 start at the row-major least vertex and take its horizontal cycle edge
 first, which pins down one representative per rotation/reflection class.
+
+On the interval graph G_P (``grid.interval_graph``), where vertex k is the
+edge joining its horizontal interval H(k) to its vertical one V(k), a cycle
+v1 ... v2n is a closed trail: v1 leads from V(v1) to H(v1), v2 from there
+to V(v2), and so on back to V(v1).  A primitive cycle, with at most two
+vertices on each maximal edge interval, visits each node once: it is a
+simple cycle of G_P.  One search (``_cycle_search``) finds closed trails,
+simple cycles or chordless cycles, each once, as canonical index tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAdmissibleError, ZeroLabelingError
+from .errors import NotAdmissibleError, StepLimitExceededError, ZeroLabelingError
 from .grid import (
     HORIZONTAL,
     VERTICAL,
     Point,
     Polyomino,
     edge_interval_through,
-    maximal_edge_intervals,
+    interval_graph,
     point_key,
 )
 from .polynomials import Polynomial
@@ -71,12 +79,67 @@ def canonical_cycle(P: Polyomino, sequence) -> Cycle:
     return cycle
 
 
-def max_cycle_vertices(P: Polyomino) -> int:
-    """Upper bound on primitive cycle length: two vertices per maximal
-    interval means one step per interval in each direction."""
-    h = len(maximal_edge_intervals(P, HORIZONTAL))
-    v = len(maximal_edge_intervals(P, VERTICAL))
-    return 2 * min(h, v)
+def _cycle_search(P: Polyomino, limit: int | None = None, primitive: bool = False,
+                  chordless: bool = False, step_limit: int | None = None,
+                  ) -> list[tuple[int, ...]]:
+    """Cycles of G_P as tuples of vertex indices, in canonical form.
+
+    A cycle is found from its least edge k0: the walk leaves through H(k0),
+    takes only edges above k0, and closes on arriving at V(k0), so its
+    tuple starts at the least vertex with a horizontal step.  Three modes:
+    - closed trails (the default): no edge twice; a closing records the
+      cycle and the walk goes on, since a trail may pass V(k0) again;
+    - primitive, the simple cycles: no node twice, and a closing stops;
+    - chordless, with primitive: a node adjacent to an interior node (one
+      of the path other than its end) would be a chord's end and is
+      rejected; a node other than H(k0) adjacent to V(k0) may only close.
+    limit bounds the vertices of a cycle; a simple cycle needs no bound, as
+    it alternates between the h horizontal and v vertical nodes of G_P and
+    so has at most 2 * min(h, v) vertices.  Each edge tried counts against
+    step_limit, which ``is_balanced`` gives its chordless search; passing
+    it raises StepLimitExceededError.  Found in order of k0, then depth
+    first.
+    """
+    graph = interval_graph(P)
+    rows, ends, adjacency = graph.rows, graph.ends, graph.adjacency
+    limit = P.num_vertices if limit is None else limit
+    budget = float("inf") if step_limit is None else step_limit
+    found = []
+    steps = 0
+
+    def walk(node, side, path, used, avoid):
+        # node is the walk's end; side is 1 there if node is horizontal,
+        # so ends[k][side] is the far end of an edge k on it
+        nonlocal steps
+        if len(path) >= limit:
+            return
+        close_only = chordless and node != h0 and adjacency[v0] >> node & 1
+        for k in rows[node]:
+            if k <= k0 or used >> k & 1:
+                continue
+            steps += 1
+            if steps > budget:
+                raise StepLimitExceededError(
+                    f"chordless-cycle search exceeded {step_limit} path extensions"
+                )
+            w = ends[k][side]
+            if w == v0:
+                found.append((*path, k))
+                if primitive:
+                    continue
+            elif close_only or avoid >> w & 1:
+                continue
+            path.append(k)
+            if primitive:
+                blocked = adjacency[node] if chordless else 0
+                walk(w, 1 - side, path, 0, avoid | 1 << w | blocked)
+            else:
+                walk(w, 1 - side, path, used | 1 << k, 0)
+            path.pop()
+
+    for k0, (h0, v0) in enumerate(ends):
+        walk(h0, 1, [k0], 0, 1 << h0 if primitive else 0)
+    return found
 
 
 def enumerate_cycles(
@@ -84,66 +147,19 @@ def enumerate_cycles(
     max_vertices: int | None = None,
     primitive_only: bool = False,
 ) -> list[Cycle]:
-    """All cycles up to rotation/reflection, in canonical form.
+    """All cycles up to rotation/reflection, in canonical form, sorted by
+    length, then row-major by vertices.
 
-    The search starts each cycle at its least vertex with a horizontal first
-    step, so every equivalence class is produced exactly once.  With
-    primitive_only, any branch that would place a third vertex in one maximal
-    edge interval is pruned.
+    They are the closed trails of G_P, or with primitive_only its simple
+    cycles (``_cycle_search``); max_vertices, an even bound of at least 4,
+    drops the longer ones.
     """
-    if max_vertices is None:
-        limit = len(P.vertices)
-        if primitive_only:
-            limit = min(limit, max_cycle_vertices(P))
-    else:
-        if max_vertices < 4 or max_vertices % 2:
-            raise ValueError("max_vertices must be an even bound, at least 4")
-        limit = max_vertices
-
-    interval_of = P.interval_through
-    out = []
-    vertices = P.vertices  # already sorted row-major
-
-    def extend(path, counts, direction):
-        cur = path[-1]
-        iv = interval_of[(cur, direction)]
-        closing_ok = direction == VERTICAL and len(path) >= 4 and len(path) % 2 == 0
-        for w in iv.vertices():
-            if w == cur:
-                continue
-            if w == path[0]:
-                if closing_ok:
-                    out.append(Cycle(tuple(path)))
-                continue
-            if point_key(w) <= point_key(path[0]) or w in seen:
-                continue
-            if len(path) + 1 > limit:
-                continue
-            hkey = (interval_of[(w, HORIZONTAL)], HORIZONTAL)
-            vkey = (interval_of[(w, VERTICAL)], VERTICAL)
-            if primitive_only:
-                if counts.get(hkey, 0) >= 2 or counts.get(vkey, 0) >= 2:
-                    continue
-            counts[hkey] = counts.get(hkey, 0) + 1
-            counts[vkey] = counts.get(vkey, 0) + 1
-            seen.add(w)
-            path.append(w)
-            extend(path, counts, VERTICAL if direction == HORIZONTAL else HORIZONTAL)
-            path.pop()
-            seen.remove(w)
-            counts[hkey] -= 1
-            counts[vkey] -= 1
-
-    for v0 in vertices:
-        seen = {v0}
-        counts = {
-            (interval_of[(v0, HORIZONTAL)], HORIZONTAL): 1,
-            (interval_of[(v0, VERTICAL)], VERTICAL): 1,
-        }
-        extend([v0], counts, HORIZONTAL)
-
-    out.sort(key=lambda c: (len(c), [point_key(v) for v in c.vertices]))
-    return out
+    if max_vertices is not None and (max_vertices < 4 or max_vertices % 2):
+        raise ValueError("max_vertices must be an even bound, at least 4")
+    found = _cycle_search(P, max_vertices, primitive_only)
+    found.sort(key=lambda c: (len(c), c))  # row-major index order
+    vertices = P.vertices
+    return [Cycle(tuple(vertices[k] for k in c)) for c in found]
 
 
 def cycle_binomial(P: Polyomino, cycle: Cycle) -> Polynomial:
@@ -161,35 +177,28 @@ def extract_cycle(P: Polyomino, labeling: dict) -> Cycle:
     """Walk out a cycle from a nonzero admissible labeling.
 
     Starting at the least vertex with positive label, repeatedly move to the
-    least opposite-signed vertex in the current maximal interval, alternating
-    direction each step; the first revisited vertex closes the cycle and the
-    closed tail is returned in canonical form.
+    least opposite-signed vertex on the current node of G_P and leave
+    through that vertex's other node, the horizontal node first; the first
+    revisited vertex closes the cycle and the closed tail is returned in
+    canonical form.
     """
-    from .ideals import is_admissible
+    from .ideals import _admissible_vector, labeling_vector
 
-    values = {pt: int(v) for pt, v in labeling.items() if v}
-    if not values:
+    vec = labeling_vector(P, labeling)
+    if not any(vec):
         raise ZeroLabelingError("cannot extract a cycle from the zero labeling")
-    if not is_admissible(P, labeling):
+    if not _admissible_vector(P, vec):
         raise NotAdmissibleError("labeling does not sum to zero on all intervals")
 
-    start = min((pt for pt, v in values.items() if v > 0), key=point_key)
-    walk = [start]
-    position = {start: 0}
-    direction = HORIZONTAL
+    graph = interval_graph(P)
+    k = next(k for k, x in enumerate(vec) if x > 0)
+    position = {k: 0}  # the walk, in order
+    side = 0
     while True:
-        cur = walk[-1]
-        want_negative = values[cur] > 0
-        iv = edge_interval_through(P, cur, direction)
-        candidates = [
-            w
-            for w in iv.vertices()
-            if (values.get(w, 0) < 0) == want_negative and values.get(w, 0) != 0
-        ]
-        nxt = min(candidates, key=point_key)
-        if nxt in position:
-            tail = walk[position[nxt]:]
-            return canonical_cycle(P, tail)
-        position[nxt] = len(walk)
-        walk.append(nxt)
-        direction = VERTICAL if direction == HORIZONTAL else HORIZONTAL
+        sign = vec[k]
+        k = next(j for j in graph.rows[graph.ends[k][side]] if vec[j] * sign < 0)
+        if k in position:
+            tail = list(position)[position[k]:]
+            return canonical_cycle(P, [P.vertices[j] for j in tail])
+        position[k] = len(position)
+        side ^= 1

@@ -264,18 +264,16 @@ class IntervalGraph(NamedTuple):
     each direction in row-major order of the intervals' first vertices, as
     ``maximal_edge_intervals`` lists them; each vertex of P is an edge
     joining its horizontal interval to its vertical one, so two nodes share
-    at most one edge.  adjacency[k] is the bitmask of node k's neighbours.
+    at most one edge.  adjacency[a] is the bitmask of node a's neighbours,
+    rows[a] the ascending indices (``Polyomino.vertex_index``) of the
+    vertices on node a, and ends[k] the pair (horizontal node, vertical
+    node) that vertex k joins.
     """
 
     nodes: tuple[EdgeInterval, ...]
     adjacency: tuple[int, ...]
-
-    def vertex(self, a: int, b: int) -> Point:
-        """The vertex of P where adjacent nodes a and b meet."""
-        h, v = self.nodes[a], self.nodes[b]
-        if h.direction == VERTICAL:
-            h, v = v, h
-        return (v.start[0], h.start[1])
+    rows: tuple[tuple[int, ...], ...]
+    ends: tuple[tuple[int, int], ...]
 
 
 def interval_graph(P: Polyomino) -> IntervalGraph:
@@ -284,14 +282,19 @@ def interval_graph(P: Polyomino) -> IntervalGraph:
     def build():
         through = P.interval_through
         nodes = tuple(dict.fromkeys(through[(v, d)] for d in DIRECTIONS for v in P.vertices))
-        number = {iv: k for k, iv in enumerate(nodes)}
+        number = {iv: a for a, iv in enumerate(nodes)}
         adjacency = [0] * len(nodes)
-        for v in P.vertices:
+        rows = [[] for _ in nodes]
+        ends = []
+        for k, v in enumerate(P.vertices):
             a = number[through[(v, HORIZONTAL)]]
             b = number[through[(v, VERTICAL)]]
             adjacency[a] |= 1 << b
             adjacency[b] |= 1 << a
-        return IntervalGraph(nodes, tuple(adjacency))
+            rows[a].append(k)
+            rows[b].append(k)
+            ends.append((a, b))
+        return IntervalGraph(nodes, tuple(adjacency), tuple(map(tuple, rows)), tuple(ends))
 
     return P.derived("interval_graph", build)
 

@@ -19,16 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotBalancedError, StepLimitExceededError, ZeroLabelingError
-from .grid import (
-    HORIZONTAL,
-    VERTICAL,
-    IntervalGraph,
-    Point,
-    Polyomino,
-    inner_intervals,
-    interval_graph,
-)
+from .errors import NotBalancedError, ZeroLabelingError
+from .grid import Point, Polyomino, inner_intervals, interval_graph
 from .groebner import (
     _BinomialBasis,
     _binomial_pairs,
@@ -88,20 +80,11 @@ def cell_lattice_basis(P: Polyomino) -> LatticeBasis:
     )
 
 
-def _interval_rows(P: Polyomino) -> tuple[tuple[int, ...], ...]:
-    """The vertex indices of each maximal edge interval, in the node order
-    of ``grid.interval_graph``; built once and kept on P."""
-    idx = P.vertex_index
-    return P.derived("interval_rows", lambda: tuple(
-        tuple(idx[v] for v in iv.vertices()) for iv in interval_graph(P).nodes
-    ))
-
-
 def admissible_matrix(P: Polyomino) -> list[list[int]]:
     """0/1 incidence of maximal edge intervals (rows) versus vertices, the
     horizontal intervals first, each direction in row-major order."""
     rows = []
-    for ks in _interval_rows(P):
+    for ks in interval_graph(P).rows:
         row = [0] * P.num_vertices
         for k in ks:
             row[k] = 1
@@ -137,7 +120,7 @@ def is_admissible(P: Polyomino, labeling: Labeling) -> bool:
 
 def _admissible_vector(P: Polyomino, vec: list[int]) -> bool:
     """``is_admissible`` on a dense labeling vector."""
-    return all(sum(map(vec.__getitem__, ks)) == 0 for ks in _interval_rows(P))
+    return all(sum(map(vec.__getitem__, ks)) == 0 for ks in interval_graph(P).rows)
 
 
 def vector_binomial(vec) -> Polynomial:
@@ -230,59 +213,14 @@ def _canonical_basis(P: Polyomino, step_limit: int | None,
     return P.derived(name, build)
 
 
-def _chordless_cycles(adjacency, step_limit: int) -> list[tuple[int, ...]]:
-    """Every chordless cycle of the graph with the given adjacency bitmasks,
-    once, as the node tuple that starts at its least node s and whose second
-    node is below its last.
-
-    From each s, induced paths grow through nodes above s.  A node adjacent
-    to an interior path node (neither s nor the end) would be a chord's end,
-    so it is rejected before the closing test; a node adjacent to s closes
-    a cycle and is not grown further, since s would then be adjacent to an
-    interior node.  Every extension of a path counts against step_limit;
-    passing it raises StepLimitExceededError.
-    """
-    cycles = []
-    steps = 0
-
-    def grow(path, closing, blocked):
-        nonlocal steps
-        end = path[-1]
-        candidates = adjacency[end] & ~blocked
-        if len(path) > 1:
-            blocked |= adjacency[end]  # end is interior once the path grows
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            steps += 1
-            if steps > step_limit:
-                raise StepLimitExceededError(
-                    f"chordless-cycle search exceeded {step_limit} path extensions"
-                )
-            w = low.bit_length() - 1
-            if len(path) > 1 and closing & low:
-                if path[1] < w:
-                    cycles.append((*path, w))
-            else:
-                path.append(w)
-                grow(path, closing, blocked | low)
-                path.pop()
-
-    for s, neighbours in enumerate(adjacency):
-        below = (2 << s) - 1  # s and the nodes under it
-        grow([s], neighbours & ~below, below)
-    return cycles
-
-
-def _is_inner_four_cycle(P: Polyomino, graph: IntervalGraph, cycle) -> bool:
-    """Whether the cycle is the 4-cycle of an inner interval: its two
-    horizontal nodes lie on rows j < l, its two vertical ones on columns
-    i < k, and every cell of [i, k) x [j, l) is in P."""
+def _is_inner_four_cycle(P: Polyomino, cycle: tuple[int, ...]) -> bool:
+    """Whether the cycle, vertex indices in canonical form, is the 4-cycle
+    of an inner interval: its first and third vertices are corners (i, j)
+    and (k, l) with i < k and j < l, and every cell of [i, k) x [j, l) is
+    in P."""
     if len(cycle) != 4:
         return False
-    nodes = [graph.nodes[a] for a in cycle]
-    j, l = sorted(iv.start[1] for iv in nodes if iv.direction == HORIZONTAL)
-    i, k = sorted(iv.start[0] for iv in nodes if iv.direction == VERTICAL)
+    (i, j), (k, l) = P.vertices[cycle[0]], P.vertices[cycle[2]]
     return all((r, t) in P.cells for r in range(i, k) for t in range(j, l))
 
 
@@ -298,15 +236,13 @@ def _cycle_verdict(P: Polyomino, step_limit: int) -> BalancedReport:
     outside the minor ideal (``is_balanced``) and is the offending witness."""
 
     def build():
-        from .cycles import canonical_cycle, cycle_binomial
+        from .cycles import Cycle, _cycle_search, cycle_binomial
 
-        graph = interval_graph(P)
-        cycles = _chordless_cycles(graph.adjacency, step_limit)
-        outside = next((c for c in cycles if not _is_inner_four_cycle(P, graph, c)), None)
+        cycles = _cycle_search(P, primitive=True, chordless=True, step_limit=step_limit)
+        outside = next((c for c in cycles if not _is_inner_four_cycle(P, c)), None)
         offending = None
-        if outside is not None:  # a cycle's edges are the vertices where its nodes meet
-            edges = map(graph.vertex, outside, outside[1:] + outside[:1])
-            offending = cycle_binomial(P, canonical_cycle(P, edges))
+        if outside is not None:
+            offending = cycle_binomial(P, Cycle(tuple(P.vertices[k] for k in outside)))
         return BalancedReport(offending is None, _admissible_rank(P), len(P), offending, len(cycles))
 
     return P.derived("cycle_verdict", build)
@@ -455,7 +391,7 @@ def universal_gb_check(P: Polyomino, orders,
     monic and reduced, hence the unique reduced basis (<2 lies in the
     Groebner cone of G: Mora-Robbiano, J. Symb. Comput. 6, 1988).
     """
-    from .cycles import cycle_binomial, enumerate_cycles, max_cycle_vertices
+    from .cycles import cycle_binomial, enumerate_cycles
 
     if not orders:
         raise ValueError("need at least one order")
@@ -465,7 +401,7 @@ def universal_gb_check(P: Polyomino, orders,
             raise ValueError(f"the order has {order.nvars} variables, the polynomials {n}")
     if not is_balanced(P, step_limit).balanced:
         raise NotBalancedError("the polyomino is not balanced")
-    cycles = enumerate_cycles(P, max_vertices=max_cycle_vertices(P), primitive_only=True)
+    cycles = enumerate_cycles(P, primitive_only=True)
     candidates = [cycle_binomial(P, c) for c in cycles]
     canonical = canonical_order(n)
     canonical_gb = _canonical_basis(P, step_limit)

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import settings
 
 from polyomino_ideals import (
+    HORIZONTAL,
+    VERTICAL,
     IdealGens,
     MonomialOrder,
     Polynomial,
@@ -23,6 +25,7 @@ from polyomino_ideals import (
     is_tree_like,
     mono_divides,
     mono_mul,
+    point_key,
 )
 from polyomino_ideals.grid import connected_components
 from polyomino_ideals.groebner import s_polynomial
@@ -466,6 +469,71 @@ def chordless_cycles_brute(cells) -> set:
         if reached == chosen:
             out.add(frozenset(cycle))
     return out
+
+
+def walk_cycles(P: Polyomino, max_vertices=None, primitive_only=False) -> list:
+    """``enumerate_cycles`` as vertex tuples, by walking points: from each
+    vertex v0, alternate horizontal and vertical steps along P's maximal
+    edge intervals through vertices after v0, close on v0's vertical
+    interval, and with primitive_only count the vertices per interval and
+    prune a third."""
+    through = P.interval_through
+    limit = len(P.vertices) if max_vertices is None else max_vertices
+    out = []
+
+    def extend(path, seen, counts, direction):
+        cur = path[-1]
+        for w in through[(cur, direction)].vertices():
+            if w == cur:
+                continue
+            if w == path[0]:
+                if direction == VERTICAL and len(path) >= 4:
+                    out.append(tuple(path))
+                continue
+            if point_key(w) <= point_key(path[0]) or w in seen or len(path) + 1 > limit:
+                continue
+            keys = [through[(w, HORIZONTAL)], through[(w, VERTICAL)]]
+            if primitive_only and any(counts.get(key, 0) >= 2 for key in keys):
+                continue
+            for key in keys:
+                counts[key] = counts.get(key, 0) + 1
+            path.append(w)
+            extend(path, seen | {w}, counts, VERTICAL if direction == HORIZONTAL else HORIZONTAL)
+            path.pop()
+            for key in keys:
+                counts[key] -= 1
+
+    for v0 in P.vertices:
+        extend([v0], {v0}, {through[(v0, HORIZONTAL)]: 1, through[(v0, VERTICAL)]: 1}, HORIZONTAL)
+    out.sort(key=lambda c: (len(c), [point_key(v) for v in c]))
+    return out
+
+
+def walk_extract_cycle(P: Polyomino, labeling: dict) -> tuple:
+    """``extract_cycle``'s vertices for an admissible nonzero labeling, by
+    walking points: from the least positive vertex, step to the least
+    opposite-signed vertex of the current maximal edge interval, the
+    horizontal one first, until a vertex repeats; the repeated tail is
+    rotated to its least vertex and turned to step horizontally first."""
+    values = {pt: v for pt, v in labeling.items() if v}
+    walk = [min((pt for pt, v in values.items() if v > 0), key=point_key)]
+    direction = HORIZONTAL
+    while True:
+        cur = walk[-1]
+        nxt = min(
+            (w for w in P.interval_through[(cur, direction)].vertices()
+             if values.get(w, 0) * values[cur] < 0),
+            key=point_key,
+        )
+        if nxt in walk:
+            tail = walk[walk.index(nxt):]
+            start = min(range(len(tail)), key=lambda k: point_key(tail[k]))
+            tail = tail[start:] + tail[:start]
+            if tail[0][1] != tail[1][1]:  # first step vertical: reverse
+                tail = [tail[0]] + tail[1:][::-1]
+            return tuple(tail)
+        walk.append(nxt)
+        direction = VERTICAL if direction == HORIZONTAL else HORIZONTAL
 
 
 def euler_simple(cells) -> bool:

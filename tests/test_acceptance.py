@@ -36,7 +36,6 @@ from polyomino_ideals import (
     lattice_ideal,
     leaf_census,
     matrix_rank,
-    max_cycle_vertices,
     normal_form,
     order_sample,
 )
@@ -128,7 +127,7 @@ def test_criterion_05_primitive_universal_gb(balanced_family):
     for P in unique:
         n = P.num_vertices
         orders = order_sample(n, seed=0)
-        cycles = enumerate_cycles(P, max_vertices=max_cycle_vertices(P), primitive_only=True)
+        cycles = enumerate_cycles(P, primitive_only=True)
         candidates = [cycle_binomial(P, c) for c in cycles]
         signed = {f.key() for f in candidates} | {(-f).key() for f in candidates}
         gens = inner_minors(P)

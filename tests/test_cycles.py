@@ -1,5 +1,6 @@
 """Cycle enumeration, cycle binomials, and the labeling-to-cycle walk."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from polyomino_ideals import (
     HORIZONTAL,
     NotAdmissibleError,
+    Polyomino,
     ZeroLabelingError,
+    admissible_lattice,
     buchberger,
     canonical_cycle,
     canonical_order,
@@ -15,10 +18,28 @@ from polyomino_ideals import (
     cycle_binomial,
     enumerate_cycles,
     extract_cycle,
+    free_polyominoes,
     inner_minors,
+    is_admissible,
     normal_form,
     point_key,
 )
+from conftest import random_admissible_labeling, walk_cycles, walk_extract_cycle
+
+
+def _frame(w, h):
+    return Polyomino({(i, j) for i in range(w) for j in range(h) if i in (0, w - 1) or j in (0, h - 1)})
+
+
+def _block(w, h):
+    return Polyomino({(i, j) for i in range(w) for j in range(h)})
+
+
+def _free(max_cells):
+    return [P for level in free_polyominoes(max_cells).values() for P in level]
+
+
+SIZES = ((3, 3), (4, 3), (4, 4))
 
 
 def test_enumerate_unit_square(P1):
@@ -150,3 +171,39 @@ def test_primitive_filter_bounds_interval_visits(P6):
                 edge_interval_through(P6, v, direction) for v in c.vertices
             )
             assert all(count <= 2 for count in visits.values())
+
+
+@pytest.mark.parametrize("shapes, primitive", [
+    ("free7", True),
+    ("frames-blocks", True),
+    ("free6", False),
+    ("frame3x3-blocks3x2-3x3", False),
+])
+def test_enumerate_cycles_matches_point_walk(shapes, primitive):
+    family = {
+        "free7": _free(7),
+        "free6": _free(6),
+        "frames-blocks": [f(w, h) for f in (_frame, _block) for w, h in SIZES],
+        "frame3x3-blocks3x2-3x3": [_frame(3, 3), _block(3, 2), _block(3, 3)],
+    }[shapes]
+    for P in family:
+        found = [c.vertices for c in enumerate_cycles(P, primitive_only=primitive)]
+        assert found == walk_cycles(P, primitive_only=primitive), P
+
+
+def test_enumerate_cycles_bounded_matches_point_walk():
+    for P in [*_free(6), _frame(3, 3)]:
+        for bound in (4, 6, 8):
+            for primitive in (False, True):
+                found = enumerate_cycles(P, max_vertices=bound, primitive_only=primitive)
+                assert [c.vertices for c in found] == walk_cycles(P, bound, primitive), P
+
+
+def test_extract_cycle_matches_point_walk():
+    rng = random.Random(19)
+    for P in _free(7):
+        basis = admissible_lattice(P)
+        for _ in range(3):
+            alpha = random_admissible_labeling(P, basis, rng)
+            assert is_admissible(P, alpha)
+            assert extract_cycle(P, alpha).vertices == walk_extract_cycle(P, alpha), (P, alpha)

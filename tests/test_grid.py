@@ -297,11 +297,15 @@ def test_interval_graph_joins_each_vertex_its_two_intervals():
         )
         number = {iv: k for k, iv in enumerate(graph.nodes)}
         edges = set()
-        for v in P.vertices:
+        for k, v in enumerate(P.vertices):
             a = number[edge_interval_through(P, v, HORIZONTAL)]
             b = number[edge_interval_through(P, v, VERTICAL)]
-            assert graph.vertex(a, b) == graph.vertex(b, a) == v
+            assert graph.ends[k] == (a, b)
             edges.add((a, b))
+        assert graph.rows == tuple(
+            tuple(P.vertex_index[v] for v in iv.vertices()) for iv in graph.nodes
+        )
+        assert all(list(row) == sorted(row) for row in graph.rows)
         assert {
             (a, b) for a, mask in enumerate(graph.adjacency)
             for b in range(len(graph.nodes)) if mask >> b & 1 and a < b

@@ -1,6 +1,7 @@
 """Grid text round trips, the census, and the CLI surface."""
 
 import dataclasses
+import hashlib
 import json
 import random
 import re
@@ -124,6 +125,38 @@ def test_cli_balanced_prime_dimension(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["dimension", str(grid), "--format", "json"])
     payload = json.loads(out)
     assert code == 0 and payload["dimension"] == payload["num_vertices"] - payload["num_cells"]
+
+
+# SHA-256 of `cycles` output, with and without --primitive: the JSON payload
+# without "timings", dumped with sorted keys, and the text as printed.
+# Recorded from the point-walking enumeration the interval-graph search
+# replaced; `count` is the number of cycles.
+CYCLES_OUTPUT = {
+    ("staple", False): (132, "0c60574cf931058e2b2edd22c3198dfcaa839170ecf613c4b37843a73cf036a4",
+                        "879b3b5609e82b1f2cded173b00bd450e8531cfa859a403cd1a482aa06ec35e4"),
+    ("staple", True): (38, "42e4cd42fb365abf5d5b34103bdc6a857695da8ebdd88228b439173da1b7636d",
+                       "703d7fa6857fc51c12b4175e361c2cd3f0f2dcfb8d40c4109adc958b4ab2ba55"),
+    ("frame", False): (5892, "7ed2067dbcd102a2ac3d03f1b4264bffa8049d7e6e5de0364f0d9b2e5342e046",
+                       "8b15af12ae0425d54503908134a6778aa9183a7ccad77c3ed7571ef184d823ed"),
+    ("frame", True): (204, "bb41a460461374d04ed7a7e7e349415534d1abdced82d44b312c9f21e10e6bda",
+                      "08ea80ca75e1108dd1818b104ee7bac9ecd7071ed25efab1c763ecd3a359fc1f"),
+}
+
+
+@pytest.mark.parametrize("name, primitive", sorted(CYCLES_OUTPUT))
+def test_cli_cycles_output_is_pinned(capsys, tmp_path, name, primitive):
+    grid = tmp_path / name
+    grid.write_text({"staple": ".##\n##.\n.##\n", "frame": "###\n#.#\n###\n"}[name])
+    flags = ["--primitive"] if primitive else []
+    count, json_sha, text_sha = CYCLES_OUTPUT[(name, primitive)]
+    code, out, _ = run_cli(capsys, ["cycles", str(grid), "--format", "json", *flags])
+    payload = json.loads(out)
+    del payload["timings"]
+    assert code == 0 and payload["count"] == count
+    assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == json_sha
+    code, out, _ = run_cli(capsys, ["cycles", str(grid), *flags])
+    assert code == 0 and out.startswith(f"count: {count}\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == text_sha
 
 
 def test_cli_cycles_and_ideal(capsys, tmp_path):

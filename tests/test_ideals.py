@@ -37,7 +37,6 @@ from polyomino_ideals import (
     labeling_binomial,
     lattice_ideal,
     matrix_rank,
-    max_cycle_vertices,
     normal_form,
     order_sample,
     parse_grid,
@@ -291,16 +290,17 @@ def test_forced_cycle_fallback_finds_an_offending_cycle():
     tuple((i, j) for i in range(4) for j in range(4)),
 ])
 def test_chordless_cycles_match_brute_force(cells):
+    from polyomino_ideals.cycles import _cycle_search
     from polyomino_ideals.grid import interval_graph
-    from polyomino_ideals.ideals import _chordless_cycles
 
     P = Polyomino(cells)
-    graph = interval_graph(P)
-    cycles = _chordless_cycles(graph.adjacency, 10**6)
-    for c in cycles:  # least node first, one direction, consecutive nodes adjacent
-        assert c[0] == min(c) and c[1] < c[-1]
-        assert all(graph.adjacency[a] >> b & 1 for a, b in zip(c, c[1:] + c[:1]))
-    found = [frozenset(graph.vertex(a, b) for a, b in zip(c, c[1:] + c[:1])) for c in cycles]
+    ends = interval_graph(P).ends
+    cycles = _cycle_search(P, primitive=True, chordless=True, step_limit=10**6)
+    for c in cycles:  # least vertex first, then its horizontal interval
+        assert c[0] == min(c) and ends[c[1]][0] == ends[c[0]][0]
+        # consecutive vertices share an interval, alternately horizontal and vertical
+        assert all(ends[a][t % 2] == ends[b][t % 2] for t, (a, b) in enumerate(zip(c, c[1:] + c[:1])))
+    found = [frozenset(P.vertices[k] for k in c) for c in cycles]
     assert len(set(found)) == len(found)
     assert set(found) == chordless_cycles_brute(cells)
 
@@ -309,17 +309,17 @@ def test_unequal_rank_alone_saturates(monkeypatch):
     # is_balanced, is_prime and dimension saturate a shape's minors only when
     # its admissible rank is not its cell count, and then once; otherwise
     # they search the chordless cycles once
-    from polyomino_ideals import groebner, ideals
+    from polyomino_ideals import cycles, groebner, ideals
 
     saturated, searched = [], []
-    real, real_search = groebner.saturate, ideals._chordless_cycles
+    real, real_search = groebner.saturate, cycles._cycle_search
 
     def recording(F, variables, step_limit=None, gb_order=None):
         saturated.append(F)
         return real(F, variables, step_limit, gb_order)
 
     monkeypatch.setattr(ideals, "saturate", recording)
-    monkeypatch.setattr(ideals, "_chordless_cycles", lambda *a: searched.append(a) or real_search(*a))
+    monkeypatch.setattr(cycles, "_cycle_search", lambda *a, **k: searched.append(a) or real_search(*a, **k))
     unequal = 0
     for P in [*chain.from_iterable(free_polyominoes(8).values()), *map(Polyomino, FRAMES)]:
         before, searches = len(saturated), len(searched)
@@ -423,7 +423,7 @@ def test_universal_gb_check_requires_orders(P1):
 
 
 def _primitive_cycle_binomials(P):
-    cycles = enumerate_cycles(P, max_vertices=max_cycle_vertices(P), primitive_only=True)
+    cycles = enumerate_cycles(P, primitive_only=True)
     return [cycle_binomial(P, c) for c in cycles]
 
 
@@ -555,7 +555,7 @@ def test_reused_bases_give_the_fresh_outcomes(monkeypatch):
     sampled = computed = 0
     for cells in REUSE_SHAPES:
         P = Polyomino(cells)
-        cycles = enumerate_cycles(P, max_vertices=max_cycle_vertices(P), primitive_only=True)
+        cycles = enumerate_cycles(P, primitive_only=True)
         signed = {frozenset(cycle_binomial(P, c).terms) for c in cycles}
         for seed in range(3):
             orders = order_sample(P.num_vertices, seed=seed)
