@@ -25,8 +25,6 @@ from .classify import (
 )
 from .cycles import (
     Cycle,
-    canonical_cycle,
-    check_cycle,
     cycle_binomial,
     enumerate_cycles,
     extract_cycle,
@@ -58,7 +56,6 @@ from .grid import (
     cell_edges,
     cell_neighbors,
     cell_vertices,
-    edge_interval_through,
     free_polyominoes,
     inner_intervals,
     leaves,

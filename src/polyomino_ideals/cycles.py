@@ -11,8 +11,11 @@ edge joining its horizontal interval H(k) to its vertical one V(k), a cycle
 v1 ... v2n is a closed trail: v1 leads from V(v1) to H(v1), v2 from there
 to V(v2), and so on back to V(v1).  A primitive cycle, with at most two
 vertices on each maximal edge interval, visits each node once: it is a
-simple cycle of G_P.  One search (``_cycle_search``) finds closed trails,
-simple cycles or chordless cycles, each once, as canonical index tuples.
+simple cycle of G_P.  Cycles stay tuples of vertex indices from search to
+binomial; as ``Polyomino.vertex_index`` is row-major, the canonical form
+starts at the least index.  One search (``_cycle_search``) finds closed
+trails, simple cycles or chordless cycles, each once, in canonical form,
+and ``extract_cycle`` canonicalizes the cycle it walks on G_P.
 """
 
 from __future__ import annotations
@@ -20,15 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotAdmissibleError, StepLimitExceededError, ZeroLabelingError
-from .grid import (
-    HORIZONTAL,
-    VERTICAL,
-    Point,
-    Polyomino,
-    edge_interval_through,
-    interval_graph,
-    point_key,
-)
+from .grid import Point, Polyomino, interval_graph
+from .ideals import _admissible_vector, labeling_vector, vector_binomial
 from .polynomials import Polynomial
 
 
@@ -40,43 +36,6 @@ class Cycle:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-
-def _step_direction(a: Point, b: Point) -> str:
-    if a[1] == b[1] and a[0] != b[0]:
-        return HORIZONTAL
-    if a[0] == b[0] and a[1] != b[1]:
-        return VERTICAL
-    raise ValueError(f"{a} and {b} are not collinear")
-
-
-def check_cycle(P: Polyomino, cycle: Cycle) -> None:
-    """Raise ValueError unless the sequence satisfies all cycle conditions."""
-    vs = cycle.vertices
-    if len(vs) < 4 or len(vs) % 2:
-        raise ValueError("a cycle has an even number of vertices, at least 4")
-    if len(set(vs)) != len(vs):
-        raise ValueError("cycle vertices must be distinct")
-    for k, v in enumerate(vs):
-        w = vs[(k + 1) % len(vs)]
-        d = _step_direction(v, w)
-        expected = HORIZONTAL if k % 2 == 0 else VERTICAL
-        if d != expected:
-            raise ValueError("cycle directions must alternate, starting horizontal")
-        if w not in edge_interval_through(P, v, d).vertices():
-            raise ValueError(f"[{v}, {w}] is not an edge interval of the polyomino")
-
-
-def canonical_cycle(P: Polyomino, sequence) -> Cycle:
-    """Canonicalize a closed alternating sequence (rotation/reflection)."""
-    seq = list(sequence)
-    start = min(range(len(seq)), key=lambda k: point_key(seq[k]))
-    rotated = seq[start:] + seq[:start]
-    if _step_direction(rotated[0], rotated[1]) != HORIZONTAL:
-        rotated = [rotated[0]] + rotated[1:][::-1]
-    cycle = Cycle(tuple(rotated))
-    check_cycle(P, cycle)
-    return cycle
 
 
 def _cycle_search(P: Polyomino, limit: int | None = None, primitive: bool = False,
@@ -162,15 +121,25 @@ def enumerate_cycles(
     return [Cycle(tuple(vertices[k] for k in c)) for c in found]
 
 
+def _index_binomial(nvars: int, cycle) -> Polynomial:
+    """The binomial of a cycle given as distinct vertex indices: the
+    odd-position product minus the even-position product."""
+    vec = [0] * nvars
+    for pos, k in enumerate(cycle):
+        vec[k] = -1 if pos % 2 else 1
+    return vector_binomial(vec)
+
+
 def cycle_binomial(P: Polyomino, cycle: Cycle) -> Polynomial:
-    """Odd-position product minus even-position product; both squarefree."""
+    """Odd-position product minus even-position product; both squarefree.
+    A vertex outside V(P) or a repeated vertex raises ValueError."""
     idx = P.vertex_index
-    n = P.num_vertices
-    odd = [0] * n
-    even = [0] * n
-    for k, v in enumerate(cycle.vertices):
-        (odd if k % 2 == 0 else even)[idx[v]] = 1
-    return Polynomial({tuple(odd): 1, tuple(even): -1})
+    for v in cycle.vertices:
+        if v not in idx:
+            raise ValueError(f"{v} is not a vertex of the polyomino")
+    if len(set(cycle.vertices)) != len(cycle.vertices):
+        raise ValueError("cycle vertices must be distinct")
+    return _index_binomial(P.num_vertices, [idx[v] for v in cycle.vertices])
 
 
 def extract_cycle(P: Polyomino, labeling: dict) -> Cycle:
@@ -179,11 +148,10 @@ def extract_cycle(P: Polyomino, labeling: dict) -> Cycle:
     Starting at the least vertex with positive label, repeatedly move to the
     least opposite-signed vertex on the current node of G_P and leave
     through that vertex's other node, the horizontal node first; the first
-    revisited vertex closes the cycle and the closed tail is returned in
-    canonical form.
+    revisited vertex closes the cycle.  The closed tail is rotated to its
+    least index and, if its first step is vertical (its first two vertices
+    share no horizontal node), reversed after the first vertex.
     """
-    from .ideals import _admissible_vector, labeling_vector
-
     vec = labeling_vector(P, labeling)
     if not any(vec):
         raise ZeroLabelingError("cannot extract a cycle from the zero labeling")
@@ -191,14 +159,19 @@ def extract_cycle(P: Polyomino, labeling: dict) -> Cycle:
         raise NotAdmissibleError("labeling does not sum to zero on all intervals")
 
     graph = interval_graph(P)
+    rows, ends = graph.rows, graph.ends
     k = next(k for k, x in enumerate(vec) if x > 0)
     position = {k: 0}  # the walk, in order
     side = 0
     while True:
         sign = vec[k]
-        k = next(j for j in graph.rows[graph.ends[k][side]] if vec[j] * sign < 0)
+        k = next(j for j in rows[ends[k][side]] if vec[j] * sign < 0)
         if k in position:
             tail = list(position)[position[k]:]
-            return canonical_cycle(P, [P.vertices[j] for j in tail])
+            first = tail.index(min(tail))
+            tail = tail[first:] + tail[:first]
+            if ends[tail[0]][0] != ends[tail[1]][0]:
+                tail[1:] = tail[:0:-1]
+            return Cycle(tuple(P.vertices[j] for j in tail))
         position[k] = len(position)
         side ^= 1

@@ -105,8 +105,9 @@ class Polyomino:
     Construction validates connectivity and translates the cells so
     min i = min j = 0.  Iteration yields the cells in row-major order, so a
     Polyomino and a plain set of cells serve the leaf helpers below alike.
-    Data derived from the cells once per polyomino (the interval graph, the
-    leaf-peeling chain, the inner minors, their canonical bases) is kept
+    Data derived from the cells once per polyomino (the interval graph,
+    which alone maps vertices to their edge intervals, the leaf-peeling
+    chain, the inner minors, their canonical basis, the verdicts) is kept
     through ``derived``.
     """
 
@@ -170,16 +171,6 @@ class Polyomino:
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
-
-    @cached_property
-    def interval_through(self) -> dict[tuple[Point, str], EdgeInterval]:
-        """For each vertex and direction, the maximal edge interval through it."""
-        table = {}
-        for direction in DIRECTIONS:
-            for iv in maximal_edge_intervals(self, direction):
-                for v in iv.vertices():
-                    table[(v, direction)] = iv
-        return table
 
 
 def _free_form(cells) -> tuple[Point, ...]:
@@ -258,7 +249,8 @@ def maximal_edge_intervals(P: Polyomino, direction: str) -> list[EdgeInterval]:
 
 
 class IntervalGraph(NamedTuple):
-    """The bipartite interval graph G_P of a polyomino.
+    """The bipartite interval graph G_P of a polyomino, built from its edge
+    runs; the one record of which intervals each vertex lies on.
 
     Its nodes are the maximal edge intervals, the horizontal ones first,
     each direction in row-major order of the intervals' first vertices, as
@@ -280,31 +272,22 @@ def interval_graph(P: Polyomino) -> IntervalGraph:
     """G_P, built once per polyomino and kept on it."""
 
     def build():
-        through = P.interval_through
-        nodes = tuple(dict.fromkeys(through[(v, d)] for d in DIRECTIONS for v in P.vertices))
-        number = {iv: a for a, iv in enumerate(nodes)}
+        horizontal = maximal_edge_intervals(P, HORIZONTAL)
+        nodes = (*horizontal, *maximal_edge_intervals(P, VERTICAL))
+        idx = P.vertex_index
+        rows = tuple(tuple(idx[v] for v in iv.vertices()) for iv in nodes)
+        ends = [[0, 0] for _ in range(P.num_vertices)]
+        for a, row in enumerate(rows):
+            side = int(a >= len(horizontal))
+            for k in row:
+                ends[k][side] = a
         adjacency = [0] * len(nodes)
-        rows = [[] for _ in nodes]
-        ends = []
-        for k, v in enumerate(P.vertices):
-            a = number[through[(v, HORIZONTAL)]]
-            b = number[through[(v, VERTICAL)]]
+        for a, b in ends:
             adjacency[a] |= 1 << b
             adjacency[b] |= 1 << a
-            rows[a].append(k)
-            rows[b].append(k)
-            ends.append((a, b))
-        return IntervalGraph(nodes, tuple(adjacency), tuple(map(tuple, rows)), tuple(ends))
+        return IntervalGraph(nodes, tuple(adjacency), rows, tuple(map(tuple, ends)))
 
     return P.derived("interval_graph", build)
-
-
-def edge_interval_through(P: Polyomino, v: Point, direction: str) -> EdgeInterval:
-    """The maximal edge interval of the given direction containing vertex v."""
-    try:
-        return P.interval_through[(v, direction)]
-    except KeyError:
-        raise ValueError(f"{v} is not a vertex of the polyomino") from None
 
 
 def inner_intervals(P: Polyomino) -> list[tuple[Point, Point]]:

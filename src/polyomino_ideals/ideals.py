@@ -42,14 +42,10 @@ def inner_minor(P: Polyomino, interval: tuple[Point, Point]) -> Polynomial:
     """The 2-minor of an inner interval: diagonal minus antidiagonal."""
     (i, j), (k, l) = interval
     idx = P.vertex_index
-    n = P.num_vertices
-    diag = [0] * n
-    diag[idx[(i, j)]] += 1
-    diag[idx[(k, l)]] += 1
-    anti = [0] * n
-    anti[idx[(i, l)]] += 1
-    anti[idx[(k, j)]] += 1
-    return Polynomial({tuple(diag): 1, tuple(anti): -1})
+    vec = [0] * P.num_vertices
+    vec[idx[(i, j)]] = vec[idx[(k, l)]] = 1
+    vec[idx[(i, l)]] = vec[idx[(k, j)]] = -1
+    return vector_binomial(vec)
 
 
 def inner_minors(P: Polyomino) -> IdealGens:
@@ -106,7 +102,10 @@ def labeling_vector(P: Polyomino, labeling: Labeling) -> list[int]:
 
 
 def vector_labeling(P: Polyomino, vec) -> Labeling:
-    """Sparse labeling of a dense vector; every entry must be an int."""
+    """Sparse labeling of a dense vector of length |V(P)|; every entry must
+    be an int."""
+    if len(vec) != P.num_vertices:
+        raise ValueError(f"vector of length {len(vec)}, not |V(P)| = {P.num_vertices}")
     for pt, value in zip(P.vertices, vec):
         if type(value) is not int:
             raise ValueError(f"label of vertex {pt} is {value!r}, not an integer")
@@ -188,29 +187,13 @@ def _minors(P: Polyomino) -> IdealGens:
     return P.derived("inner_minors", lambda: inner_minors(P))
 
 
-def _canonical_basis(P: Polyomino, step_limit: int | None,
-                     saturated: bool = False) -> tuple[Polynomial, ...]:
-    """Reduced basis under the canonical order of the inner minors, or with
-    saturated of their saturation by all variables; each is computed once
-    and kept on P, and the step limit is checked on every call.  The
-    saturation starts from the minor basis, whose lead-free variables are
-    regular already; when it divides nothing it is the minors' ideal, whose
-    reduced basis is unique, so the minor basis is reused without a second
-    run."""
+def _canonical_basis(P: Polyomino, step_limit: int | None) -> tuple[Polynomial, ...]:
+    """Reduced basis of the inner minors under the canonical order, computed
+    once and kept on P; the step limit is checked on every call."""
     step_limit = _resolve_step_limit(step_limit)
     order = canonical_order(P.num_vertices)
-
-    def build():
-        if not saturated:
-            return tuple(buchberger(_minors(P), order, step_limit))
-        base = IdealGens(_canonical_basis(P, step_limit), P.num_vertices)
-        gens = saturate(base, range(P.num_vertices), step_limit, gb_order=order)
-        if gens is base:  # saturating divided nothing
-            return base.generators
-        return tuple(buchberger(gens, order, step_limit))
-
-    name = "canonical_saturation_basis" if saturated else "canonical_minor_basis"
-    return P.derived(name, build)
+    return P.derived("canonical_minor_basis",
+                     lambda: tuple(buchberger(_minors(P), order, step_limit)))
 
 
 def _is_inner_four_cycle(P: Polyomino, cycle: tuple[int, ...]) -> bool:
@@ -236,13 +219,11 @@ def _cycle_verdict(P: Polyomino, step_limit: int) -> BalancedReport:
     outside the minor ideal (``is_balanced``) and is the offending witness."""
 
     def build():
-        from .cycles import Cycle, _cycle_search, cycle_binomial
+        from .cycles import _cycle_search, _index_binomial
 
         cycles = _cycle_search(P, primitive=True, chordless=True, step_limit=step_limit)
         outside = next((c for c in cycles if not _is_inner_four_cycle(P, c)), None)
-        offending = None
-        if outside is not None:
-            offending = cycle_binomial(P, Cycle(tuple(P.vertices[k] for k in outside)))
+        offending = None if outside is None else _index_binomial(P.num_vertices, outside)
         return BalancedReport(offending is None, _admissible_rank(P), len(P), offending, len(cycles))
 
     return P.derived("cycle_verdict", build)
@@ -304,13 +285,26 @@ def is_prime(P: Polyomino, step_limit: int | None = None) -> bool:
     ideal free of variables equals its saturation.  When the admissible
     kernel has rank |P| it is the cell lattice, so that saturation is the
     labeling ideal and primality is balancedness, decided on the interval
-    graph.  Otherwise primality is the fixed-point test on the canonical
-    bases of the minors and of their saturation.
+    graph.
+
+    Otherwise the saturation of the minors' canonical basis decides, by
+    whether any run divides.  Until one does, each run starts from I_P's
+    generators and computes I_P's reduced basis under its order.  If a run
+    divides an element g = x_v^e * g' of that basis, e > 0, then g' is not
+    in I_P: its lead would lie in in(I_P) and properly divide lead(g), a
+    minimal generator of in(I_P).  So x_v is a zero-divisor modulo I_P,
+    which holds no monomial (it lies in the prime lattice ideal), and I_P
+    is not prime.  If no run divides, I_P is its own saturation, the
+    lattice ideal of the saturated cell lattice, which is prime.  The
+    verdict is kept on P, so ``dimension`` does not saturate again.
     """
     report = is_balanced(P, step_limit)
     if report.adm_rank == report.ncells:
         return report.balanced
-    return _canonical_basis(P, step_limit, saturated=True) == _canonical_basis(P, step_limit)
+    base = IdealGens(_canonical_basis(P, step_limit), P.num_vertices)
+    return P.derived("prime", lambda: saturate(
+        base, range(P.num_vertices), step_limit,
+        gb_order=canonical_order(P.num_vertices)) is base)
 
 
 def dimension(P: Polyomino, step_limit: int | None = None) -> int:

@@ -23,6 +23,7 @@ from polyomino_ideals import (
     cell_neighbors,
     cell_vertices,
     is_tree_like,
+    maximal_edge_intervals,
     mono_divides,
     mono_mul,
     point_key,
@@ -471,13 +472,37 @@ def chordless_cycles_brute(cells) -> set:
     return out
 
 
+def interval_table(P: Polyomino) -> dict:
+    """For each vertex and direction, the maximal edge interval through it,
+    read off ``maximal_edge_intervals`` rather than the interval graph."""
+    return {
+        (v, direction): iv
+        for direction in (HORIZONTAL, VERTICAL)
+        for iv in maximal_edge_intervals(P, direction)
+        for v in iv.vertices()
+    }
+
+
+def assert_cycle(P: Polyomino, vertices) -> None:
+    """Assert the cycle conditions: an even number, at least 4, of distinct
+    vertices of P, each consecutive pair (the wrap-around included) on one
+    maximal edge interval, the steps alternating, the first horizontal."""
+    table = interval_table(P)
+    assert len(vertices) >= 4 and len(vertices) % 2 == 0, vertices
+    assert len(set(vertices)) == len(vertices), vertices
+    for k, v in enumerate(vertices):
+        w = vertices[(k + 1) % len(vertices)]
+        key = (v, HORIZONTAL if k % 2 == 0 else VERTICAL)
+        assert key in table and w != v and w in table[key].vertices(), (vertices, k)
+
+
 def walk_cycles(P: Polyomino, max_vertices=None, primitive_only=False) -> list:
     """``enumerate_cycles`` as vertex tuples, by walking points: from each
     vertex v0, alternate horizontal and vertical steps along P's maximal
     edge intervals through vertices after v0, close on v0's vertical
     interval, and with primitive_only count the vertices per interval and
     prune a third."""
-    through = P.interval_through
+    through = interval_table(P)
     limit = len(P.vertices) if max_vertices is None else max_vertices
     out = []
 
@@ -515,13 +540,14 @@ def walk_extract_cycle(P: Polyomino, labeling: dict) -> tuple:
     opposite-signed vertex of the current maximal edge interval, the
     horizontal one first, until a vertex repeats; the repeated tail is
     rotated to its least vertex and turned to step horizontally first."""
+    through = interval_table(P)
     values = {pt: v for pt, v in labeling.items() if v}
     walk = [min((pt for pt, v in values.items() if v > 0), key=point_key)]
     direction = HORIZONTAL
     while True:
         cur = walk[-1]
         nxt = min(
-            (w for w in P.interval_through[(cur, direction)].vertices()
+            (w for w in through[(cur, direction)].vertices()
              if values.get(w, 0) * values[cur] < 0),
             key=point_key,
         )

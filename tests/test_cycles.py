@@ -7,14 +7,13 @@ import pytest
 
 from polyomino_ideals import (
     HORIZONTAL,
+    Cycle,
     NotAdmissibleError,
     Polyomino,
     ZeroLabelingError,
     admissible_lattice,
     buchberger,
-    canonical_cycle,
     canonical_order,
-    check_cycle,
     cycle_binomial,
     enumerate_cycles,
     extract_cycle,
@@ -24,7 +23,13 @@ from polyomino_ideals import (
     normal_form,
     point_key,
 )
-from conftest import random_admissible_labeling, walk_cycles, walk_extract_cycle
+from conftest import (
+    assert_cycle,
+    interval_table,
+    random_admissible_labeling,
+    walk_cycles,
+    walk_extract_cycle,
+)
 
 
 def _frame(w, h):
@@ -66,7 +71,7 @@ def test_enumerate_block(P4):
 def test_enumerated_cycles_are_canonical_and_valid(P4, P6):
     for P in (P4, P6):
         for c in enumerate_cycles(P, primitive_only=True):
-            check_cycle(P, c)
+            assert_cycle(P, c.vertices)
             assert min(c.vertices, key=point_key) == c.vertices[0]
             assert c.vertices[0][1] == c.vertices[1][1]  # first step horizontal
 
@@ -87,8 +92,17 @@ def test_cycle_binomial_unit_square(P1):
     assert cycle_binomial(P1, c) == inner_minors(P1).generators[0]
 
 
+def test_cycle_binomial_rejects_non_cycles(P1):
+    # a repeated vertex would give an inhomogeneous binomial (x0*x3 - x1)
+    with pytest.raises(ValueError, match="not a vertex"):
+        cycle_binomial(P1, Cycle(((0, 0), (1, 0), (1, 1), (0, 2))))
+    with pytest.raises(ValueError, match="distinct"):
+        cycle_binomial(P1, Cycle(((0, 0), (1, 0), (1, 1), (1, 0))))
+
+
 def test_cycle_binomial_six_cycle(P4):
-    c = canonical_cycle(P4, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)])
+    c = Cycle(((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)))  # canonical
+    assert_cycle(P4, c.vertices)
     f = cycle_binomial(P4, c)
     idx = P4.vertex_index
     odd = [0] * 9
@@ -126,7 +140,7 @@ def test_extract_cycle_block_six(P4):
     alpha = {(0, 0): 1, (1, 1): 1, (2, 2): 1, (1, 0): -1, (2, 1): -1, (0, 2): -1}
     cycle = extract_cycle(P4, alpha)
     assert len(cycle) == 6
-    check_cycle(P4, cycle)
+    assert_cycle(P4, cycle.vertices)
 
 
 def test_extract_cycle_alternates_signs(P4, P6):
@@ -139,7 +153,7 @@ def test_extract_cycle_alternates_signs(P4, P6):
     for P, alpha in ((P4, alpha4), (P6, alpha6)):
         assert is_admissible(P, alpha)
         cycle = extract_cycle(P, alpha)
-        check_cycle(P, cycle)
+        assert_cycle(P, cycle.vertices)
         signs = [alpha.get(v, 0) for v in cycle.vertices]
         assert all(s != 0 for s in signs)
         for a, b in zip(signs, signs[1:] + signs[:1]):
@@ -163,13 +177,10 @@ def test_cycle_soundness_for_balanced(P2, P3, P4, P6):
 
 
 def test_primitive_filter_bounds_interval_visits(P6):
-    from polyomino_ideals import edge_interval_through
-
+    table = interval_table(P6)
     for c in enumerate_cycles(P6, primitive_only=True):
         for direction in (HORIZONTAL, "vertical"):
-            visits = Counter(
-                edge_interval_through(P6, v, direction) for v in c.vertices
-            )
+            visits = Counter(table[(v, direction)] for v in c.vertices)
             assert all(count <= 2 for count in visits.values())
 
 
@@ -201,7 +212,7 @@ def test_enumerate_cycles_bounded_matches_point_walk():
 
 def test_extract_cycle_matches_point_walk():
     rng = random.Random(19)
-    for P in _free(7):
+    for P in [*_free(7), *(f(w, h) for f in (_frame, _block) for w, h in SIZES)]:
         basis = admissible_lattice(P)
         for _ in range(3):
             alpha = random_admissible_labeling(P, basis, rng)

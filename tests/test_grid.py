@@ -17,14 +17,19 @@ from polyomino_ideals import (
     Polyomino,
     cell_degree,
     cell_edges,
-    edge_interval_through,
     free_polyominoes,
     inner_intervals,
     leaves,
     maximal_cell_interval,
     maximal_edge_intervals,
 )
-from conftest import free_cellsets, grow_polyomino, point_leq, vertex_count_inclusion_exclusion
+from conftest import (
+    free_cellsets,
+    grow_polyomino,
+    interval_table,
+    point_leq,
+    vertex_count_inclusion_exclusion,
+)
 
 
 def test_point_partial_order():
@@ -296,10 +301,11 @@ def test_interval_graph_joins_each_vertex_its_two_intervals():
             iv for d in (HORIZONTAL, VERTICAL) for iv in maximal_edge_intervals(P, d)
         )
         number = {iv: k for k, iv in enumerate(graph.nodes)}
+        table = interval_table(P)
         edges = set()
         for k, v in enumerate(P.vertices):
-            a = number[edge_interval_through(P, v, HORIZONTAL)]
-            b = number[edge_interval_through(P, v, VERTICAL)]
+            a = number[table[(v, HORIZONTAL)]]
+            b = number[table[(v, VERTICAL)]]
             assert graph.ends[k] == (a, b)
             edges.add((a, b))
         assert graph.rows == tuple(

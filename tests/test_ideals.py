@@ -92,6 +92,14 @@ def test_is_admissible(P1, P2):
     assert is_admissible(P2, vector_labeling(P2, combined))
 
 
+def test_vector_labeling_needs_one_entry_per_vertex(P1):
+    # a short vector is not a labeling of the first vertices
+    assert vector_labeling(P1, [1, -1, -1, 1]) == ALPHA_UNIT
+    for vec in ([1, -1], [1, -1, -1, 1, 0]):
+        with pytest.raises(ValueError, match="length"):
+            vector_labeling(P1, vec)
+
+
 def test_labeling_binomial(P1, P2):
     assert labeling_binomial(P1, ALPHA_UNIT) == inner_minors(P1).generators[0]
     doubled = {pt: 2 * v for pt, v in ALPHA_UNIT.items()}
@@ -346,6 +354,49 @@ def test_non_prime_nine_ominoes(grid):
     assert not report.balanced
     assert (report.adm_rank, report.ncells) == (10, 9)
     assert not is_simple(P).simple
+
+
+def test_prime_matches_two_basis_comparison():
+    # is_prime at unequal rank asks whether saturating the canonical minor
+    # basis divides anything; the oracle compares the canonical reduced
+    # bases of the minors and of their full saturation
+    shapes = [*chain.from_iterable(free_polyominoes(9).values()), *map(Polyomino, FRAMES)]
+    unequal = nonprime = 0
+    for P in shapes:
+        report = is_balanced(P)
+        if report.adm_rank == report.ncells:
+            continue
+        order = canonical_order(P.num_vertices)
+        minors = inner_minors(P)
+        saturation = saturate(minors, range(P.num_vertices))
+        prime = buchberger(saturation, order) == buchberger(minors, order)
+        assert is_prime(P) == prime, P
+        unequal += 1
+        nonprime += not prime
+    assert (unequal, nonprime) == (1 + 6 + 37 + 3, 2)
+
+
+@pytest.mark.parametrize("grid", NON_PRIME, ids=["3x5", "4x4"])
+def test_non_prime_saturation_needs_no_canonical_run(grid, monkeypatch):
+    # the minors' canonical basis is the one canonical-order Buchberger run:
+    # the saturation's runs use their own orders, and no basis of the
+    # saturation is computed under the canonical order afterwards
+    from polyomino_ideals import groebner, ideals
+
+    specs = []
+    real = groebner.buchberger
+
+    def recording(F, order, *args, **kwargs):
+        specs.append(order.spec_string())
+        return real(F, order, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    monkeypatch.setattr(ideals, "buchberger", recording)
+    P = parse_grid(grid)
+    assert is_prime(P) is False
+    canonical = canonical_order(P.num_vertices).spec_string()
+    assert specs[0] == canonical and len(specs) > 1
+    assert canonical not in specs[1:]
 
 
 @pytest.mark.parametrize("nvars", [3, 10])
