@@ -82,23 +82,24 @@ def _certify(plan: list, vec: list[int]) -> Certificate:
     e_d, each iff its label was negative.  So sign and the product of the
     gcds (cofactor) scale every later multiplier.
 
-    shift = p + cofactor, the multiplier's exponent plus e_a1 + e_c, is
-    kept across steps: a step lowers it at a1 and c, and raises the label
-    or else the cofactor at a2 and d.  It is rebuilt when the labels flip.
+    Labels are stored unnegated and read times sign.  shift = p + cofactor,
+    the multiplier's exponent plus e_a1 + e_c, falls at a1 and c and rises
+    at a2 and d each step.  other = q + cofactor, what shift becomes at a
+    flip (p and q swap), never changes: q is 0 at a1 and c, and where a
+    step raises a negative label at a2 or d, q falls as the cofactor rises.
     """
     vals = list(vec)
     cert: Certificate = []
     sign = 1
-    cofactor = [0] * len(vals)
     shift = [v if v > 0 else 0 for v in vals]
+    other = [-v if v < 0 else 0 for v in vals]
     for a1, a2, options in plan:
         while vals[a1]:
-            if vals[a1] < 0:
+            if sign * vals[a1] < 0:
                 sign = -sign
-                vals = [-v for v in vals]
-                shift = [v + e if v > 0 else e for v, e in zip(vals, cofactor)]
+                shift, other = other, shift
             for c, d, step_sign, minor in options:
-                if vals[c] > 0:
+                if sign * vals[c] > 0:
                     break
             else:
                 raise RuntimeError("good leaf without an option of positive label")
@@ -107,12 +108,10 @@ def _certify(plan: list, vec: list[int]) -> Certificate:
             cert.append((Polynomial.monomial(tuple(shift), sign * step_sign), minor))
             shift[a2] += 1
             shift[d] += 1
-            for v in (a2, d):
-                if vals[v] < 0:
-                    cofactor[v] += 1
-                vals[v] += 1
-            vals[a1] -= 1
-            vals[c] -= 1
+            vals[a1] -= sign
+            vals[c] -= sign
+            vals[a2] += sign
+            vals[d] += sign
     if any(vals):
         raise RuntimeError("tree-like polyomino without a good leaf")
     return cert

@@ -29,7 +29,6 @@ from .grid import (
     cell_neighbors,
     connected_components,
     free_edge,
-    leaves,
     maximal_cell_interval,
     point_key,
 )
@@ -159,11 +158,15 @@ def _peel_chain(P: Polyomino) -> tuple[tuple[_PeelStep, ...], frozenset | None]:
     return P.derived("peel_chain", lambda: _peel(P))
 
 
+def _free_edges(P: Polyomino) -> dict:
+    """Each cell's free edge in P, None where it has none, in row-major
+    order; the peel's first step, kept on P for ``leaf_census`` too."""
+    return P.derived("free_edges", lambda: {c: free_edge(P, c) for c in P.cells_sorted})
+
+
 def _peel(P: Polyomino) -> tuple[tuple[_PeelStep, ...], frozenset | None]:
     steps = []
-    cells = dict.fromkeys(P.cells_sorted)  # each remaining cell's free edge
-    for c in cells:
-        cells[c] = free_edge(cells, c)
+    cells = dict(_free_edges(P))  # each remaining cell's free edge
     while found := [(c, e) for c, e in cells.items() if e is not None]:
         sites = ((c, e, *_leaf_site(cells, c, e)) for c, e in found)
         first = next(sites)
@@ -209,17 +212,20 @@ def classify_leaf(P: Polyomino, cell: Point) -> str:
 
 
 def leaf_census(P: Polyomino) -> LeafCensus:
-    """Degree histogram, good/bad leaf lists and bad-leaf blocking cells."""
+    """Degree histogram, good/bad leaf lists and bad-leaf blocking cells;
+    the leaves are read off the free edges the leaf peel starts from."""
     counts = [0, 0, 0, 0, 0]
     for c in P.cells:
         counts[sum(1 for nb in cell_neighbors(c) if nb in P.cells)] += 1
     good, bad = [], []
     blocking: dict[Point, Point] = {}
-    for leaf in leaves(P):
-        iv, vertex = _leaf_site(P, *leaf)
+    for cell, free in _free_edges(P).items():
+        if free is None:
+            continue
+        iv, vertex = _leaf_site(P, cell, free)
         if vertex is not None:
-            good.append(leaf.cell)
+            good.append(cell)
         else:
-            bad.append(leaf.cell)
-            blocking[leaf.cell] = iv.end if iv.start == leaf.cell else iv.start
+            bad.append(cell)
+            blocking[cell] = iv.end if iv.start == cell else iv.start
     return LeafCensus(*counts, tuple(good), tuple(bad), blocking)

@@ -41,9 +41,10 @@ does x_w*r for the normal form r of f; were r nonzero, x_w*in(r) would lie
 in in(I), so in(r) would, and no term of a normal form does.  So f lies in
 I.  Under reverse-lex with x_w least this is Bayer-Stillman (Invent. Math.
 87, 1987; Eisenbud, Prop. 15.12).  So every Groebner basis that
-``saturate`` is given or computes proves its lead-free variables regular.
-A run that divides nothing keeps the ideal, so when none does ``saturate``
-returns its input itself.
+``saturate`` computes proves its lead-free variables regular.  A run that
+divides nothing keeps the ideal, so when none does ``saturate`` returns
+its input itself; ``is_prime`` asks only whether some run divides, and
+stops the runs at the first that does.
 """
 
 from __future__ import annotations
@@ -324,41 +325,37 @@ def _lead_free(leads, nvars: int) -> int:
     return ((1 << nvars) - 1) & ~used
 
 
-def saturate(F: IdealGens, variables, step_limit: int | None = None,
-             gb_order=None) -> IdealGens:
+def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGens:
     """Saturation of F by the product of the given variables.
 
-    F must be homogeneous.  One variable at a time, a Groebner basis under
-    graded reverse-lex with x_v least is computed and every element is
-    divided by the largest power of x_v dividing it; the result generates
-    the saturation by x_v (Sturmfels, Lemma 12.1).
-
-    Variables proven regular (nonzerodivisors) modulo the current ideal are
-    skipped, since saturating by them changes nothing.  A saturated variable
-    stays regular through later saturations (x_i*f in K : x_w^inf gives
-    x_w^m*x_i*f in K, so x_w^m*f in K, so f in K : x_w^inf), and a two-term
-    element c*x^a + d*x^b whose x^b has only regular variables makes those
-    of x^a regular (x_i*f in I gives x^a*f, hence x^b*f, hence f in I).  The
+    F must be homogeneous.  One variable at a time (module docstring): a
+    run computes a graded reverse-lex Groebner basis with x_v least and
+    divides every element by the largest power of x_v dividing it, which
+    generates the saturation by x_v (Sturmfels, Lemma 12.1).  Variables
+    proven regular modulo the current ideal are skipped, by the two-term
+    rule and by the lead-free variables of each run's divided basis.  The
     next variable saturated is the one that proves the most, ties going to
-    the lowest index, and the loop stops once every requested variable is
-    regular: the ideal is the same, the generating set may differ.
-
-    A variable dividing no leading monomial of a Groebner basis is regular
-    under any order (module docstring).  When F's generators are a Groebner
-    basis under gb_order, their lead-free variables are regular from the
-    start; after each run, so are the lead-free variables of the divided
-    elements, the run's Groebner basis of the saturation by x_v.  Each run
-    ranks x_v least, then the variables not yet proven regular modulo the
-    saturation by x_v, then the proven ones.  Until a run divides
-    something the ideal is F's, so each run starts from F's generators,
-    usually fewer than the last run's basis, for the same reduced basis.
-    If no run divides anything, F itself comes back.  A gb_order on another
-    variable count than F raises ValueError.
+    the lowest index; its run ranks x_v least, then the variables not yet
+    proven regular modulo the saturation by x_v, then the proven ones.
+    Until a run divides something the ideal is F's, so each run starts
+    from F's generators, usually fewer than the last run's basis, for the
+    same reduced basis.  If no run divides anything, F itself comes back.
 
     Each Buchberger run gets the step limit on S-pairs popped; exceeding it
     names the variable being saturated and counts the requested variables
     saturated and proven regular before it.
     """
+    gens = F.generators
+    for gens in _saturation_runs(F, variables, step_limit):
+        pass
+    return F if gens is F.generators else IdealGens(tuple(gens), F.nvars)
+
+
+def _saturation_runs(F: IdealGens, variables, step_limit):
+    """The runs of ``saturate``, one Buchberger run per step: after each,
+    the current generators, F's own tuple until a run divides something.
+    A caller that only asks whether any run divides stops at the first
+    step that yields another list."""
     n = F.nvars
     vs = sorted(set(variables))
     if any(v < 0 or v >= n for v in vs):
@@ -366,15 +363,10 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None,
     if any(len({sum(m) for m in g.terms}) > 1 for g in F.generators):
         raise ValueError("saturation needs homogeneous generators")
     step_limit = _resolve_step_limit(step_limit)
-    gens = list(F.generators)
+    gens = F.generators
     requested = sum(1 << v for v in vs)
     supports = _two_term_supports(gens, n)
     regular = saturated = 0
-    if gb_order is not None:
-        if gb_order.nvars != n:
-            raise ValueError(f"the order has {gb_order.nvars} variables, the polynomials {n}")
-        regular = _regular_closure(supports, _lead_free(initial_ideal(gens, gb_order), n))
-    divided = False
     while requested & ~regular:
         grown = {
             v: _regular_closure(supports, regular | 1 << v)
@@ -394,8 +386,7 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None,
                 f"of {len(vs)}): {exc}"
             ) from exc
         quotients = [_divide_out(g, v) for g in gb]
-        divided = divided or any(map(is_not, quotients, gb))
-        if divided:
+        if gens is not F.generators or any(map(is_not, quotients, gb)):
             gens = quotients
         saturated += 1
         # the old generators lie in the saturation too, so grown[v] holds;
@@ -403,7 +394,7 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None,
         leads = (m for g in quotients for m, c in g.terms.items() if c == 1)
         supports = _two_term_supports(quotients, n)
         regular = _regular_closure(supports, grown[v] | _lead_free(leads, n))
-    return IdealGens(tuple(gens), n) if divided else F
+        yield gens
 
 
 def quotient_dimension(initial_gens, nvars: int) -> int:

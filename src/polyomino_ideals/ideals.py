@@ -11,8 +11,9 @@ cycles generate it, and a chordless 4-cycle on an inner interval gives
 that interval's minor: P is balanced once the kernel has rank |P| and
 every chordless cycle is such a 4-cycle (the chain of theorems is in
 ``is_balanced``).  At that rank primality is balancedness and the
-dimension is |V(P)| - |P|; only shapes of another rank saturate the
-minors (``is_prime``).
+dimension is |V(P)| - |P|.  Only shapes of another rank saturate the
+minors, and ``is_prime`` stops at the first saturation run that divides a
+basis element: that run already shows I_P is not prime.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .groebner import (
     _BinomialBasis,
     _binomial_pairs,
     _resolve_step_limit,
+    _saturation_runs,
     buchberger,
     initial_ideal,
     is_squarefree,
@@ -287,24 +289,26 @@ def is_prime(P: Polyomino, step_limit: int | None = None) -> bool:
     labeling ideal and primality is balancedness, decided on the interval
     graph.
 
-    Otherwise the saturation of the minors' canonical basis decides, by
-    whether any run divides.  Until one does, each run starts from I_P's
-    generators and computes I_P's reduced basis under its order.  If a run
-    divides an element g = x_v^e * g' of that basis, e > 0, then g' is not
-    in I_P: its lead would lie in in(I_P) and properly divide lead(g), a
-    minimal generator of in(I_P).  So x_v is a zero-divisor modulo I_P,
-    which holds no monomial (it lies in the prime lattice ideal), and I_P
-    is not prime.  If no run divides, I_P is its own saturation, the
-    lattice ideal of the saturated cell lattice, which is prime.  The
-    verdict is kept on P, so ``dimension`` does not saturate again.
+    Otherwise saturating the minors by all variables decides, by whether
+    any run divides, and the runs stop at the first that does; no
+    canonical-order basis is needed.  Until a run divides, each run
+    computes I_P's reduced basis under its own order, whatever generating
+    set it starts from.  If a run divides an element g = x_v^e * g' of that
+    basis, e > 0, then g' is not in I_P: its lead would lie in in(I_P) and
+    properly divide lead(g), a minimal generator of in(I_P).  So x_v is a
+    zero-divisor modulo I_P, which holds no monomial (it lies in the prime
+    lattice ideal), and I_P is not prime.  If no run divides, I_P is its
+    own saturation (the skipped variables are regular), the lattice ideal
+    of the saturated cell lattice, which is prime.  The verdict is kept on
+    P, so ``dimension`` does not saturate again.
     """
     report = is_balanced(P, step_limit)
     if report.adm_rank == report.ncells:
         return report.balanced
-    base = IdealGens(_canonical_basis(P, step_limit), P.num_vertices)
-    return P.derived("prime", lambda: saturate(
-        base, range(P.num_vertices), step_limit,
-        gb_order=canonical_order(P.num_vertices)) is base)
+    minors = _minors(P)
+    return P.derived("prime", lambda: all(
+        gens is minors.generators
+        for gens in _saturation_runs(minors, range(P.num_vertices), step_limit)))
 
 
 def dimension(P: Polyomino, step_limit: int | None = None) -> int:

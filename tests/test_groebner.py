@@ -241,26 +241,16 @@ def test_saturate_matches_elimination_oracle(P2, P3, P4):
     for F, vs in cases:
         expected = saturate_by_elimination(F, vs)
         assert ideal_equal(saturate(F, vs), expected)
-        # given as a Groebner basis under a sampled order, with that order
+        # given as a Groebner basis under a sampled order
         order = rng.choice(order_sample(F.nvars, permutations=2, weight_orders=2, seed=7))
         G = IdealGens(tuple(buchberger(F, order)), F.nvars)
-        assert ideal_equal(saturate(G, vs, gb_order=order), expected)
+        assert ideal_equal(saturate(G, vs), expected)
 
 
 def test_saturate_rejects_inhomogeneous():
     F = IdealGens((Polynomial({(2, 0): 1, (0, 1): -1}),), 2)  # x^2 - y
     with pytest.raises(ValueError, match="homogeneous"):
         saturate(F, [0])
-
-
-def test_saturate_rejects_wrong_size_gb_order(P1):
-    # the unit square's minor lives in 4 variables: a 5-variable order would
-    # index past its monomials, a 3-variable one read truncated keys
-    minors = inner_minors(P1)
-    for nvars in (3, 5):
-        message = f"the order has {nvars} variables, the polynomials 4"
-        with pytest.raises(ValueError, match=message):
-            saturate(minors, range(4), gb_order=MonomialOrder("deglex", nvars))
 
 
 def test_saturate_step_limit_names_the_variable(P4):
@@ -370,9 +360,9 @@ def test_saturate_matches_elimination_on_small_minors():
         assert (sat is F) == (F is not block)
         expected = buchberger(saturate_by_elimination(F, range(F.nvars)), order)
         assert buchberger(sat, order) == expected
-        # given as a Groebner basis with its order, as _canonical_basis does
+        # given as its reduced Groebner basis
         G = IdealGens(tuple(buchberger(F, order)), F.nvars)
-        sat = saturate(G, range(F.nvars), gb_order=order)
+        sat = saturate(G, range(F.nvars))
         assert (sat is G) == (F is not block)
         assert buchberger(sat, order) == expected
 

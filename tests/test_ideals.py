@@ -180,11 +180,11 @@ def test_canonical_minor_basis_built_once(monkeypatch):
         return real(gens, order, step_limit)
 
     saturations = []
-    real_saturate = groebner.saturate
+    real_runs = groebner._saturation_runs
 
-    def counting_saturate(F, variables, step_limit=None, gb_order=None):
+    def counting_runs(F, variables, step_limit):
         saturations.append(F)
-        return real_saturate(F, variables, step_limit, gb_order)
+        return real_runs(F, variables, step_limit)
 
     def no_simple(Q):
         raise AssertionError("is_simple fed the decision")
@@ -198,8 +198,8 @@ def test_canonical_minor_basis_built_once(monkeypatch):
 
     monkeypatch.setattr(groebner, "buchberger", counting)
     monkeypatch.setattr(ideals, "buchberger", counting)
-    monkeypatch.setattr(groebner, "saturate", counting_saturate)
-    monkeypatch.setattr(ideals, "saturate", counting_saturate)
+    monkeypatch.setattr(groebner, "_saturation_runs", counting_runs)
+    monkeypatch.setattr(ideals, "_saturation_runs", counting_runs)
     monkeypatch.setattr(classify, "is_simple", no_simple)
     monkeypatch.setattr(ideals, "inner_minors", counting_minors)
     assert is_balanced(P).balanced
@@ -320,13 +320,13 @@ def test_unequal_rank_alone_saturates(monkeypatch):
     from polyomino_ideals import cycles, groebner, ideals
 
     saturated, searched = [], []
-    real, real_search = groebner.saturate, cycles._cycle_search
+    real, real_search = groebner._saturation_runs, cycles._cycle_search
 
-    def recording(F, variables, step_limit=None, gb_order=None):
+    def recording(F, variables, step_limit):
         saturated.append(F)
-        return real(F, variables, step_limit, gb_order)
+        return real(F, variables, step_limit)
 
-    monkeypatch.setattr(ideals, "saturate", recording)
+    monkeypatch.setattr(ideals, "_saturation_runs", recording)
     monkeypatch.setattr(cycles, "_cycle_search", lambda *a, **k: searched.append(a) or real_search(*a, **k))
     unequal = 0
     for P in [*chain.from_iterable(free_polyominoes(8).values()), *map(Polyomino, FRAMES)]:
@@ -357,9 +357,11 @@ def test_non_prime_nine_ominoes(grid):
 
 
 def test_prime_matches_two_basis_comparison():
-    # is_prime at unequal rank asks whether saturating the canonical minor
-    # basis divides anything; the oracle compares the canonical reduced
-    # bases of the minors and of their full saturation
+    # is_prime at unequal rank stops at the first saturation run on the
+    # minors that divides anything; the oracles are the canonical reduced
+    # bases of the minors and of their full saturation, and whether that
+    # full saturation hands back a new ideal; the shapes of unequal rank are
+    # the non-simple free <= 9-ominoes and the frames
     shapes = [*chain.from_iterable(free_polyominoes(9).values()), *map(Polyomino, FRAMES)]
     unequal = nonprime = 0
     for P in shapes:
@@ -370,7 +372,7 @@ def test_prime_matches_two_basis_comparison():
         minors = inner_minors(P)
         saturation = saturate(minors, range(P.num_vertices))
         prime = buchberger(saturation, order) == buchberger(minors, order)
-        assert is_prime(P) == prime, P
+        assert is_prime(P) == prime == (saturation is minors), P
         unequal += 1
         nonprime += not prime
     assert (unequal, nonprime) == (1 + 6 + 37 + 3, 2)
@@ -378,25 +380,57 @@ def test_prime_matches_two_basis_comparison():
 
 @pytest.mark.parametrize("grid", NON_PRIME, ids=["3x5", "4x4"])
 def test_non_prime_saturation_needs_no_canonical_run(grid, monkeypatch):
-    # the minors' canonical basis is the one canonical-order Buchberger run:
-    # the saturation's runs use their own orders, and no basis of the
-    # saturation is computed under the canonical order afterwards
+    # is_prime saturates the minors themselves, so no run uses the
+    # canonical order, and it stops at the first run that divides a basis
+    # element: that run is the last one made
     from polyomino_ideals import groebner, ideals
 
-    specs = []
-    real = groebner.buchberger
+    specs, dividing = [], []
+    real, real_divide = groebner.buchberger, groebner._divide_out
 
     def recording(F, order, *args, **kwargs):
         specs.append(order.spec_string())
         return real(F, order, *args, **kwargs)
 
+    def divide_out(g, v):
+        out = real_divide(g, v)
+        if out is not g:
+            dividing.append(len(specs) - 1)
+        return out
+
     monkeypatch.setattr(groebner, "buchberger", recording)
     monkeypatch.setattr(ideals, "buchberger", recording)
+    monkeypatch.setattr(groebner, "_divide_out", divide_out)
     P = parse_grid(grid)
     assert is_prime(P) is False
-    canonical = canonical_order(P.num_vertices).spec_string()
-    assert specs[0] == canonical and len(specs) > 1
-    assert canonical not in specs[1:]
+    assert canonical_order(P.num_vertices).spec_string() not in specs
+    assert dividing and set(dividing) == {len(specs) - 1}
+
+
+def test_is_prime_step_limit_reports_progress(monkeypatch):
+    # a step limit hit while is_prime saturates names the variable and the
+    # requested variables saturated and proven regular before it
+    from polyomino_ideals import groebner
+
+    frame = FRAMES[0]  # 3x3, 16 vertices
+    with pytest.raises(
+        StepLimitExceededError,
+        match=r"^saturating by x0 \(0 saturated, 0 regular of 16\): Buchberger exceeded 1 ",
+    ):
+        is_prime(Polyomino(frame), step_limit=1)
+    runs = []
+    real = groebner.buchberger
+
+    def second_run_limited(gens, order, step_limit=None):
+        runs.append(order)
+        return real(gens, order, 1 if len(runs) == 2 else step_limit)
+
+    monkeypatch.setattr(groebner, "buchberger", second_run_limited)
+    with pytest.raises(
+        StepLimitExceededError,
+        match=r"^saturating by x6 \(1 saturated, 2 regular of 16\): Buchberger exceeded 1 ",
+    ):
+        is_prime(Polyomino(frame))
 
 
 @pytest.mark.parametrize("nvars", [3, 10])
