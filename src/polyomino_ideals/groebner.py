@@ -12,6 +12,21 @@ criterion found a lead dividing its lcm whose pairs with both of its
 elements had left before.  The S-pairs popped per run are capped; the cap
 comes from POLYIDEAL_GB_STEP_LIMIT when set.
 
+A caller may pass a bitmask of variables it has proven regular modulo the
+ideal of homogeneous generators.  Then a pair whose two S-terms
+x^(lcm - lead_i + trail_i) and x^(lcm - lead_j + trail_j) share a regular
+variable is never queued either, the lattice-ideal counterpart of the
+Gebauer-Moeller criteria (Hemmecke-Malkin, J. Symb. Comput. 44, 2009).
+Sound, by induction on the degree d of the lcm: the S-polynomial is
+S = x_r*h with x_r regular; S lies in I, so h does, and deg h < d.  By
+induction the final basis is a (d-1)-truncated Groebner basis, so h has a
+standard representation and S = x_r*h one below the lcm.  A chain-pruned
+pair of degree d then follows by the induction on the order of removal,
+since a skipped pair is never pending.  So the run still returns the
+unique reduced basis.  The test reads cached support masks: the part of lcm -
+lead_i it sees is the support of lead_j outside lead_i, so for leads with
+exponents above 1 it skips fewer pairs, never more.
+
 There is one engine, for pure differences: every generator given to
 ``buchberger`` and every basis element given to ``normal_form`` must be a
 scalar multiple of some x^a - x^b, and anything else raises ValueError.
@@ -105,9 +120,13 @@ def _binomial_pairs(polys, order):
     return pairs
 
 
+def _homogeneous(polys) -> bool:
+    return all(len({sum(m) for m in g.terms}) <= 1 for g in polys)
+
+
 class _BinomialBasis:
-    """Pure differences lead - trail as pairs of exponent tuples, each lead
-    with its support bitmask cached.
+    """Pure differences lead - trail as pairs of exponent tuples, with the
+    support bitmasks of each lead (``masks``) and trail (``tmasks``) cached.
 
     A lead divides m only if its support lies inside m's; for a squarefree
     lead that decides it, otherwise the exponents above 1 (``powers``) are
@@ -123,6 +142,7 @@ class _BinomialBasis:
         self.masks: list = []
         self.powers: list = []
         self.trails: list = []
+        self.tmasks: list = []
         self.shifts: list = []
         for lead, trail in pairs:
             self.append(lead, trail)
@@ -132,6 +152,7 @@ class _BinomialBasis:
         self.masks.append(sum(compress(self.bits, lead)))
         self.powers.append(tuple((v, e) for v, e in enumerate(lead) if e > 1))
         self.trails.append(trail)
+        self.tmasks.append(sum(compress(self.bits, trail)))
         self.shifts.append(tuple(map(sub, trail, lead)))
 
     def divisors(self, m: Monomial, outside: int):
@@ -206,31 +227,40 @@ def reduce_groebner_basis(basis: _BinomialBasis) -> list[Polynomial]:
     ]
 
 
-def buchberger(gens, order, step_limit: int | None = None) -> list[Polynomial]:
+def buchberger(gens, order, step_limit: int | None = None, *,
+               regular: int = 0) -> list[Polynomial]:
     """Unique reduced Groebner basis of generators c*(x^a - x^b).
 
     Other generators and orders on other variable counts raise ValueError.
-    The step limit caps the S-pairs popped; coprime pairs are never queued.
+    ``regular`` is a bitmask of variables the caller has proven regular
+    modulo the generators' ideal; a nonzero one needs homogeneous
+    generators, else ValueError.  The step limit caps the S-pairs popped.
+    Pairs with coprime leads, and pairs whose two S-terms share a regular
+    variable, are never queued (module docstring); the basis is the same.
     """
     if isinstance(gens, IdealGens):
         gens = gens.generators
     polys = [g for g in gens if g]
     limit = _resolve_step_limit(step_limit)
+    if regular and not _homogeneous(polys):
+        raise ValueError("regular variables need homogeneous generators")
     if not polys:
         return []
     basis = _BinomialBasis(_binomial_pairs(polys, order), order.key)
-    leads, masks = basis.leads, basis.masks
+    leads, masks, tmasks = basis.leads, basis.masks, basis.tmasks
     key = order.key
 
     heap: list = []
     pending: set = set()
 
     def push_pairs(j: int):
-        """Queue each pair (i, j), i < j, whose leads share a variable; equal
-        lcms pop in the order queued."""
-        lead, mask = leads[j], masks[j]
+        """Queue each pair (i, j), i < j, whose leads share a variable and
+        whose S-terms share no regular one; equal lcms pop in the order
+        queued."""
+        lead, mask, tmask = leads[j], masks[j], tmasks[j]
         for i in range(j):
-            if masks[i] & mask:
+            m = masks[i]
+            if m & mask and not ((mask & ~m | tmasks[i]) & (m & ~mask | tmask) & regular):
                 l = mono_lcm(leads[i], lead)
                 heapq.heappush(heap, (key(l), j, i, l))
                 pending.add((i, j))
@@ -245,7 +275,8 @@ def buchberger(gens, order, step_limit: int | None = None) -> list[Polynomial]:
         steps += 1
         if steps > limit:
             raise StepLimitExceededError(
-                f"Buchberger exceeded {limit} S-pairs popped (coprime pairs are never queued)"
+                f"Buchberger exceeded {limit} S-pairs popped (pairs with coprime leads "
+                "or with S-terms sharing a regular variable are never queued)"
             )
         skip = False
         for k in basis.divisors(l, ~(masks[i] | masks[j])):
@@ -341,9 +372,11 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
     from F's generators, usually fewer than the last run's basis, for the
     same reduced basis.  If no run divides anything, F itself comes back.
 
-    Each Buchberger run gets the step limit on S-pairs popped; exceeding it
-    names the variable being saturated and counts the requested variables
-    saturated and proven regular before it.
+    Each Buchberger run is told the variables proven regular so far, modulo
+    the ideal it starts from, so it skips the S-pairs whose terms share one
+    (module docstring).  Each run gets the step limit on S-pairs popped;
+    exceeding it names the variable being saturated and counts the
+    requested variables saturated and proven regular before it.
     """
     gens = F.generators
     for gens in _saturation_runs(F, variables, step_limit):
@@ -360,7 +393,7 @@ def _saturation_runs(F: IdealGens, variables, step_limit):
     vs = sorted(set(variables))
     if any(v < 0 or v >= n for v in vs):
         raise ValueError("variable index out of range")
-    if any(len({sum(m) for m in g.terms}) > 1 for g in F.generators):
+    if not _homogeneous(F.generators):
         raise ValueError("saturation needs homogeneous generators")
     step_limit = _resolve_step_limit(step_limit)
     gens = F.generators
@@ -378,7 +411,7 @@ def _saturation_runs(F: IdealGens, variables, step_limit):
         perm = sorted(range(n), key=lambda w: (w == v, ~grown[v] >> w & 1, w))
         order = MonomialOrder("degrevlex", n, perm=perm)
         try:
-            gb = buchberger(gens, order, step_limit)
+            gb = buchberger(gens, order, step_limit, regular=regular)
         except StepLimitExceededError as exc:
             done = (regular & requested).bit_count()
             raise StepLimitExceededError(

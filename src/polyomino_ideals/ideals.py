@@ -189,13 +189,16 @@ def _minors(P: Polyomino) -> IdealGens:
     return P.derived("inner_minors", lambda: inner_minors(P))
 
 
-def _canonical_basis(P: Polyomino, step_limit: int | None) -> tuple[Polynomial, ...]:
+def _canonical_basis(P: Polyomino, step_limit: int | None,
+                     regular: int = 0) -> tuple[Polynomial, ...]:
     """Reduced basis of the inner minors under the canonical order, computed
-    once and kept on P; the step limit is checked on every call."""
+    once and kept on P; the step limit is checked on every call.  regular,
+    the variables the caller has proven regular modulo I_P, only prunes
+    S-pairs, so the kept basis is the same whichever call builds it."""
     step_limit = _resolve_step_limit(step_limit)
     order = canonical_order(P.num_vertices)
     return P.derived("canonical_minor_basis",
-                     lambda: tuple(buchberger(_minors(P), order, step_limit)))
+                     lambda: tuple(buchberger(_minors(P), order, step_limit, regular=regular)))
 
 
 def _is_inner_four_cycle(P: Polyomino, cycle: tuple[int, ...]) -> bool:
@@ -388,6 +391,12 @@ def universal_gb_check(P: Polyomino, orders,
     are the initial ideals.  G is then a Groebner basis under <2, still
     monic and reduced, hence the unique reduced basis (<2 lies in the
     Groebner cone of G: Mora-Robbiano, J. Symb. Comput. 6, 1988).
+
+    Every Buchberger run here is told that every variable is regular modulo
+    I_P, so it never queues a pair whose S-terms share a variable (module
+    docstring of ``groebner``).  That holds for a balanced P: I_P is then
+    J_P, the lattice ideal of a saturated lattice, which is prime and holds
+    no monomial, so no variable is a zero-divisor.
     """
     from .cycles import cycle_binomial, enumerate_cycles
 
@@ -402,7 +411,8 @@ def universal_gb_check(P: Polyomino, orders,
     cycles = enumerate_cycles(P, primitive_only=True)
     candidates = [cycle_binomial(P, c) for c in cycles]
     canonical = canonical_order(n)
-    canonical_gb = _canonical_basis(P, step_limit)
+    every = (1 << n) - 1
+    canonical_gb = _canonical_basis(P, step_limit, every)
     rewrite = _BinomialBasis(_binomial_pairs(canonical_gb, canonical), canonical.key)
     in_ideal = all(len({rewrite.standard(m) for m in f.terms}) == 1 for f in candidates)
     signed = {frozenset(f.terms) for f in candidates}
@@ -412,7 +422,7 @@ def universal_gb_check(P: Polyomino, orders,
     for order in orders:
         gb = _marked_alike(kept, order)
         if gb is None:
-            gb = buchberger(gens, order, step_limit)
+            gb = buchberger(gens, order, step_limit, regular=every)
             kept.append(gb)
         ok_gb = all(frozenset(g.terms) in signed for g in gb)
         ok_sq = is_squarefree(m for g in gb for m, c in g.terms.items() if c == 1)

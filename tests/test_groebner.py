@@ -29,6 +29,7 @@ from polyomino_ideals import (
 from polyomino_ideals.groebner import s_polynomial
 from conftest import (
     brute_quotient_dimension,
+    euler_simple,
     free_cellsets,
     reference_normal_form,
     reference_reduce_groebner_basis,
@@ -305,9 +306,9 @@ def test_saturate_skips_regular_variables(monkeypatch):
     runs = []
     real = groebner.buchberger
 
-    def counting(gens, order, step_limit=None):
+    def counting(gens, order, step_limit=None, *, regular=0):
         runs.append(order)
-        return real(gens, order, step_limit)
+        return real(gens, order, step_limit, regular=regular)
 
     monkeypatch.setattr(groebner, "buchberger", counting)
     sat = saturate(F, range(16))
@@ -324,8 +325,8 @@ def test_saturate_runs_start_from_the_generators_until_one_divides(monkeypatch):
     runs = []
     real = groebner.buchberger
 
-    def recording(gens, order, step_limit=None):
-        out = real(gens, order, step_limit)
+    def recording(gens, order, step_limit=None, *, regular=0):
+        out = real(gens, order, step_limit, regular=regular)
         runs.append((list(gens), out, order.perm[-1]))
         return out
 
@@ -397,9 +398,9 @@ def test_saturate_step_limit_reports_progress(monkeypatch):
     runs = []
     real = groebner.buchberger
 
-    def third_run_limited(gens, order, step_limit=None):
+    def third_run_limited(gens, order, step_limit=None, *, regular=0):
         runs.append(order)
-        return real(gens, order, 1 if len(runs) == 3 else step_limit)
+        return real(gens, order, 1 if len(runs) == 3 else step_limit, regular=regular)
 
     monkeypatch.setattr(groebner, "buchberger", third_run_limited)
     with pytest.raises(
@@ -562,12 +563,27 @@ def test_buchberger_agrees_with_naive_reference(P2, P3):
                 gens.append(g)
         if gens:
             rational.append((gens, nvars))
+    # every variable regular: the minors of two simple shapes, whose ideals
+    # are prime and hold no monomial, and the lattice binomials together
+    # with generators of their saturation by all variables (the binomials
+    # alone are not saturated, so some variable is a zero-divisor there)
+    lattice = IdealGens(tuple(lattice_gens), P3.num_vertices)
+    saturated = [*lattice_gens, *saturate(lattice, range(lattice.nvars)).generators]
+    regular_cases = [cases[0], cases[1], (saturated, P3.num_vertices)]
+    assert not ideal_equal(saturate_by_elimination(lattice, range(lattice.nvars)), lattice)
+    for gens, nvars in regular_cases:
+        F = IdealGens(tuple(gens), nvars)
+        assert ideal_equal(saturate_by_elimination(F, range(nvars)), F)
     for gens, nvars in cases:
         for order in _sweep_orders(nvars):
             assert buchberger(gens, order) == _naive_buchberger(gens, order)
             # trail first: each binomial as -x^lead + x^trail
             trail_first = [-g.monic(order) for g in gens if len(g.terms) == 2]
             assert buchberger(trail_first, order) == _naive_buchberger(trail_first, order)
+    for gens, nvars in regular_cases:
+        every = (1 << nvars) - 1
+        for order in _sweep_orders(nvars):
+            assert buchberger(gens, order, regular=every) == _naive_buchberger(gens, order)
     for gens, nvars in rational:
         for order in _sweep_orders(nvars):
             with pytest.raises(ValueError, match="not a pure difference"):
@@ -593,6 +609,78 @@ def test_buchberger_agrees_with_naive_reference(P2, P3):
         assert buchberger(gens, order) == _naive_buchberger(gens, order)
 
     random_case()
+
+
+def _blocks():
+    from polyomino_ideals import Polyomino
+
+    return [Polyomino({(i, j) for i in range(a) for j in range(b)})
+            for a, b in ((3, 3), (4, 3), (4, 4))]
+
+
+def test_regular_variables_keep_the_reduced_basis():
+    # a simple polyomino's ideal is prime and holds no monomial, so every
+    # variable is regular: skipping the pairs whose S-terms share one gives
+    # the same reduced basis, on every simple free <= 7-omino and three
+    # blocks, under every sampled order
+    from polyomino_ideals import Polyomino
+
+    shapes = [Polyomino(c) for c in sorted(free_cellsets(7)) if euler_simple(c)]
+    assert len(shapes) == 163
+    runs = 0
+    for P in [*shapes, *_blocks()]:
+        minors, n = inner_minors(P), P.num_vertices
+        for order in order_sample(n, seed=1):
+            assert buchberger(minors, order, regular=(1 << n) - 1) == buchberger(minors, order)
+            runs += 1
+    assert runs == 166 * 13
+
+
+def test_regular_needs_a_regular_variable():
+    # in <x0*x2 - x0^2, x0*x3 - x1*x3>, x0*(x2 - x0) lies in the ideal and
+    # x2 - x0 does not, so x0 is a zero-divisor; claiming every variable
+    # regular skips a pair that is needed and loses a basis element
+    order = MonomialOrder("degrevlex", 4)
+    gens = [
+        Polynomial({(1, 0, 1, 0): 1, (2, 0, 0, 0): -1}),
+        Polynomial({(1, 0, 0, 1): 1, (0, 1, 0, 1): -1}),
+    ]
+    true_gb = buchberger(gens, order)
+    assert not normal_form(gens[0], true_gb, order)
+    assert normal_form(Polynomial({(0, 0, 1, 0): 1, (1, 0, 0, 0): -1}), true_gb, order)
+    claimed = buchberger(gens, order, regular=0b1111)
+    assert (len(true_gb), len(claimed)) == (3, 2)
+    assert claimed != true_gb
+    # a nonzero mask needs homogeneous generators, as saturate does
+    with pytest.raises(ValueError, match="homogeneous"):
+        buchberger([Polynomial({(2, 0): 1, (0, 1): -1})], MonomialOrder("lex", 2), regular=1)
+    assert buchberger([Polynomial({(2, 0): 1, (0, 1): -1})], MonomialOrder("lex", 2))
+
+
+@pytest.mark.parametrize("block, popped", [(0, (176, 80)), (2, (900, 500))], ids=["3x3", "4x4"])
+def test_regular_variables_prune_s_pairs(monkeypatch, block, popped):
+    # S-pairs popped on a block's minors under the canonical order, without
+    # and with every variable regular: the same basis from fewer pairs
+    import heapq
+    from types import SimpleNamespace
+
+    from polyomino_ideals import groebner
+
+    count = [0]
+
+    def heappop(heap):
+        count[0] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(groebner, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+    P = _blocks()[block]
+    minors, order = inner_minors(P), canonical_order(P.num_vertices)
+    bases = []
+    for regular in (0, (1 << P.num_vertices) - 1):
+        count[0] = 0
+        bases.append(buchberger(minors, order, regular=regular))
+        assert count[0] == popped[regular > 0]
+    assert bases[0] == bases[1]
 
 
 def test_step_limit_enforced(P4):

@@ -174,10 +174,10 @@ def test_canonical_minor_basis_built_once(monkeypatch):
     runs = []  # the generators of every canonical-order run
     real = groebner.buchberger
 
-    def counting(gens, order, step_limit=None):
+    def counting(gens, order, step_limit=None, *, regular=0):
         if repr(order) == canonical:
             runs.append(tuple(gens))
-        return real(gens, order, step_limit)
+        return real(gens, order, step_limit, regular=regular)
 
     saturations = []
     real_runs = groebner._saturation_runs
@@ -421,9 +421,9 @@ def test_is_prime_step_limit_reports_progress(monkeypatch):
     runs = []
     real = groebner.buchberger
 
-    def second_run_limited(gens, order, step_limit=None):
+    def second_run_limited(gens, order, step_limit=None, *, regular=0):
         runs.append(order)
-        return real(gens, order, 1 if len(runs) == 2 else step_limit)
+        return real(gens, order, 1 if len(runs) == 2 else step_limit, regular=regular)
 
     monkeypatch.setattr(groebner, "buchberger", second_run_limited)
     with pytest.raises(
@@ -632,9 +632,9 @@ def test_reused_bases_give_the_fresh_outcomes(monkeypatch):
     runs = []
     real = ideals.buchberger
 
-    def counting(gens, order, step_limit=None):
+    def counting(gens, order, step_limit=None, *, regular=0):
         runs.append(order)
-        return real(gens, order, step_limit)
+        return real(gens, order, step_limit, regular=regular)
 
     monkeypatch.setattr(ideals, "buchberger", counting)
     sampled = computed = 0
