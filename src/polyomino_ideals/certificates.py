@@ -11,29 +11,71 @@ leaf-peeling chain that ``classify`` builds once per polyomino to decide
 tree-likeness.  The peel plan maps that prefix to vertex indices and inner
 minors once per P; a labeling uses a prefix of the plan, and each of its
 steps changes the labels and the multiplier in four places, then copies
-the multiplier's exponent into a tuple.
+the multiplier's exponent into a one-term ``Polynomial.monomial``.
+
+``expand_certificate`` checks any certificate of that format, not only
+these: it sums the products exactly, reading each distinct minor's few
+nonzero exponents once per call instead of adding whole exponent tuples.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 from .classify import _peel_chain
 from .errors import NotAdmissibleError, NotTreeLikeError
 from .grid import HORIZONTAL, Polyomino
 from .ideals import _admissible_vector, inner_minor, labeling_vector
-from .polynomials import Polynomial, mono_mul
+from .polynomials import Polynomial
 
 Certificate = list[tuple[Polynomial, Polynomial]]
 
 
 def expand_certificate(cert: Certificate) -> Polynomial:
-    """Sum of multiplier * minor over the certificate, exact arithmetic."""
+    """Sum of multiplier * minor over the certificate, exact arithmetic.
+
+    Each distinct minor object is read once per call, as the places where
+    each of its terms' exponents is nonzero; a product term copies the
+    multiplier term's exponent and adds at those places.  A multiplier and
+    a minor over different variable counts raise ValueError.
+    """
     total: dict = {}
+    sparse: dict = {}  # by id: the certificate keeps each minor alive
     for multiplier, minor in cert:
+        entry = sparse.get(id(minor))
+        if entry is None:
+            entry = sparse[id(minor)] = _sparse_terms(minor)
+        nvars, terms = entry
+        if not terms:
+            continue
         for m1, c1 in multiplier.terms.items():
-            for m2, c2 in minor.terms.items():
-                m = mono_mul(m1, m2)
+            if len(m1) != nvars:
+                raise ValueError(
+                    f"multiplier over {len(m1)} variables, minor over {nvars} variables"
+                )
+            for places, c2 in terms:
+                m = list(m1)
+                for k, e in places:
+                    m[k] += e
+                m = tuple(m)
                 total[m] = total.get(m, 0) + c1 * c2
     return Polynomial(total)
+
+
+def _sparse_terms(p: Polynomial) -> tuple:
+    """(variable count, [(places, coefficient), ...]) of a polynomial, places
+    the (index, exponent) pairs where a term's exponent is nonzero.  The zero
+    polynomial has variable count None and no terms; terms over different
+    variable counts raise ValueError."""
+    nvars = None
+    terms = []
+    for m, c in p.terms.items():
+        if nvars is None:
+            nvars = len(m)
+        elif len(m) != nvars:
+            raise ValueError(f"minor with terms over {nvars} and {len(m)} variables")
+        terms.append(([(k, m[k]) for k in compress(range(nvars), m)], c))
+    return nvars, terms
 
 
 def _peel_plan(P: Polyomino) -> list:

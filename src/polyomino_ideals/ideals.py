@@ -4,16 +4,21 @@ The ideal I_P of a polyomino is generated by one pure-difference binomial
 per inner interval.  Integer labelings of the vertices that sum to zero on
 every maximal edge interval ("admissible" labelings) are exactly the
 integer kernel of the interval incidence matrix; the ideal J_P generated by
-all their binomials is the lattice ideal of that kernel.  A polyomino is
-balanced when the two ideals agree.  J_P is the toric ideal of the
-bipartite interval graph G_P (``grid.interval_graph``), so its chordless
-cycles generate it, and a chordless 4-cycle on an inner interval gives
-that interval's minor: P is balanced once the kernel has rank |P| and
-every chordless cycle is such a 4-cycle (the chain of theorems is in
-``is_balanced``).  At that rank primality is balancedness and the
-dimension is |V(P)| - |P|.  Only shapes of another rank saturate the
-minors, and ``is_prime`` stops at the first saturation run that divides a
-basis element: that run already shows I_P is not prime.
+all their binomials is the lattice ideal of that kernel.  That matrix is
+the incidence matrix of the bipartite interval graph G_P
+(``grid.interval_graph``).  Negating its vertical rows gives a directed
+incidence matrix with the same kernel, so the admissible labelings are the
+integer circulations on G_P, and the fundamental cycles of a spanning tree
+are an integral basis of them: ``admissible_lattice`` needs no kernel
+computation.  A polyomino is balanced when the two ideals agree.  J_P is
+the toric ideal of G_P, so its chordless cycles generate it, and a
+chordless 4-cycle on an inner interval gives that interval's minor: P is
+balanced once the kernel has rank |P| and every chordless cycle is such a
+4-cycle (the chain of theorems is in ``is_balanced``).  At that rank
+primality is balancedness and the dimension is |V(P)| - |P|.  Only shapes
+of another rank saturate the minors, and ``is_prime`` stops at the first
+saturation run that divides a basis element: that run already shows I_P
+is not prime.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .groebner import (
     quotient_dimension,
     saturate,
 )
-from .intlinalg import LatticeBasis, kernel_basis
+from .intlinalg import LatticeBasis, hermite_normal_form
 from .orders import canonical_order
 from .polynomials import IdealGens, Polynomial
 
@@ -139,8 +144,51 @@ def labeling_binomial(P: Polyomino, labeling: Labeling) -> Polynomial:
 
 
 def admissible_lattice(P: Polyomino) -> LatticeBasis:
-    """Saturated integer kernel of the admissible constraint matrix."""
-    return kernel_basis(admissible_matrix(P), ncols=P.num_vertices)
+    """Saturated integer kernel of the admissible constraint matrix, as the
+    rows of its Hermite normal form.
+
+    Negating the vertical rows of ``admissible_matrix``, the incidence
+    matrix of G_P, keeps its kernel and makes each vertex an arc from its
+    horizontal node to its vertical one: the kernel is the lattice of
+    integer circulations on G_P, and the fundamental cycles of a spanning
+    tree are an integral basis of it.  The tree is breadth-first from node
+    0; the cycle of an arc k off it is +1 at k plus the tree path from k's
+    vertical node back to its horizontal one, +1 on an arc crossed forward
+    and -1 backward.  The Hermite form of a lattice is unique, so the rows
+    do not depend on the tree.
+    """
+    G = interval_graph(P)
+    ends = G.ends
+    parent_arc = {0: None}
+    depth = [0] * len(G.nodes)
+    queue = [0]
+    for a in queue:
+        for k in G.rows[a]:
+            b = ends[k][0] + ends[k][1] - a
+            if b not in parent_arc:
+                parent_arc[b] = k
+                depth[b] = depth[a] + 1
+                queue.append(b)
+    tree = set(parent_arc.values())
+    rows = []
+    for k in range(P.num_vertices):
+        if k in tree:
+            continue
+        row = [0] * P.num_vertices
+        row[k] = 1
+        x, y = ends[k][1], ends[k][0]  # the path runs from x up and down to y
+        while x != y:
+            if depth[x] >= depth[y]:
+                t = parent_arc[x]
+                row[t] = 1 if ends[t][0] == x else -1
+                x = ends[t][0] + ends[t][1] - x
+            else:
+                t = parent_arc[y]
+                row[t] = -1 if ends[t][0] == y else 1
+                y = ends[t][0] + ends[t][1] - y
+        rows.append(row)
+    H, _ = hermite_normal_form(rows, transform=False)
+    return LatticeBasis(tuple(map(tuple, H)), P.num_vertices)
 
 
 def lattice_ideal(P: Polyomino, basis: LatticeBasis,

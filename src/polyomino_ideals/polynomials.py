@@ -57,7 +57,13 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, mono: Monomial, coeff=1) -> "Polynomial":
-        return cls({mono: coeff})
+        """coeff * x^mono, built without ``__init__``'s pass over the terms."""
+        return cls.__new__(cls)._adopt({mono: coeff} if coeff else {})
+
+    def _adopt(self, terms: dict) -> "Polynomial":
+        """Take terms, every coefficient nonzero, as this polynomial's own."""
+        self.terms = terms
+        return self
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -93,6 +99,10 @@ class Polynomial:
             out: dict = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
+                    if len(m1) != len(m2):
+                        raise ValueError(
+                            f"product of polynomials over {len(m1)} and {len(m2)} variables"
+                        )
                     m = mono_mul(m1, m2)
                     v = out.get(m, 0) + c1 * c2
                     if v:

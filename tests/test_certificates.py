@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from polyomino_ideals import (
     NotAdmissibleError,
     NotTreeLikeError,
+    Polynomial,
     Polyomino,
     admissible_lattice,
     balanced_certificate_treelike,
@@ -240,3 +241,68 @@ def test_incremental_peel_and_running_multiplier_match_rebuilds():
             for _ in range(2):
                 vec = labeling_vector(P, random_admissible_labeling(P, basis, rng))
                 assert _certify(plan, vec) == rebuild_certify(plan, vec), P
+
+
+def _naive_expansion(cert):
+    """sum(multiplier * minor) in Polynomial arithmetic."""
+    total = Polynomial.zero()
+    for multiplier, minor in cert:
+        total = total + multiplier * minor
+    return total
+
+
+def test_expansion_matches_polynomial_arithmetic():
+    minor = Polynomial({(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
+    twin = Polynomial(dict(minor.terms))  # equal to minor, another object
+    other = Polynomial({(2, 0, 1, 0): Fraction(1, 3), (0, 0, 0, 3): 5})
+    multipliers = [
+        Polynomial({(0, 1, 0, 0): 1, (1, 0, 2, 0): -3}),
+        Polynomial({(0, 0, 0, 0): Fraction(-2, 7)}),
+        Polynomial({(1, 1, 0, 0): 1, (0, 0, 1, 1): Fraction(5, 2), (3, 0, 0, 0): -1}),
+    ]
+    certs = {
+        "empty": [],
+        "one minor object repeated": [(m, minor) for m in multipliers],
+        "equal minors, distinct objects": [
+            (multipliers[0], minor), (multipliers[1], twin), (multipliers[2], minor),
+        ],
+        "every pair": [(m, g) for m in multipliers for g in (minor, other, twin)],
+        "cancels to zero": [(multipliers[2], minor), (-multipliers[2], twin)],
+        "zero factors": [(Polynomial.zero(), minor), (multipliers[0], Polynomial.zero())],
+    }
+    for name, cert in certs.items():
+        assert expand_certificate(cert).terms == _naive_expansion(cert).terms, name
+    assert expand_certificate(certs["every pair"])
+    assert expand_certificate(certs["cancels to zero"]).terms == {}
+
+
+def test_expansion_rejects_different_variable_counts():
+    # zipping the exponents would drop the minor's fourth variable
+    minor = Polynomial({(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
+    for nvars in (3, 5):
+        multiplier = Polynomial.monomial((1,) + (0,) * (nvars - 1))
+        with pytest.raises(ValueError, match=f"multiplier over {nvars} variables, minor over 4"):
+            expand_certificate([(multiplier, minor)])
+    ragged = Polynomial({(1, 0, 0, 1): 1, (0, 1, 1): -1})
+    with pytest.raises(ValueError, match="minor with terms over 4 and 3 variables"):
+        expand_certificate([(Polynomial.monomial((0, 0, 0, 0)), ragged)])
+
+
+def test_treelike_multipliers_are_signed_monomials():
+    # every tree-like free <= 8-omino: each multiplier is one term with
+    # coefficient +-1, and the certificate expands as Polynomial arithmetic
+    # does, to the labeling's binomial
+    rng = random.Random(47)
+    shapes = [P for level in free_polyominoes(8).values() for P in level]
+    tree_like = [P for P in shapes if is_tree_like(P).tree_like]
+    assert tree_like
+    for P in tree_like:
+        basis = admissible_lattice(P)
+        for _ in range(2):
+            alpha = random_admissible_labeling(P, basis, rng)
+            cert = balanced_certificate_treelike(P, alpha)
+            for multiplier, _ in cert:
+                ((_, coeff),) = multiplier.terms.items()
+                assert type(coeff) is int and coeff in (1, -1), P
+            expanded = expand_certificate(cert)
+            assert expanded == _naive_expansion(cert) == labeling_binomial(P, alpha), P

@@ -34,6 +34,7 @@ from polyomino_ideals import (
     is_prime,
     is_simple,
     is_squarefree,
+    kernel_basis,
     labeling_binomial,
     lattice_ideal,
     matrix_rank,
@@ -46,7 +47,7 @@ from polyomino_ideals import (
     vector_binomial,
     vector_labeling,
 )
-from polyomino_ideals.ideals import _marked_alike
+from polyomino_ideals.ideals import _admissible_rank, _marked_alike
 from conftest import chordless_cycles_brute, free_cellsets, spair_sweep
 
 ALPHA_UNIT = {(0, 0): 1, (1, 1): 1, (1, 0): -1, (0, 1): -1}
@@ -122,6 +123,24 @@ def test_admissible_lattice_ranks(P1, P2, P5):
     assert admissible_lattice(P1).vectors == ((1, -1, -1, 1),)
     assert admissible_lattice(P2).rank == 2
     assert admissible_lattice(P5).rank == 9
+
+
+def test_admissible_lattice_makes_one_hermite_form(monkeypatch, P5):
+    # no kernel computation: one Hermite form in all, without its
+    # transform, of the fundamental cycles
+    from polyomino_ideals import ideals, intlinalg
+
+    calls = []
+    real = intlinalg.hermite_normal_form
+
+    def counted(mat, transform=True):
+        calls.append(transform)
+        return real(mat, transform)
+
+    for module in (ideals, intlinalg):
+        monkeypatch.setattr(module, "hermite_normal_form", counted)
+    assert admissible_lattice(Polyomino(P5.cells)).rank == 9
+    assert calls == [False]
 
 
 def test_lattice_ideal_unit_square(P1):
@@ -247,6 +266,18 @@ FRAMES = [
     {(i, j) for i in range(w) for j in range(h) if i in (0, w - 1) or j in (0, h - 1)}
     for w, h in ((3, 3), (4, 3), (4, 4))
 ]
+
+
+def test_admissible_lattice_is_the_hermite_form_of_the_kernel():
+    # the spanning-tree basis against the kernel oracle: the same Hermite
+    # rows, as many as the rank counted on G_P
+    frame_5x5 = {(i, j) for i in range(5) for j in range(5) if i in (0, 4) or j in (0, 4)}
+    blocks = [{(i, j) for i in range(n) for j in range(n)} for n in (4, 5)]
+    for cells in sorted(free_cellsets(8)) + FRAMES + [frame_5x5, *blocks]:
+        P = Polyomino(cells)
+        basis = admissible_lattice(P)
+        assert basis == kernel_basis(admissible_matrix(P), ncols=P.num_vertices), P
+        assert basis.rank == _admissible_rank(P), P
 
 
 def test_is_balanced_matches_definition():

@@ -158,6 +158,23 @@ def test_polynomial_arithmetic():
     assert (x + y) * (x - y) == Polynomial({(2, 0): 1, (0, 2): -1})
 
 
+def test_monomial_keeps_only_a_nonzero_coefficient():
+    from fractions import Fraction
+
+    assert Polynomial.monomial((1, 2), -1).terms == {(1, 2): -1}
+    assert Polynomial.monomial((1, 2), Fraction(3, 2)) == Polynomial({(1, 2): Fraction(3, 2)})
+    assert Polynomial.monomial((1, 2), 0).terms == {}
+
+
+def test_product_over_different_variable_counts_is_rejected():
+    # zipping the exponents would drop the fourth variable
+    x = Polynomial({(1, 0, 0): 1})
+    minor = Polynomial({(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
+    for left, right, counts in ((x, minor, "3 and 4"), (minor, x, "4 and 3")):
+        with pytest.raises(ValueError, match=f"over {counts} variables"):
+            left * right
+
+
 def test_polynomial_monic_and_leading():
     from fractions import Fraction
 
