@@ -33,12 +33,13 @@ scalar multiple of some x^a - x^b, and anything else raises ValueError.
 ``buchberger`` runs on (lead, trail) exponent pairs: S-pairs and reductions
 of such binomials stay pure differences (Eisenbud-Sturmfels, "Binomial
 ideals", 1996), so each term is rewritten to its standard monomial on its
-own, with no coefficient arithmetic.  Cached support bitmasks of the leading
-monomials screen every divisibility test.  ``normal_form`` is the same
-rewrite: modulo lead - trail, division only swaps a term's monomial for a
-smaller one, so each term c*x^m of f becomes c*x^std(m), std rewriting by
-the first listed lead dividing it until none does, and equal monomials
-merge.
+own, with no coefficient arithmetic.  Each lead's order key is cached where
+its pair is oriented and ranks the final interreduction; cached support
+bitmasks of the leads screen every divisibility test.  ``normal_form`` is
+the same rewrite: modulo lead - trail, division only swaps a term's
+monomial for a smaller one, so each term c*x^m of f becomes c*x^std(m), std
+rewriting by the first listed lead dividing it until none does, and equal
+monomials merge.
 
 ``saturate`` works one variable at a time: for a homogeneous ideal, a graded
 reverse-lex Groebner basis with x_v least, with every element divided by the
@@ -104,7 +105,7 @@ def _resolve_step_limit(step_limit):
 
 
 def _binomial_pairs(polys, order):
-    """(lead, trail) exponent pairs of polynomials c*(x^a - x^b), c nonzero;
+    """(lead, trail, lead key) of polynomials c*(x^a - x^b), c nonzero;
     other polynomials, and terms not in the order's variable count, raise
     ValueError."""
     key, n = order.key, order.nvars
@@ -113,19 +114,21 @@ def _binomial_pairs(polys, order):
         if len(g.terms) != 2 or sum(g.terms.values()):
             raise ValueError(f"not a pure difference c*(x^a - x^b): {polynomial_str(g)}")
         a, b = g.terms
-        sizes = {len(a), len(b)} - {n}
-        if sizes:
-            raise ValueError(f"the order has {n} variables, the polynomials {max(sizes)}")
-        pairs.append((a, b) if key(a) > key(b) else (b, a))
+        if len(a) != n or len(b) != n:
+            size = max({len(a), len(b)} - {n})
+            raise ValueError(f"the order has {n} variables, the polynomials {size}")
+        ka, kb = key(a), key(b)
+        pairs.append((a, b, ka) if ka > kb else (b, a, kb))
     return pairs
 
 
 def _homogeneous(polys) -> bool:
-    return all(len({sum(m) for m in g.terms}) <= 1 for g in polys)
+    return all(len(set(map(sum, g.terms))) <= 1 for g in polys)
 
 
 class _BinomialBasis:
-    """Pure differences lead - trail as pairs of exponent tuples, with the
+    """Pure differences lead - trail as pairs of exponent tuples, with each
+    lead's order key (``lkeys``), taken where the pair was oriented, and the
     support bitmasks of each lead (``masks``) and trail (``tmasks``) cached.
 
     A lead divides m only if its support lies inside m's; for a squarefree
@@ -139,18 +142,21 @@ class _BinomialBasis:
         self.bits = tuple(1 << v for v in range(len(pairs[0][0])))
         self.key = key
         self.leads: list = []
+        self.lkeys: list = []
         self.masks: list = []
         self.powers: list = []
         self.trails: list = []
         self.tmasks: list = []
         self.shifts: list = []
-        for lead, trail in pairs:
-            self.append(lead, trail)
+        for lead, trail, lkey in pairs:
+            self.append(lead, trail, lkey)
 
-    def append(self, lead: Monomial, trail: Monomial) -> None:
+    def append(self, lead: Monomial, trail: Monomial, lkey) -> None:
         self.leads.append(lead)
+        self.lkeys.append(lkey)
         self.masks.append(sum(compress(self.bits, lead)))
-        self.powers.append(tuple((v, e) for v, e in enumerate(lead) if e > 1))
+        self.powers.append(
+            tuple((v, e) for v, e in enumerate(lead) if e > 1) if max(lead) > 1 else ())
         self.trails.append(trail)
         self.tmasks.append(sum(compress(self.bits, trail)))
         self.shifts.append(tuple(map(sub, trail, lead)))
@@ -180,7 +186,8 @@ class _BinomialBasis:
         w = self.standard(tuple(map(add, lcm, self.shifts[j])))
         if u == w:
             return False
-        self.append(*((u, w) if self.key(u) > self.key(w) else (w, u)))
+        ku, kw = self.key(u), self.key(w)
+        self.append(*((u, w, ku) if ku > kw else (w, u, kw)))
         return True
 
 
@@ -211,20 +218,26 @@ def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
 
 
 def reduce_groebner_basis(basis: _BinomialBasis) -> list[Polynomial]:
-    """The reduced Groebner basis from a binomial one: keep each lead that no
-    smaller kept lead divides, then rewrite each kept trail to its standard
-    monomial.  Monic, sorted ascending by lead."""
-    key = basis.key
-    ranked = sorted(range(len(basis.leads)), key=lambda k: key(basis.leads[k]))
-    kept = _BinomialBasis([(basis.leads[ranked[0]], basis.trails[ranked[0]])], key)
-    for k in ranked[1:]:
-        lead = basis.leads[k]
-        if next(kept.divisors(lead, ~basis.masks[k]), None) is None:
-            kept.append(lead, basis.trails[k])
-    return [
-        Polynomial({lead: 1, kept.standard(trail): -1})
-        for lead, trail in zip(kept.leads, kept.trails)
-    ]
+    """The reduced Groebner basis from a binomial one, on the run's own
+    cache: rank the leads by their cached keys, keep each lead that no
+    smaller kept lead divides, and rewrite each kept trail modulo the whole
+    basis, a Groebner basis, so to the standard monomial of the kept leads.
+    Monic, sorted ascending by lead.  Each lead - std(trail) skips
+    ``Polynomial.__init__``'s zero filter: its coefficients are +-1, and
+    std(trail) <= trail < lead, so its two terms never merge.
+    """
+    leads, masks, powers = basis.leads, basis.masks, basis.powers
+    kept: list = []
+    for k in sorted(range(len(leads)), key=basis.lkeys.__getitem__):
+        lead, outside = leads[k], ~masks[k]
+        for i in kept:
+            if not masks[i] & outside and not (
+                    powers[i] and any(lead[v] < e for v, e in powers[i])):
+                break
+        else:
+            kept.append(k)
+    standard, trails, new = basis.standard, basis.trails, Polynomial.__new__
+    return [new(Polynomial)._adopt({leads[k]: 1, standard(trails[k]): -1}) for k in kept]
 
 
 def buchberger(gens, order, step_limit: int | None = None, *,
@@ -300,7 +313,7 @@ def initial_ideal(gb, order) -> list[Monomial]:
 
 
 def is_squarefree(monomials) -> bool:
-    return all(mono_is_squarefree(m) for m in monomials)
+    return all(map(mono_is_squarefree, monomials))
 
 
 def ideal_equal(F: IdealGens, G: IdealGens, step_limit: int | None = None) -> bool:

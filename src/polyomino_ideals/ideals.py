@@ -24,6 +24,7 @@ is not prime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 
 from .errors import NotBalancedError, ZeroLabelingError
 from .grid import Point, Polyomino, inner_intervals, interval_graph
@@ -405,14 +406,19 @@ class UniversalGBReport:
         return self.candidates_in_ideal and all(o.passed for o in self.outcomes)
 
 
-def _marked_alike(bases, order):
-    """The first reduced basis whose every monic element lead - trail keeps
-    its lead (the +1 term) under order, else None."""
+def _kept(gb, signed) -> tuple:
+    """(basis, its +1 terms, its -1 terms, check (b), check (c)) of a basis at hand."""
+    leads = [m for g in gb for m, c in g.terms.items() if c == 1]
+    trails = [m for g in gb for m, c in g.terms.items() if c != 1]
+    return gb, leads, trails, all(frozenset(g.terms) in signed for g in gb), is_squarefree(leads)
+
+
+def _marked_alike(kept, order):
+    """The first kept entry whose leads stay above their trails under order, else None."""
     key = order.key
-    for gb in bases:
-        terms = (g.terms.items() for g in gb)
-        if all((key(a) > key(b)) == (c > 0) for (a, c), (b, _) in terms):
-            return gb
+    for entry in kept:
+        if all(map(gt, map(key, entry[1]), map(key, entry[2]))):
+            return entry
     return None
 
 
@@ -432,7 +438,8 @@ def universal_gb_check(P: Polyomino, orders,
     on its vertex count, else ValueError.
 
     G is read off a basis already at hand when one serves: the canonical
-    basis, or one computed for an earlier order.  If the reduced basis G of
+    basis, or one computed for an earlier order; checks (b) and (c) depend
+    on G alone, so they are read once per basis.  If the reduced basis G of
     I under <1 keeps every lead under <2, then in_<1(I) = <in G> lies in
     in_<2(I), so the standard monomials of <2 are among those of <1; both
     sets are vector-space bases of the quotient, so they are equal, and so
@@ -465,14 +472,13 @@ def universal_gb_check(P: Polyomino, orders,
     in_ideal = all(len({rewrite.standard(m) for m in f.terms}) == 1 for f in candidates)
     signed = {frozenset(f.terms) for f in candidates}
     gens = _minors(P)
-    kept = [canonical_gb]
+    kept = [_kept(canonical_gb, signed)]
     outcomes = []
     for order in orders:
-        gb = _marked_alike(kept, order)
-        if gb is None:
-            gb = buchberger(gens, order, step_limit, regular=every)
-            kept.append(gb)
-        ok_gb = all(frozenset(g.terms) in signed for g in gb)
-        ok_sq = is_squarefree(m for g in gb for m, c in g.terms.items() if c == 1)
+        entry = _marked_alike(kept, order)
+        if entry is None:
+            entry = _kept(buchberger(gens, order, step_limit, regular=every), signed)
+            kept.append(entry)
+        gb, _, _, ok_gb, ok_sq = entry
         outcomes.append(OrderOutcome(order.spec_string(), ok_gb, ok_sq, len(gb)))
     return UniversalGBReport(len(candidates), in_ideal, tuple(outcomes))

@@ -32,7 +32,7 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 
 def mono_is_squarefree(a: Monomial) -> bool:
-    return all(e <= 1 for e in a)
+    return max(a, default=0) <= 1
 
 
 def _inverse(c):
@@ -80,7 +80,10 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
+        n = len(next(iter(out or other.terms), ()))
         for m, c in other.terms.items():
+            if len(m) != n:
+                raise ValueError(f"sum of polynomials over {n} and {len(m)} variables")
             v = out.get(m, 0) + c
             if v:
                 out[m] = v
@@ -116,6 +119,9 @@ class Polynomial:
 
     def term_mul(self, mono: Monomial, coeff=1) -> "Polynomial":
         """Multiply by a single term coeff * x^mono."""
+        n = len(next(iter(self.terms), mono))
+        if len(mono) != n:
+            raise ValueError(f"product of polynomials over {n} and {len(mono)} variables")
         return Polynomial({mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
     def leading(self, order) -> tuple[Monomial, object]:

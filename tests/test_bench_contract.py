@@ -5,7 +5,8 @@ sizes the results of those in its SIZED table, and bench/workloads.py calls
 the package through ``pkg.<name>``.  All three are read here without
 importing the benchmark, so dropping or renaming one of those names, or
 changing the kind of result SIZED reads, fails this suite rather than only
-a benchmark run.
+a benchmark run.  The nesting the spans record is pinned too: a universal
+GB check's Buchberger runs, and the interreduction inside each.
 """
 
 import ast
@@ -13,7 +14,18 @@ import importlib
 from pathlib import Path
 
 import polyomino_ideals
-from polyomino_ideals import IdealGens, Polynomial, Polyomino, inner_minors, saturate
+from polyomino_ideals import (
+    IdealGens,
+    Polynomial,
+    Polyomino,
+    buchberger,
+    canonical_order,
+    inner_minors,
+    order_sample,
+    saturate,
+    universal_gb_check,
+)
+from polyomino_ideals import groebner, ideals
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -82,3 +94,36 @@ def test_sized_results_keep_their_shape():
         out = saturate(F, range(F.nvars))
         assert isinstance(out, IdealGens) and (out is not F) == divides
         assert len(out.generators) == 1
+
+
+def test_universal_gb_runs_nest_by_name(monkeypatch):
+    # spans.py rebinds ideals.buchberger and groebner.reduce_groebner_basis
+    # by name, so a universal_gb_check span must hold one buchberger span per
+    # basis it computes, each holding one reduce_groebner_basis span.  A run
+    # is needed for the canonical basis and for each order whose reduced
+    # basis is new; the other orders are served by a basis at hand.
+    cells = {(i, j) for i in range(3) for j in range(2)}
+    P = Polyomino(cells)
+    n = P.num_vertices
+    orders = order_sample(n, seed=1)
+    bases = []
+    for order in [canonical_order(n), *orders]:
+        gb = set(buchberger(inner_minors(P), order))
+        if gb not in bases:
+            bases.append(gb)
+    assert 1 < len(bases) <= len(orders)  # some orders run, some are served
+    calls = {"buchberger": 0, "reduce_groebner_basis": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(ideals, "buchberger")
+    counted(groebner, "reduce_groebner_basis")
+    assert universal_gb_check(Polyomino(cells), orders).passed  # fresh: nothing cached
+    assert calls == {"buchberger": len(bases), "reduce_groebner_basis": len(bases)}

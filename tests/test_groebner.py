@@ -514,6 +514,16 @@ def _naive_buchberger(gens, order):
     return reference_reduce_groebner_basis(basis, order)
 
 
+def _assert_lead_minus_trail(gb, order):
+    """Each element has two terms, +1 on the order's greater monomial and -1
+    on the other, and equals Polynomial(g.terms): building it without
+    __init__'s zero filter dropped nothing."""
+    for g in gb:
+        assert len(g.terms) == 2 and g == Polynomial(g.terms)
+        lead, trail = sorted(g.terms, key=order.key, reverse=True)
+        assert (g.terms[lead], g.terms[trail]) == (1, -1)
+
+
 def test_buchberger_agrees_with_naive_reference(P2, P3):
     from polyomino_ideals import admissible_lattice
 
@@ -576,14 +586,20 @@ def test_buchberger_agrees_with_naive_reference(P2, P3):
         assert ideal_equal(saturate_by_elimination(F, range(nvars)), F)
     for gens, nvars in cases:
         for order in _sweep_orders(nvars):
-            assert buchberger(gens, order) == _naive_buchberger(gens, order)
+            gb = buchberger(gens, order)
+            assert gb == _naive_buchberger(gens, order)
+            _assert_lead_minus_trail(gb, order)
             # trail first: each binomial as -x^lead + x^trail
             trail_first = [-g.monic(order) for g in gens if len(g.terms) == 2]
-            assert buchberger(trail_first, order) == _naive_buchberger(trail_first, order)
+            gb = buchberger(trail_first, order)
+            assert gb == _naive_buchberger(trail_first, order)
+            _assert_lead_minus_trail(gb, order)
     for gens, nvars in regular_cases:
         every = (1 << nvars) - 1
         for order in _sweep_orders(nvars):
-            assert buchberger(gens, order, regular=every) == _naive_buchberger(gens, order)
+            gb = buchberger(gens, order, regular=every)
+            assert gb == _naive_buchberger(gens, order)
+            _assert_lead_minus_trail(gb, order)
     for gens, nvars in rational:
         for order in _sweep_orders(nvars):
             with pytest.raises(ValueError, match="not a pure difference"):
@@ -606,7 +622,9 @@ def test_buchberger_agrees_with_naive_reference(P2, P3):
                 st.none() | st.lists(st.integers(0, 5), min_size=nvars, max_size=nvars)
             ),
         )
-        assert buchberger(gens, order) == _naive_buchberger(gens, order)
+        gb = buchberger(gens, order)
+        assert gb == _naive_buchberger(gens, order)
+        _assert_lead_minus_trail(gb, order)
 
     random_case()
 

@@ -175,6 +175,36 @@ def test_product_over_different_variable_counts_is_rejected():
             left * right
 
 
+def test_sum_over_different_variable_counts_is_rejected():
+    # adding term by term would leave terms of both lengths in one sum
+    x = Polynomial({(1, 0, 0): 1})
+    minor = Polynomial({(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
+    for left, right, counts in ((x, minor, "3 and 4"), (minor, x, "4 and 3")):
+        with pytest.raises(ValueError, match=f"sum of polynomials over {counts} variables"):
+            left + right
+    assert x + Polynomial.zero() == Polynomial.zero() + x == x
+
+
+def test_difference_over_different_variable_counts_is_rejected():
+    x = Polynomial({(1, 0, 0): 1})
+    minor = Polynomial({(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
+    for left, right, counts in ((x, minor, "3 and 4"), (minor, x, "4 and 3")):
+        with pytest.raises(ValueError, match=f"sum of polynomials over {counts} variables"):
+            left - right
+    assert x - Polynomial.zero() == x and Polynomial.zero() - x == -x
+
+
+def test_term_mul_over_different_variable_counts_is_rejected():
+    # zipping the exponents would drop the monomial's fourth variable
+    x = Polynomial({(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="product of polynomials over 3 and 4 variables"):
+        x.term_mul((1, 0, 0, 1))
+    with pytest.raises(ValueError, match="product of polynomials over 3 and 2 variables"):
+        x.term_mul((1, 0), 2)
+    assert x.term_mul((0, 1, 0), 2) == Polynomial({(1, 1, 0): 2})
+    assert Polynomial.zero().term_mul((1, 0, 0, 1)) == Polynomial.zero()
+
+
 def test_polynomial_monic_and_leading():
     from fractions import Fraction
 
