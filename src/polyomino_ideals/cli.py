@@ -49,6 +49,9 @@ from .polynomials import polynomial_str
 # A handler's report: the JSON fields and the text lines.
 _Report = tuple[dict, list[str]]
 
+# ugb-check builds 2N + 3 orders for --orders N before checking any, so N is capped.
+MAX_ORDERS = 1000
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -194,6 +197,8 @@ def _cycles(P: Polyomino, args) -> _Report:
 
 
 def _ugb_check(P: Polyomino, args) -> _Report:
+    if args.orders > MAX_ORDERS:  # before any order is built
+        raise ValueError(f"--orders is at most {MAX_ORDERS}, got {args.orders}")
     orders = order_sample(
         P.num_vertices,
         permutations=args.orders,
@@ -258,7 +263,8 @@ _COMMANDS = (
     )),
     _Command("ugb-check", _ugb_check, "universal Groebner basis check over an order sample", (
         ("--orders", {"type": int, "default": 5,
-                      "help": "number of sampled permutations and of weight orders"}),
+                      "help": "number of sampled permutations and of weight orders, "
+                              f"at most {MAX_ORDERS}"}),
         ("--seed", {"type": int, "default": 0}),
     ), schema=3),
     _Command("certify-treelike", _certify_treelike,

@@ -33,13 +33,20 @@ scalar multiple of some x^a - x^b, and anything else raises ValueError.
 ``buchberger`` runs on (lead, trail) exponent pairs: S-pairs and reductions
 of such binomials stay pure differences (Eisenbud-Sturmfels, "Binomial
 ideals", 1996), so each term is rewritten to its standard monomial on its
-own, with no coefficient arithmetic.  Each lead's order key is cached where
-its pair is oriented and ranks the final interreduction; cached support
-bitmasks of the leads screen every divisibility test.  ``normal_form`` is
-the same rewrite: modulo lead - trail, division only swaps a term's
-monomial for a smaller one, so each term c*x^m of f becomes c*x^std(m), std
-rewriting by the first listed lead dividing it until none does, and equal
-monomials merge.
+own, with no coefficient arithmetic.  The generators' validated form holds
+both terms of each, their support bitmasks and exponents above 1, the
+shift each way and whether all are homogeneous.  An ``IdealGens`` keeps it
+from its first run on, so later runs on that set, under any order, only
+orient it: each generator leads with its greater term under the run's
+order.  Each lead's order key is cached where its pair is oriented and
+ranks the final interreduction; cached support bitmasks of the leads
+screen every divisibility test.  The engine reads keys through
+``order.key`` alone, so a caller may have the order key each monomial once
+over a whole block of work (``MonomialOrder._key_table``).
+``normal_form`` is the same rewrite: modulo lead - trail, division only
+swaps a term's monomial for a smaller one, so each term c*x^m of f becomes
+c*x^std(m), std rewriting by the first listed lead dividing it until none
+does, and equal monomials merge.
 
 ``saturate`` works one variable at a time: for a homogeneous ideal, a graded
 reverse-lex Groebner basis with x_v least, with every element divided by the
@@ -104,26 +111,47 @@ def _resolve_step_limit(step_limit):
     return step_limit
 
 
-def _binomial_pairs(polys, order):
-    """(lead, trail, lead key) of polynomials c*(x^a - x^b), c nonzero;
-    other polynomials, and terms not in the order's variable count, raise
-    ValueError."""
-    key, n = order.key, order.nvars
-    pairs = []
-    for g in polys:
-        if len(g.terms) != 2 or sum(g.terms.values()):
-            raise ValueError(f"not a pure difference c*(x^a - x^b): {polynomial_str(g)}")
-        a, b = g.terms
-        if len(a) != n or len(b) != n:
-            size = max({len(a), len(b)} - {n})
-            raise ValueError(f"the order has {n} variables, the polynomials {size}")
-        ka, kb = key(a), key(b)
-        pairs.append((a, b, ka) if ka > kb else (b, a, kb))
-    return pairs
+def _record(lead: Monomial, trail: Monomial, bits) -> tuple:
+    """lead - trail as (lead, its support mask, its exponents above 1 as
+    (variable, exponent), trail, its support mask, trail - lead)."""
+    powers = tuple((v, e) for v, e in enumerate(lead) if e > 1) if max(lead) > 1 else ()
+    return (lead, sum(compress(bits, lead)), powers,
+            trail, sum(compress(bits, trail)), tuple(map(sub, trail, lead)))
 
 
-def _homogeneous(polys) -> bool:
-    return all(len(set(map(sum, g.terms))) <= 1 for g in polys)
+class _Binomials:
+    """The validated form of generators c*(x^a - x^b) in nvars variables:
+    each generator's two orientations as ``_record``s, a - b and b - a, and
+    whether every generator is homogeneous.  Other polynomials, and terms
+    in another variable count, raise ValueError."""
+
+    __slots__ = ("bits", "pairs", "homogeneous")
+
+    def __init__(self, polys, nvars: int):
+        self.bits = bits = tuple(1 << v for v in range(nvars))
+        self.pairs = []
+        self.homogeneous = True
+        for g in polys:
+            if len(g.terms) != 2 or sum(g.terms.values()):
+                raise ValueError(f"not a pure difference c*(x^a - x^b): {polynomial_str(g)}")
+            a, b = g.terms
+            if len(a) != nvars or len(b) != nvars:
+                size = max({len(a), len(b)} - {nvars})
+                raise ValueError(f"the order has {nvars} variables, the polynomials {size}")
+            self.homogeneous = self.homogeneous and sum(a) == sum(b)
+            self.pairs.append((_record(a, b, bits), _record(b, a, bits)))
+
+
+def _binomial_form(gens, nvars: int) -> _Binomials:
+    """The validated form of gens in nvars variables.  An ``IdealGens``
+    keeps it from its first use on, so later calls only compare variable
+    counts; any other iterable of polynomials is validated on every call.
+    A failed validation keeps nothing, so it raises again on the next."""
+    if not isinstance(gens, IdealGens):
+        return _Binomials(gens, nvars)
+    if gens.nvars != nvars:
+        raise ValueError(f"the order has {nvars} variables, the polynomials {gens.nvars}")
+    return gens.derived("binomial_form", lambda: _Binomials(gens.generators, nvars))
 
 
 class _BinomialBasis:
@@ -131,15 +159,16 @@ class _BinomialBasis:
     lead's order key (``lkeys``), taken where the pair was oriented, and the
     support bitmasks of each lead (``masks``) and trail (``tmasks``) cached.
 
-    A lead divides m only if its support lies inside m's; for a squarefree
-    lead that decides it, otherwise the exponents above 1 (``powers``) are
-    compared too.  ``standard`` rewrites a monomial by the first listed lead
-    dividing it until none does; an S-pair's two terms are rewritten on their
-    own.
+    It starts from a validated form, each generator oriented by the keys of
+    its two terms.  A lead divides m only if its support lies inside m's;
+    for a squarefree lead that decides it, otherwise the exponents above 1
+    (``powers``) are compared too.  ``standard`` rewrites a monomial by the
+    first listed lead dividing it until none does; an S-pair's two terms
+    are rewritten on their own.
     """
 
-    def __init__(self, pairs, key):
-        self.bits = tuple(1 << v for v in range(len(pairs[0][0])))
+    def __init__(self, form: _Binomials, key):
+        self.bits = form.bits
         self.key = key
         self.leads: list = []
         self.lkeys: list = []
@@ -148,18 +177,23 @@ class _BinomialBasis:
         self.trails: list = []
         self.tmasks: list = []
         self.shifts: list = []
-        for lead, trail, lkey in pairs:
-            self.append(lead, trail, lkey)
+        for up, down in form.pairs:
+            ka, kb = key(up[0]), key(down[0])
+            if ka > kb:
+                self.adopt(up, ka)
+            else:
+                self.adopt(down, kb)
 
-    def append(self, lead: Monomial, trail: Monomial, lkey) -> None:
+    def adopt(self, record: tuple, lkey) -> None:
+        """Append a ``_record`` whose lead has order key lkey."""
+        lead, mask, powers, trail, tmask, shift = record
         self.leads.append(lead)
         self.lkeys.append(lkey)
-        self.masks.append(sum(compress(self.bits, lead)))
-        self.powers.append(
-            tuple((v, e) for v, e in enumerate(lead) if e > 1) if max(lead) > 1 else ())
+        self.masks.append(mask)
+        self.powers.append(powers)
         self.trails.append(trail)
-        self.tmasks.append(sum(compress(self.bits, trail)))
-        self.shifts.append(tuple(map(sub, trail, lead)))
+        self.tmasks.append(tmask)
+        self.shifts.append(shift)
 
     def divisors(self, m: Monomial, outside: int):
         """Indices of the leads dividing m, in order; outside is ~support(m)."""
@@ -187,7 +221,10 @@ class _BinomialBasis:
         if u == w:
             return False
         ku, kw = self.key(u), self.key(w)
-        self.append(*((u, w, ku) if ku > kw else (w, u, kw)))
+        if ku > kw:
+            self.adopt(_record(u, w, self.bits), ku)
+        else:
+            self.adopt(_record(w, u, self.bits), kw)
         return True
 
 
@@ -199,7 +236,7 @@ def normal_form(f: Polynomial, basis, order) -> Polynomial:
     """
     if not basis:
         return f
-    rewrite = _BinomialBasis(_binomial_pairs(basis, order), order.key)
+    rewrite = _BinomialBasis(_binomial_form(basis, order.nvars), order.key)
     out: dict = {}
     for m, c in f.terms.items():
         if len(m) != len(rewrite.bits):
@@ -251,15 +288,15 @@ def buchberger(gens, order, step_limit: int | None = None, *,
     Pairs with coprime leads, and pairs whose two S-terms share a regular
     variable, are never queued (module docstring); the basis is the same.
     """
-    if isinstance(gens, IdealGens):
-        gens = gens.generators
-    polys = [g for g in gens if g]
     limit = _resolve_step_limit(step_limit)
-    if regular and not _homogeneous(polys):
-        raise ValueError("regular variables need homogeneous generators")
-    if not polys:
+    if not isinstance(gens, IdealGens):
+        gens = [g for g in gens if g]
+    if not gens:
         return []
-    basis = _BinomialBasis(_binomial_pairs(polys, order), order.key)
+    form = _binomial_form(gens, order.nvars)
+    if regular and not form.homogeneous:
+        raise ValueError("regular variables need homogeneous generators")
+    basis = _BinomialBasis(form, order.key)
     leads, masks, tmasks = basis.leads, basis.masks, basis.tmasks
     key = order.key
 
@@ -382,8 +419,9 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
     the lowest index; its run ranks x_v least, then the variables not yet
     proven regular modulo the saturation by x_v, then the proven ones.
     Until a run divides something the ideal is F's, so each run starts
-    from F's generators, usually fewer than the last run's basis, for the
-    same reduced basis.  If no run divides anything, F itself comes back.
+    from F itself, usually fewer generators than the last run's basis, for
+    the same reduced basis, and all those runs share F's validated form.
+    If no run divides anything, F itself comes back.
 
     Each Buchberger run is told the variables proven regular so far, modulo
     the ideal it starts from, so it skips the S-pairs whose terms share one
@@ -391,27 +429,27 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
     exceeding it names the variable being saturated and counts the
     requested variables saturated and proven regular before it.
     """
-    gens = F.generators
+    gens = F
     for gens in _saturation_runs(F, variables, step_limit):
         pass
-    return F if gens is F.generators else IdealGens(tuple(gens), F.nvars)
+    return F if gens is F else IdealGens(tuple(gens), F.nvars)
 
 
 def _saturation_runs(F: IdealGens, variables, step_limit):
     """The runs of ``saturate``, one Buchberger run per step: after each,
-    the current generators, F's own tuple until a run divides something.
-    A caller that only asks whether any run divides stops at the first
-    step that yields another list."""
+    the current generators, F itself until a run divides something.  A
+    caller that only asks whether any run divides stops at the first step
+    that yields a list."""
     n = F.nvars
     vs = sorted(set(variables))
     if any(v < 0 or v >= n for v in vs):
         raise ValueError("variable index out of range")
-    if not _homogeneous(F.generators):
+    if not _binomial_form(F, n).homogeneous:
         raise ValueError("saturation needs homogeneous generators")
     step_limit = _resolve_step_limit(step_limit)
-    gens = F.generators
+    gens = F
     requested = sum(1 << v for v in vs)
-    supports = _two_term_supports(gens, n)
+    supports = _two_term_supports(F.generators, n)
     regular = saturated = 0
     while requested & ~regular:
         grown = {
@@ -432,7 +470,7 @@ def _saturation_runs(F: IdealGens, variables, step_limit):
                 f"of {len(vs)}): {exc}"
             ) from exc
         quotients = [_divide_out(g, v) for g in gb]
-        if gens is not F.generators or any(map(is_not, quotients, gb)):
+        if gens is not F or any(map(is_not, quotients, gb)):
             gens = quotients
         saturated += 1
         # the old generators lie in the saturation too, so grown[v] holds;

@@ -30,7 +30,7 @@ from .errors import NotBalancedError, ZeroLabelingError
 from .grid import Point, Polyomino, inner_intervals, interval_graph
 from .groebner import (
     _BinomialBasis,
-    _binomial_pairs,
+    _binomial_form,
     _resolve_step_limit,
     _saturation_runs,
     buchberger,
@@ -359,7 +359,7 @@ def is_prime(P: Polyomino, step_limit: int | None = None) -> bool:
         return report.balanced
     minors = _minors(P)
     return P.derived("prime", lambda: all(
-        gens is minors.generators
+        gens is minors
         for gens in _saturation_runs(minors, range(P.num_vertices), step_limit)))
 
 
@@ -435,7 +435,8 @@ def universal_gb_check(P: Polyomino, orders,
     by its monomials).  (a) and (b) make the candidates C a Groebner basis
     under that order, because then in(I) = <in G> <= <in C> <= in(I); no
     S-pair of C needs reducing.  Requires a balanced polyomino, and orders
-    on its vertex count, else ValueError.
+    on its vertex count, else ValueError.  The orders may come from any
+    iterable, read once; none at all raises ValueError.
 
     G is read off a basis already at hand when one serves: the canonical
     basis, or one computed for an earlier order; checks (b) and (c) depend
@@ -447,6 +448,13 @@ def universal_gb_check(P: Polyomino, orders,
     monic and reduced, hence the unique reduced basis (<2 lies in the
     Groebner cone of G: Mora-Robbiano, J. Symb. Comput. 6, 1988).
 
+    Each order's checks read one key table (``MonomialOrder._key_table``):
+    the test whether a kept basis stays marked alike and, if none does, that
+    order's Buchberger run key each monomial once, and the table is dropped
+    when the order is done.  Every run starts from the minors' one
+    ``IdealGens``, validated by the first run on it and only oriented by
+    each later one.
+
     Every Buchberger run here is told that every variable is regular modulo
     I_P, so it never queues a pair whose S-terms share a variable (module
     docstring of ``groebner``).  That holds for a balanced P: I_P is then
@@ -455,6 +463,7 @@ def universal_gb_check(P: Polyomino, orders,
     """
     from .cycles import cycle_binomial, enumerate_cycles
 
+    orders = tuple(orders)
     if not orders:
         raise ValueError("need at least one order")
     n = P.num_vertices
@@ -468,17 +477,18 @@ def universal_gb_check(P: Polyomino, orders,
     canonical = canonical_order(n)
     every = (1 << n) - 1
     canonical_gb = _canonical_basis(P, step_limit, every)
-    rewrite = _BinomialBasis(_binomial_pairs(canonical_gb, canonical), canonical.key)
+    rewrite = _BinomialBasis(_binomial_form(canonical_gb, n), canonical.key)
     in_ideal = all(len({rewrite.standard(m) for m in f.terms}) == 1 for f in candidates)
     signed = {frozenset(f.terms) for f in candidates}
     gens = _minors(P)
     kept = [_kept(canonical_gb, signed)]
     outcomes = []
     for order in orders:
-        entry = _marked_alike(kept, order)
-        if entry is None:
-            entry = _kept(buchberger(gens, order, step_limit, regular=every), signed)
-            kept.append(entry)
+        with order._key_table():
+            entry = _marked_alike(kept, order)
+            if entry is None:
+                entry = _kept(buchberger(gens, order, step_limit, regular=every), signed)
+                kept.append(entry)
         gb, _, _, ok_gb, ok_sq = entry
         outcomes.append(OrderOutcome(order.spec_string(), ok_gb, ok_sq, len(gb)))
     return UniversalGBReport(len(candidates), in_ideal, tuple(outcomes))

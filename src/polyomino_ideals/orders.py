@@ -11,6 +11,7 @@ distinct position of the permuted arrangement wins.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from itertools import accumulate
 from operator import itemgetter, mul
 from typing import NamedTuple
@@ -18,6 +19,21 @@ from typing import NamedTuple
 from .polynomials import Monomial
 
 SCHEMES = ("lex", "deglex", "degrevlex")
+
+
+class _KeyTable(dict):
+    """Order keys by monomial: a monomial not yet in the table is keyed by
+    ``compute`` once and kept."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, m):
+        k = self[m] = self.compute(m)
+        return k
 
 
 class MonomialOrder:
@@ -56,6 +72,18 @@ class MonomialOrder:
             base = key
             key = lambda m: (sum(map(mul, weights, m)), base(m))
         self.key = key
+
+    @contextmanager
+    def _key_table(self):
+        """Within the block, ``key`` reads a table that keys each monomial
+        at most once; the table is dropped, and ``key`` restored, on exit.
+        Every key is the one ``key`` gives outside the block."""
+        compute = self.key
+        self.key = _KeyTable(compute).__getitem__
+        try:
+            yield
+        finally:
+            self.key = compute
 
     def __reduce__(self):  # the compiled key is a closure, which pickle cannot send
         return MonomialOrder, (self.scheme, self.nvars, self.perm, self.weights)

@@ -7,7 +7,7 @@ wrappers around a dict mapping monomial to nonzero coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, le, sub
 
@@ -182,10 +182,15 @@ def polynomial_str(p: Polynomial, names=None) -> str:
 
 @dataclass(frozen=True)
 class IdealGens:
-    """A finite generating set of an ideal in a fixed variable count."""
+    """A finite generating set of an ideal in a fixed variable count.
+
+    Data derived from the generators once per set (the Groebner engine's
+    validated binomial form) is kept through ``derived``, as on a polyomino.
+    """
 
     generators: tuple[Polynomial, ...]
     nvars: int
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -195,6 +200,13 @@ class IdealGens:
             for m in g.terms:
                 if len(m) != self.nvars:
                     raise ValueError("generator over wrong variable count")
+
+    def derived(self, name: str, build):
+        """The value kept under name, else build()'s result, kept from then
+        on; a build that raises keeps nothing."""
+        if name not in self._derived:
+            self._derived[name] = build()
+        return self._derived[name]
 
     def __iter__(self):
         return iter(self.generators)

@@ -1,5 +1,6 @@
 """Grid text round trips, the census, and the CLI surface."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -288,6 +289,19 @@ def test_cli_ugb_check_rejects_negative_orders():
     assert proc.stderr.startswith("error:") and "permutations=-1" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_cli_ugb_check_rejects_orders_above_the_maximum(monkeypatch):
+    # a usage error raised before any order of the sample is built
+    built = []
+    monkeypatch.setattr(cli, "order_sample", lambda *a, **k: built.append(a) or [])
+    proc = _run_module(["ugb-check", "--orders", str(cli.MAX_ORDERS + 1), "-"])
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: --orders is at most {cli.MAX_ORDERS}, got {cli.MAX_ORDERS + 1}\n"
+    assert proc.stdout == ""
+    with pytest.raises(ValueError, match=f"at most {cli.MAX_ORDERS}"):
+        cli._ugb_check(None, argparse.Namespace(orders=cli.MAX_ORDERS + 1, seed=0))
+    assert built == []
 
 
 @pytest.mark.parametrize("raw", ["-5", "0", "abc"])

@@ -675,6 +675,67 @@ def test_regular_needs_a_regular_variable():
     assert buchberger([Polynomial({(2, 0): 1, (0, 1): -1})], MonomialOrder("lex", 2))
 
 
+STAPLE_AND_BLOCK = (
+    ((0, 1), (1, 0), (1, 1), (1, 2), (2, 0), (2, 2)),  # the staple
+    tuple((i, j) for i in range(3) for j in range(2)),  # the 3x2 block
+)
+
+
+def test_one_generating_set_serves_every_order(monkeypatch):
+    # an IdealGens keeps one validated form across runs; each run orients it
+    # under its own order, so no orientation goes stale: every sampled order
+    # gives the basis of a fresh list of the same generators
+    from polyomino_ideals import Polyomino, groebner
+
+    built = []
+    real = groebner._Binomials
+
+    def counting(polys, nvars):
+        built.append(polys)
+        return real(polys, nvars)
+
+    monkeypatch.setattr(groebner, "_Binomials", counting)
+    for cells in STAPLE_AND_BLOCK:
+        minors = inner_minors(Polyomino(cells))
+        n = minors.nvars
+        every = (1 << n) - 1
+        built.clear()
+        for order in order_sample(n, seed=1):
+            assert buchberger(minors, order) == buchberger(list(minors.generators), order)
+            assert buchberger(minors, order, regular=every) == buchberger(minors, order)
+        # one validation for the set, one per call on a fresh list
+        assert built.count(minors.generators) == 1
+        assert len(built) == 1 + len(order_sample(n))
+
+
+def test_kept_form_keeps_every_check():
+    # a failed validation keeps nothing, so it raises again; a kept form
+    # still answers the homogeneity and variable-count checks on each call
+    from polyomino_ideals import Polyomino
+
+    order = MonomialOrder("lex", 2)
+    trinomial = IdealGens((Polynomial({(1, 0): 1, (0, 1): -1, (0, 0): 1}),), 2)
+    scaled = IdealGens((Polynomial({(1, 0): 1, (0, 1): -2}),), 2)
+    for F in (trinomial, scaled):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a pure difference"):
+                buchberger(F, order)
+    inhomogeneous = IdealGens((Polynomial({(2, 0): 1, (0, 1): -1}),), 2)  # x^2 - y
+    for _ in range(2):
+        assert buchberger(inhomogeneous, order) == list(inhomogeneous)
+        with pytest.raises(ValueError, match="homogeneous"):
+            buchberger(inhomogeneous, order, regular=1)
+        with pytest.raises(ValueError, match="homogeneous"):
+            saturate(inhomogeneous, [0])
+    minors = inner_minors(Polyomino(STAPLE_AND_BLOCK[0]))
+    assert buchberger(minors, canonical_order(minors.nvars))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"the order has 3 variables, the polynomials {minors.nvars}"):
+            buchberger(minors, MonomialOrder("lex", 3))
+        with pytest.raises(ValueError, match=f"the order has 3 variables, the polynomials {minors.nvars}"):
+            normal_form(minors.generators[0], minors, MonomialOrder("lex", 3))
+
+
 @pytest.mark.parametrize("block, popped", [(0, (176, 80)), (2, (900, 500))], ids=["3x3", "4x4"])
 def test_regular_variables_prune_s_pairs(monkeypatch, block, popped):
     # S-pairs popped on a block's minors under the canonical order, without

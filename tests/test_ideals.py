@@ -536,6 +536,37 @@ def test_universal_gb_check_requires_balanced(P5):
 def test_universal_gb_check_requires_orders(P1):
     with pytest.raises(ValueError):
         universal_gb_check(P1, [])
+    with pytest.raises(ValueError, match="need at least one order"):
+        universal_gb_check(P1, iter([]))
+
+
+def test_universal_gb_check_reads_an_iterator_of_orders_once(P2):
+    # the variable-count check must not use up the orders it then checks
+    orders = order_sample(P2.num_vertices, seed=1)
+    report = universal_gb_check(P2, iter(orders))
+    assert report == universal_gb_check(P2, orders)
+    assert len(report.outcomes) == len(orders) and report.passed
+
+
+def test_universal_gb_check_keys_each_monomial_once_per_order(monkeypatch):
+    # the reuse test and the Buchberger run of an order read one key table:
+    # no monomial is keyed twice under one order, and every key is restored
+    P = Polyomino({(i, j) for i in range(3) for j in range(2)})
+    orders = order_sample(P.num_vertices, seed=1)
+    keyed = [dict() for _ in orders]
+    for order, counts in zip(orders, keyed):
+
+        def counting(m, key=order.key, counts=counts):
+            counts[m] = counts.get(m, 0) + 1
+            return key(m)
+
+        monkeypatch.setattr(order, "key", counting)
+    counted = [order.key for order in orders]
+    report = universal_gb_check(P, orders)
+    assert report.passed
+    assert all(counts for counts in keyed)
+    assert max(n for counts in keyed for n in counts.values()) == 1
+    assert [order.key for order in orders] == counted
 
 
 def _primitive_cycle_binomials(P):
