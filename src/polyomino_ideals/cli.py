@@ -51,6 +51,8 @@ _Report = tuple[dict, list[str]]
 
 # ugb-check builds 2N + 3 orders for --orders N before checking any, so N is capped.
 MAX_ORDERS = 1000
+# census holds every free polyomino up to --max-cells at once: ~3.7 GB at 13 cells.
+MAX_CENSUS_CELLS = 13
 
 
 def _read_text(path: str) -> str:
@@ -315,6 +317,8 @@ def _census_report(max_cells: int) -> _Report:
 
 
 def _census(args) -> int:
+    if args.max_cells > MAX_CENSUS_CELLS:  # before any enumeration
+        raise ValueError(f"--max-cells is at most {MAX_CENSUS_CELLS}, got {args.max_cells}")
     fields = _run_report("census", 1, partial(_census_report, args.max_cells), args.format)
     found = len(fields["counterexamples"])
     if found:
@@ -355,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cells", nargs="?", default="-")
 
     p = add("census", _census, "check simple iff balanced on every free polyomino")
-    p.add_argument("--max-cells", type=int, default=6)
+    p.add_argument("--max-cells", type=int, default=6, help=f"at most {MAX_CENSUS_CELLS}")
 
     return parser
 

@@ -234,20 +234,8 @@ class BalancedReport:
 
 
 def _minors(P: Polyomino) -> IdealGens:
-    """``inner_minors(P)``, built once and kept on P like the canonical bases."""
+    """``inner_minors(P)``, built once and kept on P."""
     return P.derived("inner_minors", lambda: inner_minors(P))
-
-
-def _canonical_basis(P: Polyomino, step_limit: int | None,
-                     regular: int = 0) -> tuple[Polynomial, ...]:
-    """Reduced basis of the inner minors under the canonical order, computed
-    once and kept on P; the step limit is checked on every call.  regular,
-    the variables the caller has proven regular modulo I_P, only prunes
-    S-pairs, so the kept basis is the same whichever call builds it."""
-    step_limit = _resolve_step_limit(step_limit)
-    order = canonical_order(P.num_vertices)
-    return P.derived("canonical_minor_basis",
-                     lambda: tuple(buchberger(_minors(P), order, step_limit, regular=regular)))
 
 
 def _is_inner_four_cycle(P: Polyomino, cycle: tuple[int, ...]) -> bool:
@@ -369,12 +357,16 @@ def dimension(P: Polyomino, step_limit: int | None = None) -> int:
     A prime polyomino ideal is the lattice ideal of the cell lattice, of
     height its rank |P|, so the dimension is |V(P)| - |P|.  Otherwise it is
     the dimension of the quotient by the initial ideal of the inner minors'
-    reduced basis under the canonical order.
+    reduced basis under the canonical order, built once and kept on P.  No
+    other function builds it: ``universal_gb_check`` reads membership off
+    its first order's basis, since x^a - x^b lies in I_P iff std(a) = std(b)
+    modulo any Groebner basis.
     """
     if is_prime(P, step_limit):
         return P.num_vertices - len(P)
     order = canonical_order(P.num_vertices)
-    gb = _canonical_basis(P, step_limit)
+    gb = P.derived("canonical_minor_basis",
+                   lambda: tuple(buchberger(_minors(P), order, step_limit)))
     return quotient_dimension(initial_ideal(gb, order), P.num_vertices)
 
 
@@ -428,32 +420,34 @@ def universal_gb_check(P: Polyomino, orders,
     basis of the polyomino ideal over the sampled orders.
 
     (a) Every candidate lies in the ideal: its two terms have one standard
-    monomial modulo the canonical-order reduced basis of the inner minors.
-    Per order: (b) the reduced basis G of the minor ideal consists of
-    candidates up to sign, (c) the initial ideal is squarefree, both read
-    off raw terms (G is monic lead - trail; x^a - x^b is fixed up to sign
-    by its monomials).  (a) and (b) make the candidates C a Groebner basis
-    under that order, because then in(I) = <in G> <= <in C> <= in(I); no
-    S-pair of C needs reducing.  Requires a balanced polyomino, and orders
-    on its vertex count, else ValueError.  The orders may come from any
-    iterable, read once; none at all raises ValueError.
+    monomial modulo the first order's reduced basis of the inner minors,
+    since x^a - x^b lies in I iff std(a) = std(b) modulo any Groebner basis
+    of I.  Per order: (b) the reduced basis G of the minor ideal
+    consists of candidates up to sign, (c) the initial ideal is squarefree,
+    both read off raw terms (G is monic lead - trail; x^a - x^b is fixed up
+    to sign by its monomials).  (a) and (b) make the candidates C a Groebner
+    basis under that order, because then in(I) = <in G> <= <in C> <= in(I);
+    no S-pair of C needs reducing.  Requires a balanced polyomino, and
+    orders on its vertex count, else ValueError.  The orders may come from
+    any iterable, read once; none at all raises ValueError.
 
-    G is read off a basis already at hand when one serves: the canonical
-    basis, or one computed for an earlier order; checks (b) and (c) depend
-    on G alone, so they are read once per basis.  If the reduced basis G of
-    I under <1 keeps every lead under <2, then in_<1(I) = <in G> lies in
-    in_<2(I), so the standard monomials of <2 are among those of <1; both
-    sets are vector-space bases of the quotient, so they are equal, and so
-    are the initial ideals.  G is then a Groebner basis under <2, still
-    monic and reduced, hence the unique reduced basis (<2 lies in the
-    Groebner cone of G: Mora-Robbiano, J. Symb. Comput. 6, 1988).
+    G is read off a basis already at hand when one serves, one computed for
+    an earlier order; checks (b) and (c) depend on G alone, so they are
+    read once per basis.  If the reduced basis G of I under <1 keeps every
+    lead under <2, then in_<1(I) = <in G> lies in in_<2(I), so the standard
+    monomials of <2 are among those of <1; both sets are vector-space bases
+    of the quotient, so they are equal, and so are the initial ideals.  G
+    is then a Groebner basis under <2, still monic and reduced, hence the
+    unique reduced basis (<2 lies in the Groebner cone of G: Mora-Robbiano,
+    J. Symb. Comput. 6, 1988).  Nothing is at hand for the first order, so
+    it always runs, and check (a) reads that run's basis.
 
     Each order's checks read one key table (``MonomialOrder._key_table``):
     the test whether a kept basis stays marked alike and, if none does, that
-    order's Buchberger run key each monomial once, and the table is dropped
-    when the order is done.  Every run starts from the minors' one
-    ``IdealGens``, validated by the first run on it and only oriented by
-    each later one.
+    order's Buchberger run (and, for the first order, check (a)) key each
+    monomial once, and the table is dropped when the order is done.  Every
+    run starts from the minors' one ``IdealGens``, validated by the first
+    run on it and only oriented by each later one.
 
     Every Buchberger run here is told that every variable is regular modulo
     I_P, so it never queues a pair whose S-terms share a variable (module
@@ -461,7 +455,7 @@ def universal_gb_check(P: Polyomino, orders,
     J_P, the lattice ideal of a saturated lattice, which is prime and holds
     no monomial, so no variable is a zero-divisor.
     """
-    from .cycles import cycle_binomial, enumerate_cycles
+    from .cycles import _index_binomial, enumerate_cycles
 
     orders = tuple(orders)
     if not orders:
@@ -472,22 +466,23 @@ def universal_gb_check(P: Polyomino, orders,
             raise ValueError(f"the order has {order.nvars} variables, the polynomials {n}")
     if not is_balanced(P, step_limit).balanced:
         raise NotBalancedError("the polyomino is not balanced")
-    cycles = enumerate_cycles(P, primitive_only=True)
-    candidates = [cycle_binomial(P, c) for c in cycles]
-    canonical = canonical_order(n)
-    every = (1 << n) - 1
-    canonical_gb = _canonical_basis(P, step_limit, every)
-    rewrite = _BinomialBasis(_binomial_form(canonical_gb, n), canonical.key)
-    in_ideal = all(len({rewrite.standard(m) for m in f.terms}) == 1 for f in candidates)
+    idx = P.vertex_index  # the search's cycles need no validation
+    candidates = [_index_binomial(n, [idx[v] for v in c.vertices])
+                  for c in enumerate_cycles(P, primitive_only=True)]
     signed = {frozenset(f.terms) for f in candidates}
+    every = (1 << n) - 1
     gens = _minors(P)
-    kept = [_kept(canonical_gb, signed)]
+    kept = []
     outcomes = []
     for order in orders:
         with order._key_table():
             entry = _marked_alike(kept, order)
             if entry is None:
                 entry = _kept(buchberger(gens, order, step_limit, regular=every), signed)
+                if not kept:  # check (a), on the first order's basis and keys
+                    rewrite = _BinomialBasis(_binomial_form(entry[0], n), order.key)
+                    in_ideal = all(len({rewrite.standard(m) for m in f.terms}) == 1
+                                   for f in candidates)
                 kept.append(entry)
         gb, _, _, ok_gb, ok_sq = entry
         outcomes.append(OrderOutcome(order.spec_string(), ok_gb, ok_sq, len(gb)))

@@ -304,6 +304,22 @@ def test_cli_ugb_check_rejects_orders_above_the_maximum(monkeypatch):
     assert built == []
 
 
+def test_cli_census_rejects_max_cells_above_the_maximum(monkeypatch):
+    # a usage error raised before any enumeration; 13 cells or more are
+    # never enumerated here
+    assert cli.MAX_CENSUS_CELLS == 13
+    enumerated = []
+    monkeypatch.setattr(cli, "free_polyominoes", lambda n: enumerated.append(n) or {})
+    proc = _run_module(["census", "--max-cells", "14"])
+    assert proc.returncode == 1
+    assert proc.stderr == "error: --max-cells is at most 13, got 14\n"
+    assert proc.stdout == ""
+    with pytest.raises(ValueError, match="at most 13, got 14"):
+        cli._census(argparse.Namespace(max_cells=14, format="text"))
+    assert main(["census", "--max-cells", "14"]) == 1
+    assert enumerated == []
+
+
 @pytest.mark.parametrize("raw", ["-5", "0", "abc"])
 def test_cli_rejects_bad_step_limit_env(raw):
     proc = _run_module(["prime", "-"], {"POLYIDEAL_GB_STEP_LIMIT": raw})

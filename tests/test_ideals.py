@@ -183,18 +183,17 @@ def test_dimension(P1, P2, P4):
 def test_canonical_minor_basis_built_once(monkeypatch):
     # is_balanced, is_prime and dimension settle a simple shape on its
     # interval graph, with no Buchberger run, saturation or simplicity test;
-    # universal_gb_check then builds the one canonical minor basis it reads,
-    # and keeps it for a second call
+    # universal_gb_check runs only under the orders it is given, so it makes
+    # no canonical-order run for the others.  Only dimension of a non-prime
+    # shape builds the canonical minor basis, once, and keeps it
     from polyomino_ideals import classify, groebner, ideals
 
     P = Polyomino({(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)})  # fresh, nothing cached
-    minors = inner_minors(P).generators
-    canonical = repr(canonical_order(P.num_vertices))
     runs = []  # the generators of every canonical-order run
     real = groebner.buchberger
 
     def counting(gens, order, step_limit=None, *, regular=0):
-        if repr(order) == canonical:
+        if repr(order) == repr(canonical_order(order.nvars)):
             runs.append(tuple(gens))
         return real(gens, order, step_limit, regular=regular)
 
@@ -225,12 +224,20 @@ def test_canonical_minor_basis_built_once(monkeypatch):
     assert is_prime(P)
     assert dimension(P) == P.num_vertices - len(P)
     assert (runs, saturations, built) == ([], [], [])
-    assert universal_gb_check(P, [MonomialOrder("lex", P.num_vertices)]).passed
-    assert universal_gb_check(P, [canonical_order(P.num_vertices)]).passed
-    assert (runs, saturations, built) == ([minors], [], [P])
-    # a kept verdict does not skip the step-limit check
-    with pytest.raises(ValueError, match="step_limit must be at least 1, got 0"):
-        dimension(P, step_limit=0)
+    n = P.num_vertices
+    others = [o for o in order_sample(n) if repr(o) != repr(canonical_order(n))]
+    assert len(others) == 13
+    assert universal_gb_check(P, others).passed
+    assert universal_gb_check(P, [MonomialOrder("lex", n)]).passed
+    assert (runs, saturations, built) == ([], [], [P])
+    Q = parse_grid(NON_PRIME[0])  # fresh, nothing cached
+    assert dimension(Q) == dimension(Q) == Q.num_vertices - len(Q) == 10
+    assert runs == [real_minors(Q).generators]
+    assert built == [P, Q]
+    # a kept verdict or basis does not skip the step-limit check
+    for shape in (P, Q):
+        with pytest.raises(ValueError, match="step_limit must be at least 1, got 0"):
+            dimension(shape, step_limit=0)
 
 
 def test_chordless_cycle_search_counts_against_the_step_limit():
@@ -603,17 +610,17 @@ def test_universal_gb_check_matches_spair_sweep(fixtures, name):
 def test_universal_gb_check_rejects_candidate_outside_ideal(P4, monkeypatch):
     import polyomino_ideals.cycles as cycles_mod
 
-    real = cycles_mod.cycle_binomial
+    real = cycles_mod._index_binomial
     swapped = []
 
-    def one_outside(P, cycle):
+    def one_outside(nvars, cycle):
         # x_0 - x_1 has degree 1, and the minor ideal is generated in degree 2
         if len(cycle) == 6 and not swapped:
             swapped.append(cycle)
             return Polynomial({(1,) + (0,) * 8: 1, (0, 1) + (0,) * 7: -1})
-        return real(P, cycle)
+        return real(nvars, cycle)
 
-    monkeypatch.setattr(cycles_mod, "cycle_binomial", one_outside)
+    monkeypatch.setattr(cycles_mod, "_index_binomial", one_outside)
     report = universal_gb_check(P4, order_sample(P4.num_vertices))
     assert swapped
     assert report.candidates == 15
@@ -650,11 +657,12 @@ def test_universal_gb_check_fails_without_a_needed_candidate(monkeypatch):
     assert not report.passed
 
 
-def test_universal_gb_check_squarefree_reads_the_leads(P2):
+def test_universal_gb_check_squarefree_reads_the_leads(P2, monkeypatch):
     # check (c) reads the leading term of each monic basis element: a square
     # lead fails it, a square trail does not.  The fake basis comes in as
-    # the canonical minor basis kept on the polyomino, which serves every
-    # order keeping its lead
+    # the sampled order's own Buchberger run
+    from polyomino_ideals import ideals
+
     n = P2.num_vertices
     square, mixed = (2, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0)
     x0_first = MonomialOrder("lex", n)  # square > mixed
@@ -663,10 +671,9 @@ def test_universal_gb_check_squarefree_reads_the_leads(P2):
         (x0_first, square, mixed, False),
         (x1_first, mixed, square, True),
     ):
-        P = Polyomino(P2.cells)  # fresh, nothing kept
-        fake = (Polynomial({lead: 1, trail: -1}),)
-        assert P.derived("canonical_minor_basis", lambda: fake) == fake
-        (outcome,) = universal_gb_check(P, [sampled]).outcomes
+        fake = [Polynomial({lead: 1, trail: -1})]
+        monkeypatch.setattr(ideals, "buchberger", lambda *args, **kwargs: fake)
+        (outcome,) = universal_gb_check(Polyomino(P2.cells), [sampled]).outcomes
         assert outcome.initial_squarefree is squarefree
         assert not outcome.gb_within_candidates
 
@@ -688,7 +695,8 @@ def _fresh_outcome(P, order, signed):
 
 
 def test_reused_bases_give_the_fresh_outcomes(monkeypatch):
-    # every order served by a kept basis reports what its own run would
+    # every order served by a kept basis reports what its own run would;
+    # every run is under a sampled order, since none other is needed
     from polyomino_ideals import ideals
 
     runs = []
@@ -699,7 +707,7 @@ def test_reused_bases_give_the_fresh_outcomes(monkeypatch):
         return real(gens, order, step_limit, regular=regular)
 
     monkeypatch.setattr(ideals, "buchberger", counting)
-    sampled = computed = 0
+    sampled = computed = total = 0
     for cells in REUSE_SHAPES:
         P = Polyomino(cells)
         cycles = enumerate_cycles(P, primitive_only=True)
@@ -711,13 +719,56 @@ def test_reused_bases_give_the_fresh_outcomes(monkeypatch):
             assert report.outcomes == tuple(_fresh_outcome(P, o, signed) for o in orders)
             sampled += len(orders)
             computed += sum(any(r is o for r in runs) for o in orders)
-    assert (sampled, computed) == (897, 693)
+            total += len(runs)
+    assert (sampled, computed, total) == (897, 748, 748)
+
+
+def test_universal_gb_check_runs_once_per_distinct_basis(monkeypatch):
+    # one Buchberger run per distinct reduced basis among the given orders,
+    # each under a given order, and one cycle enumeration per call (the
+    # benchmark's cycles.candidates counts that call); check (a) reads the
+    # first order's basis, so reversing the orders changes no answer
+    import polyomino_ideals.cycles as cycles_mod
+    from polyomino_ideals import ideals
+
+    runs, searches = [], []
+    real, real_cycles = ideals.buchberger, cycles_mod.enumerate_cycles
+
+    def recording(gens, order, step_limit=None, *, regular=0):
+        gb = real(gens, order, step_limit, regular=regular)
+        runs.append((order, frozenset(gb)))
+        return gb
+
+    def counting_cycles(P, **kwargs):
+        searches.append(P)
+        return real_cycles(P, **kwargs)
+
+    monkeypatch.setattr(ideals, "buchberger", recording)
+    monkeypatch.setattr(cycles_mod, "enumerate_cycles", counting_cycles)
+    for cells in REUSE_SHAPES:
+        P = Polyomino(cells)
+        minors = inner_minors(P)
+        for seed in range(3):
+            orders = order_sample(P.num_vertices, seed=seed)
+            distinct = {frozenset(buchberger(minors, o)) for o in orders}
+            reports = []
+            for given in (orders, orders[::-1]):
+                runs.clear()
+                searches.clear()
+                reports.append(universal_gb_check(P, given))
+                assert all(any(r is o for o in given) for r, _ in runs)
+                assert len(runs) == len({gb for _, gb in runs}) == len(distinct)
+                assert {gb for _, gb in runs} == distinct
+                assert searches == [P]
+            forward, backward = reports
+            assert forward.candidates_in_ideal == backward.candidates_in_ideal
+            assert forward.outcomes == backward.outcomes[::-1]
 
 
 @lru_cache(maxsize=None)
 def _kept_bases(cells):
     """The minors of a shape and reduced bases of the kind universal_gb_check
-    keeps: the canonical one and those of order_sample(n, seed=0)."""
+    keeps, those of order_sample(n, seed=0), and the canonical one."""
     P = Polyomino(cells)
     minors = inner_minors(P)
     orders = [canonical_order(P.num_vertices), *order_sample(P.num_vertices)]
