@@ -11,21 +11,21 @@ leaf-peeling chain that ``classify`` builds once per polyomino to decide
 tree-likeness.  The peel plan maps that prefix to vertex indices and inner
 minors once per P; a labeling uses a prefix of the plan, and each of its
 steps changes the labels and the multiplier in four places, then copies
-the multiplier's exponent into a one-term ``Polynomial.monomial``.
+the multiplier's exponent into a one-term ``Polynomial``.  Steps across one
+option come in a batch, with the labels updated once per batch.
 
 ``expand_certificate`` checks any certificate of that format, not only
 these: it sums the products exactly, reading each distinct minor's few
-nonzero exponents once per call instead of adding whole exponent tuples.
+nonzero exponents once per minor (``Polynomial._sparse_terms``, kept on the
+minor) instead of adding whole exponent tuples.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-
 from .classify import _peel_chain
 from .errors import NotAdmissibleError, NotTreeLikeError
 from .grid import HORIZONTAL, Polyomino
-from .ideals import _admissible_vector, inner_minor, labeling_vector
+from .ideals import _admissible_vector, _minor, labeling_vector
 from .polynomials import Polynomial
 
 Certificate = list[tuple[Polynomial, Polynomial]]
@@ -34,18 +34,14 @@ Certificate = list[tuple[Polynomial, Polynomial]]
 def expand_certificate(cert: Certificate) -> Polynomial:
     """Sum of multiplier * minor over the certificate, exact arithmetic.
 
-    Each distinct minor object is read once per call, as the places where
-    each of its terms' exponents is nonzero; a product term copies the
-    multiplier term's exponent and adds at those places.  A multiplier and
-    a minor over different variable counts raise ValueError.
+    Each minor is read as the places where each of its terms' exponents is
+    nonzero, once per minor object and kept on it; a product term copies
+    the multiplier term's exponent and adds at those places.  A multiplier
+    and a minor over different variable counts raise ValueError.
     """
     total: dict = {}
-    sparse: dict = {}  # by id: the certificate keeps each minor alive
     for multiplier, minor in cert:
-        entry = sparse.get(id(minor))
-        if entry is None:
-            entry = sparse[id(minor)] = _sparse_terms(minor)
-        nvars, terms = entry
+        nvars, terms = minor._sparse_terms()
         if not terms:
             continue
         for m1, c1 in multiplier.terms.items():
@@ -60,22 +56,6 @@ def expand_certificate(cert: Certificate) -> Polynomial:
                 m = tuple(m)
                 total[m] = total.get(m, 0) + c1 * c2
     return Polynomial(total)
-
-
-def _sparse_terms(p: Polynomial) -> tuple:
-    """(variable count, [(places, coefficient), ...]) of a polynomial, places
-    the (index, exponent) pairs where a term's exponent is nonzero.  The zero
-    polynomial has variable count None and no terms; terms over different
-    variable counts raise ValueError."""
-    nvars = None
-    terms = []
-    for m, c in p.terms.items():
-        if nvars is None:
-            nvars = len(m)
-        elif len(m) != nvars:
-            raise ValueError(f"minor with terms over {nvars} and {len(m)} variables")
-        terms.append(([(k, m[k]) for k in compress(range(nvars), m)], c))
-    return nvars, terms
 
 
 def _peel_plan(P: Polyomino) -> list:
@@ -104,7 +84,7 @@ def _plan(P: Polyomino) -> list:
                 d = (c[0], a1[1]) if direction == HORIZONTAL else (a1[0], c[1])
                 ll, ur = min(a1, a2, c, d), max(a1, a2, c, d)
                 step_sign = 1 if {a1, c} == {ll, ur} else -1
-                options.append((idx[c], idx[d], step_sign, inner_minor(P, (ll, ur))))
+                options.append((idx[c], idx[d], step_sign, _minor(P, (ll, ur))))
         plan.append((idx[a1], idx[a2], tuple(options)))
     return plan
 
@@ -129,9 +109,17 @@ def _certify(plan: list, vec: list[int]) -> Certificate:
     at a2 and d each step.  other = q + cofactor, what shift becomes at a
     flip (p and q swap), never changes: q is 0 at a1 and c, and where a
     step raises a negative label at a2 or d, q falls as the cofactor rises.
+
+    A step changes the labels only at a1, c, a2 and d.  Neither a1 nor a2
+    is an option, and d lies on the line through a1 parallel to a2's edge
+    interval, so it is none either: c stays the first option with a
+    positive label, and sign stays put, for min(sign * vals[a1],
+    sign * vals[c]) steps, which run as one batch.
     """
     vals = list(vec)
     cert: Certificate = []
+    emit = cert.append
+    new = Polynomial.__new__
     sign = 1
     shift = [v if v > 0 else 0 for v in vals]
     other = [-v if v < 0 else 0 for v in vals]
@@ -145,15 +133,19 @@ def _certify(plan: list, vec: list[int]) -> Certificate:
                     break
             else:
                 raise RuntimeError("good leaf without an option of positive label")
-            shift[a1] -= 1
-            shift[c] -= 1
-            cert.append((Polynomial.monomial(tuple(shift), sign * step_sign), minor))
-            shift[a2] += 1
-            shift[d] += 1
-            vals[a1] -= sign
-            vals[c] -= sign
-            vals[a2] += sign
-            vals[d] += sign
+            steps = min(sign * vals[a1], sign * vals[c])
+            coeff = sign * step_sign
+            for _ in range(steps):
+                shift[a1] -= 1
+                shift[c] -= 1
+                emit((new(Polynomial)._adopt({tuple(shift): coeff}), minor))
+                shift[a2] += 1
+                shift[d] += 1
+            moved = sign * steps
+            vals[a1] -= moved
+            vals[c] -= moved
+            vals[a2] += moved
+            vals[d] += moved
     if any(vals):
         raise RuntimeError("tree-like polyomino without a good leaf")
     return cert

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import NotAdmissibleError, StepLimitExceededError, ZeroLabelingError
 from .grid import Point, Polyomino, interval_graph
-from .ideals import _admissible_vector, labeling_vector, vector_binomial
+from .ideals import _admissible_vector, labeling_vector
 from .polynomials import Polynomial
 
 
@@ -124,10 +124,7 @@ def enumerate_cycles(
 def _index_binomial(nvars: int, cycle) -> Polynomial:
     """The binomial of a cycle given as distinct vertex indices: the
     odd-position product minus the even-position product."""
-    vec = [0] * nvars
-    for pos, k in enumerate(cycle):
-        vec[k] = -1 if pos % 2 else 1
-    return vector_binomial(vec)
+    return Polynomial._binomial(nvars, cycle[::2], cycle[1::2])
 
 
 def cycle_binomial(P: Polyomino, cycle: Cycle) -> Polynomial:

@@ -39,7 +39,7 @@ from .groebner import (
     quotient_dimension,
     saturate,
 )
-from .intlinalg import LatticeBasis, hermite_normal_form
+from .intlinalg import LatticeBasis
 from .orders import canonical_order
 from .polynomials import IdealGens, Polynomial
 
@@ -47,19 +47,37 @@ Labeling = dict  # Point -> int
 
 
 def inner_minor(P: Polyomino, interval: tuple[Point, Point]) -> Polynomial:
-    """The 2-minor of an inner interval: diagonal minus antidiagonal."""
+    """The 2-minor of an inner interval: diagonal minus antidiagonal.
+
+    An interval ((i, j), (k, l)) that is not inner raises ValueError: one
+    with i >= k or j >= l, a corner outside V(P), or a cell of
+    [i, k) x [j, l) outside P.
+    """
+    (i, j), (k, l) = interval
+    if i >= k or j >= l:
+        raise ValueError(f"{interval} is not an interval: it needs i < k and j < l")
+    idx = P.vertex_index
+    for corner in ((i, j), (k, l), (i, l), (k, j)):
+        if corner not in idx:
+            raise ValueError(f"{interval} is not inner: corner {corner} is not a vertex of P")
+    for cell in ((r, t) for r in range(i, k) for t in range(j, l)):
+        if cell not in P.cells:
+            raise ValueError(f"{interval} is not inner: cell {cell} is not in P")
+    return _minor(P, interval)
+
+
+def _minor(P: Polyomino, interval: tuple[Point, Point]) -> Polynomial:
+    """``inner_minor`` of an interval already known to be inner."""
     (i, j), (k, l) = interval
     idx = P.vertex_index
-    vec = [0] * P.num_vertices
-    vec[idx[(i, j)]] = vec[idx[(k, l)]] = 1
-    vec[idx[(i, l)]] = vec[idx[(k, j)]] = -1
-    return vector_binomial(vec)
+    return Polynomial._binomial(P.num_vertices, (idx[(i, j)], idx[(k, l)]),
+                                (idx[(i, l)], idx[(k, j)]))
 
 
 def inner_minors(P: Polyomino) -> IdealGens:
     """Generators of the polyomino ideal, one per inner interval."""
     return IdealGens(
-        tuple(inner_minor(P, iv) for iv in inner_intervals(P)),
+        tuple(_minor(P, iv) for iv in inner_intervals(P)),
         P.num_vertices,
     )
 
@@ -146,31 +164,57 @@ def labeling_binomial(P: Polyomino, labeling: Labeling) -> Polynomial:
 
 def admissible_lattice(P: Polyomino) -> LatticeBasis:
     """Saturated integer kernel of the admissible constraint matrix, as the
-    rows of its Hermite normal form.
+    rows of its Hermite normal form, read off a spanning tree of G_P.
 
     Negating the vertical rows of ``admissible_matrix``, the incidence
     matrix of G_P, keeps its kernel and makes each vertex an arc from its
     horizontal node to its vertical one: the kernel is the lattice of
     integer circulations on G_P, and the fundamental cycles of a spanning
-    tree are an integral basis of it.  The tree is breadth-first from node
-    0; the cycle of an arc k off it is +1 at k plus the tree path from k's
-    vertical node back to its horizontal one, +1 on an arc crossed forward
-    and -1 backward.  The Hermite form of a lattice is unique, so the rows
-    do not depend on the tree.
+    tree are an integral basis of it.  The cycle of an arc k off the tree
+    is +1 at k plus the tree path from k's vertical node back to its
+    horizontal one, +1 on an arc crossed forward and -1 backward.
+
+    The tree is Kruskal's, adding arcs from the highest index down, and
+    its fundamental cycles, in ascending order of k, are already the
+    Hermite form:
+    - a column set J is a basis of the lattice's column matroid iff its
+      complement is a spanning tree: a circulation that vanishes on J lives
+      on the complement, which must then be acyclic;
+    - the Hermite form's pivot columns are the greedy, leftmost such J, so
+      by matroid duality its complement is the tree Kruskal builds from the
+      highest index down;
+    - for each k in J, the fundamental cycle of k is +1 at k and 0 on the
+      rest of J, and so is the reduced-row-echelon row with pivot k; their
+      difference vanishes on J, so it lives on the tree, so it is 0;
+    - so the rows are integral, have pivots 1 and are zero above each
+      pivot; the lattice is saturated, so these rows are its unique
+      Hermite form.
     """
     G = interval_graph(P)
     ends = G.ends
+    root = list(range(len(G.nodes)))  # union-find over the nodes
+
+    def find(a):
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        return a
+
+    tree = set()
+    for k in range(P.num_vertices - 1, -1, -1):
+        a, b = find(ends[k][0]), find(ends[k][1])
+        if a != b:
+            root[a] = b
+            tree.add(k)
     parent_arc = {0: None}
     depth = [0] * len(G.nodes)
     queue = [0]
     for a in queue:
         for k in G.rows[a]:
             b = ends[k][0] + ends[k][1] - a
-            if b not in parent_arc:
+            if k in tree and b not in parent_arc:
                 parent_arc[b] = k
                 depth[b] = depth[a] + 1
                 queue.append(b)
-    tree = set(parent_arc.values())
     rows = []
     for k in range(P.num_vertices):
         if k in tree:
@@ -187,9 +231,8 @@ def admissible_lattice(P: Polyomino) -> LatticeBasis:
                 t = parent_arc[y]
                 row[t] = -1 if ends[t][0] == y else 1
                 y = ends[t][0] + ends[t][1] - y
-        rows.append(row)
-    H, _ = hermite_normal_form(rows, transform=False)
-    return LatticeBasis(tuple(map(tuple, H)), P.num_vertices)
+        rows.append(tuple(row))
+    return LatticeBasis(tuple(rows), P.num_vertices)
 
 
 def lattice_ideal(P: Polyomino, basis: LatticeBasis,

@@ -84,7 +84,8 @@ def hermite_normal_form(
         for M in mats:
             M[r], M[pivot] = M[pivot], M[r]
         for i in range(r + 1, m):
-            _combine_rows(H, U, r, i, c)
+            if H[i][c]:
+                _combine_rows(H, U, r, i, c)
         if H[r][c] < 0:
             for M in mats:
                 M[r] = [-x for x in M[r]]

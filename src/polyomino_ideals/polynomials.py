@@ -2,13 +2,16 @@
 
 Monomials are dense exponent tuples indexed by variable number; coefficients
 are exact (int or Fraction, never floats).  Polynomials are thin immutable
-wrappers around a dict mapping monomial to nonzero coefficient.
+wrappers around a dict mapping monomial to nonzero coefficient; the only
+data kept beside it is the sparse form that ``expand_certificate`` reads
+off each minor, built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from operator import add, le, sub
 
 Monomial = tuple  # exponent tuple, one entry per variable
@@ -46,7 +49,7 @@ def _inverse(c):
 class Polynomial:
     """Immutable polynomial; terms maps exponent tuple to nonzero coefficient."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_sparse")
 
     def __init__(self, terms=None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
@@ -60,10 +63,34 @@ class Polynomial:
         """coeff * x^mono, built without ``__init__``'s pass over the terms."""
         return cls.__new__(cls)._adopt({mono: coeff} if coeff else {})
 
+    @classmethod
+    def _binomial(cls, nvars: int, plus, minus) -> "Polynomial":
+        """x^(sum of e_k, k in plus) - x^(sum of e_k, k in minus) over nvars
+        variables, the plus term first, as ``vector_binomial`` orders it;
+        the caller guarantees that the two index lists are disjoint."""
+        pos, neg = [0] * nvars, [0] * nvars
+        for k in plus:
+            pos[k] += 1
+        for k in minus:
+            neg[k] += 1
+        return cls.__new__(cls)._adopt({tuple(pos): 1, tuple(neg): -1})
+
     def _adopt(self, terms: dict) -> "Polynomial":
         """Take terms, every coefficient nonzero, as this polynomial's own."""
         self.terms = terms
         return self
+
+    def _sparse_terms(self) -> tuple:
+        """(variable count, [(places, coefficient), ...]), places the (index,
+        exponent) pairs where a term's exponent is nonzero; built on the
+        first call and kept.  The zero polynomial has variable count None
+        and no terms.  Terms over different variable counts raise
+        ValueError, and a build that raises keeps nothing."""
+        try:
+            return self._sparse
+        except AttributeError:
+            sparse = self._sparse = _sparse_form(self.terms)
+            return sparse
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -140,6 +167,19 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({polynomial_str(self)})"
+
+
+def _sparse_form(terms: dict) -> tuple:
+    """``Polynomial._sparse_terms`` built from scratch."""
+    nvars = None
+    out = []
+    for m, c in terms.items():
+        if nvars is None:
+            nvars = len(m)
+        elif len(m) != nvars:
+            raise ValueError(f"minor with terms over {nvars} and {len(m)} variables")
+        out.append(([(k, m[k]) for k in compress(range(nvars), m)], c))
+    return nvars, out
 
 
 def is_pure_difference(p: Polynomial) -> bool:

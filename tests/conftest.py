@@ -104,21 +104,26 @@ def enumerate_cellsets(max_cells: int) -> list[set[frozenset]]:
     return levels
 
 
-def free_cellsets(max_cells: int) -> set[tuple]:
-    """One cell set per free polyomino: the least of its eight images."""
+def dihedral_images(cells) -> list[tuple]:
+    """The eight images of a cell set under rotations and reflections, each
+    translated to the origin and sorted; equal images repeat."""
     def normalized(cells):
         mi = min(i for i, _ in cells)
         mj = min(j for _, j in cells)
         return tuple(sorted((i - mi, j - mj) for i, j in cells))
 
-    def images(cells):
-        for a in (1, -1):
-            for b in (1, -1):
-                yield {(a * i, b * j) for i, j in cells}
-                yield {(a * j, b * i) for i, j in cells}
+    return [
+        normalized(image)
+        for a in (1, -1)
+        for b in (1, -1)
+        for image in ({(a * i, b * j) for i, j in cells}, {(a * j, b * i) for i, j in cells})
+    ]
 
+
+def free_cellsets(max_cells: int) -> set[tuple]:
+    """One cell set per free polyomino: the least of its eight images."""
     return {
-        min(map(normalized, images(cells)))
+        min(dihedral_images(cells))
         for level in enumerate_cellsets(max_cells)
         for cells in level
     }

@@ -288,6 +288,69 @@ def test_expansion_rejects_different_variable_counts():
         expand_certificate([(Polynomial.monomial((0, 0, 0, 0)), ragged)])
 
 
+def test_ragged_minor_raises_on_every_call():
+    # a sparse form whose build raises is not kept, so the next call reads
+    # the minor again and raises again
+    ragged = Polynomial({(1, 0, 0, 1): 1, (0, 1, 1): -1})
+    cert = [(Polynomial.monomial((0, 0, 0, 0)), ragged)]
+    for _ in range(3):
+        with pytest.raises(ValueError, match="minor with terms over 4 and 3 variables"):
+            expand_certificate(cert)
+
+
+def test_expansion_reads_each_minor_once(monkeypatch):
+    # the sparse form is kept on the minor, not rebuilt per call: across
+    # the ten certificates of one shape, each distinct minor is read once
+    from polyomino_ideals import polynomials
+
+    reads = []
+    real = polynomials._sparse_form
+
+    def counted(terms):
+        reads.append(terms)
+        return real(terms)
+
+    monkeypatch.setattr(polynomials, "_sparse_form", counted)
+    rng = random.Random(53)
+    P = Polyomino({(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (3, 2), (0, 1), (0, 2)})
+    assert is_tree_like(P).tree_like
+    basis = admissible_lattice(P)
+    minors = set()
+    for _ in range(10):
+        labeling = random_admissible_labeling(P, basis, rng)
+        cert = balanced_certificate_treelike(P, labeling)
+        assert expand_certificate(cert) == labeling_binomial(P, labeling)
+        minors |= {id(minor) for _, minor in cert}
+    assert len(minors) > 1
+    assert len(reads) == len(minors)
+
+
+def test_batched_peel_matches_rebuild_on_large_labels():
+    # a batch runs up to min(|label at a1|, |label at c|) steps: labels up
+    # to +-50 on every tree-like free <= 8-omino, and +-2000 on the domino,
+    # give the certificate that rebuilding each step gives
+    rng = random.Random(59)
+    shapes = [P for level in free_polyominoes(8).values() for P in level]
+    for P in shapes:
+        if not is_tree_like(P).tree_like:
+            continue
+        plan, basis = _peel_plan(P), admissible_lattice(P)
+        for bound in (3, 50):
+            vec = [0] * P.num_vertices
+            for row in basis.vectors:
+                c = rng.randint(-bound, bound)
+                vec = [x + c * y for x, y in zip(vec, row)]
+            assert _certify(plan, vec) == rebuild_certify(plan, vec), P
+    domino = Polyomino({(0, 0), (1, 0)})
+    plan, basis = _peel_plan(domino), admissible_lattice(domino)
+    for coeffs in ((2000, -2000), (-2000, 1999), (1, 2000)):
+        vec = [sum(c * row[k] for c, row in zip(coeffs, basis.vectors))
+               for k in range(domino.num_vertices)]
+        cert = _certify(plan, vec)
+        assert cert == rebuild_certify(plan, vec)
+        assert expand_certificate(cert) == labeling_binomial(domino, vector_labeling(domino, vec))
+
+
 def test_treelike_multipliers_are_signed_monomials():
     # every tree-like free <= 8-omino: each multiplier is one term with
     # coefficient +-1, and the certificate expands as Polynomial arithmetic

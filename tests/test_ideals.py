@@ -28,6 +28,7 @@ from polyomino_ideals import (
     free_polyominoes,
     ideal_equal,
     initial_ideal,
+    inner_minor,
     inner_minors,
     is_admissible,
     is_balanced,
@@ -48,7 +49,13 @@ from polyomino_ideals import (
     vector_labeling,
 )
 from polyomino_ideals.ideals import _admissible_rank, _kept, _marked_alike
-from conftest import chordless_cycles_brute, free_cellsets, spair_sweep
+from conftest import (
+    FIXED_POLYOMINO_COUNTS,
+    chordless_cycles_brute,
+    dihedral_images,
+    free_cellsets,
+    spair_sweep,
+)
 
 ALPHA_UNIT = {(0, 0): 1, (1, 1): 1, (1, 0): -1, (0, 1): -1}
 
@@ -125,9 +132,9 @@ def test_admissible_lattice_ranks(P1, P2, P5):
     assert admissible_lattice(P5).rank == 9
 
 
-def test_admissible_lattice_makes_one_hermite_form(monkeypatch, P5):
-    # no kernel computation: one Hermite form in all, without its
-    # transform, of the fundamental cycles
+def test_admissible_lattice_makes_no_hermite_form(monkeypatch, P5):
+    # no kernel computation and no Hermite form: the fundamental cycles of
+    # the Kruskal tree are the Hermite rows as they stand
     from polyomino_ideals import ideals, intlinalg
 
     calls = []
@@ -137,10 +144,33 @@ def test_admissible_lattice_makes_one_hermite_form(monkeypatch, P5):
         calls.append(transform)
         return real(mat, transform)
 
-    for module in (ideals, intlinalg):
-        monkeypatch.setattr(module, "hermite_normal_form", counted)
+    monkeypatch.setattr(intlinalg, "hermite_normal_form", counted)
+    assert not hasattr(ideals, "hermite_normal_form")
     assert admissible_lattice(Polyomino(P5.cells)).rank == 9
-    assert calls == [False]
+    assert calls == []
+
+
+def test_inner_minor_rejects_an_empty_interval(P3):
+    # a degenerate interval once gave -x0*x3 + 1, neither a minor nor
+    # homogeneous
+    for interval in (((0, 0), (0, 1)), ((0, 0), (1, 0)), ((1, 1), (0, 0))):
+        with pytest.raises(ValueError, match=r"is not an interval: it needs i < k and j < l"):
+            inner_minor(P3, interval)
+
+
+def test_inner_minor_rejects_a_corner_outside_the_vertices(P3):
+    # (2, 2) is no vertex of the L-tromino; it once raised a bare KeyError
+    with pytest.raises(ValueError, match=r"corner \(2, 2\) is not a vertex of P"):
+        inner_minor(P3, ((0, 0), (2, 2)))
+
+
+def test_inner_minor_rejects_a_cell_outside_the_polyomino():
+    # the U-pentomino: every corner of [0, 3) x [0, 2) is a vertex, but the
+    # cell (1, 1) is missing
+    U = Polyomino({(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)})
+    with pytest.raises(ValueError, match=r"cell \(1, 1\) is not in P"):
+        inner_minor(U, ((0, 0), (3, 2)))
+    assert inner_minor(U, ((0, 0), (3, 1))) in inner_minors(U).generators
 
 
 def test_lattice_ideal_unit_square(P1):
@@ -277,10 +307,13 @@ FRAMES = [
 
 def test_admissible_lattice_is_the_hermite_form_of_the_kernel():
     # the spanning-tree basis against the kernel oracle: the same Hermite
-    # rows, as many as the rank counted on G_P
+    # rows, as many as the rank counted on G_P; the tree depends on the
+    # vertex numbering, so every orientation of the free <= 7-ominoes
     frame_5x5 = {(i, j) for i in range(5) for j in range(5) if i in (0, 4) or j in (0, 4)}
     blocks = [{(i, j) for i in range(n) for j in range(n)} for n in (4, 5)]
-    for cells in sorted(free_cellsets(8)) + FRAMES + [frame_5x5, *blocks]:
+    turned = sorted({image for cells in free_cellsets(7) for image in dihedral_images(cells)})
+    assert len(turned) == sum(FIXED_POLYOMINO_COUNTS.values())
+    for cells in sorted(free_cellsets(8)) + turned + FRAMES + [frame_5x5, *blocks]:
         P = Polyomino(cells)
         basis = admissible_lattice(P)
         assert basis == kernel_basis(admissible_matrix(P), ncols=P.num_vertices), P
