@@ -574,13 +574,14 @@ def euler_simple(cells) -> bool:
     return len(vertices) - len(unit_edges(cells)) + len(cells) == 1
 
 
-def random_admissible_labeling(P, basis, rng: random.Random) -> dict:
-    """Nonzero integer combination of admissible kernel basis vectors."""
+def random_admissible_labeling(P, basis, rng: random.Random, bound: int = 3) -> dict:
+    """Nonzero integer combination of admissible kernel basis vectors, with
+    coefficients in [-bound, bound]."""
     n = P.num_vertices
     while True:
         vec = [0] * n
         for row in basis.vectors:
-            c = rng.randint(-3, 3)
+            c = rng.randint(-bound, bound)
             if c:
                 vec = [x + c * y for x, y in zip(vec, row)]
         if any(vec):
