@@ -29,6 +29,7 @@ from .grid import (
     cell_neighbors,
     connected_components,
     free_edge,
+    interval_graph,
     maximal_cell_interval,
     point_key,
 )
@@ -84,20 +85,38 @@ def is_column_convex(P: Polyomino) -> bool:
 
 
 def is_simple(P: Polyomino) -> SimpleReport:
-    """Components of the complement inside a one cell padded bounding box.
+    """Whether the complement of P has no bounded component, read off the
+    interval graph G_P (``grid.interval_graph``).
 
-    The polyomino is simple when every box cell outside P lies in the
-    component of the padding corner (-1, -1), which holds the whole padding
-    ring.  Any other such cell is a hole; the canonically smallest one is
-    returned as a witness.
+    P is simple iff |V(P)| - |nodes of G_P| + 1 = |P|.  Let X be the union
+    of P's closed cells, a connected 2-complex in the plane with |V(P)|
+    vertices, the unit edges of P as edges and |P| faces.  Each vertex lies
+    on exactly one node (maximal edge interval) per direction, and a node
+    with m vertices has m - 1 unit edges, so there are 2|V(P)| - |nodes|
+    edges and the Euler characteristic is chi = |nodes| - |V(P)| + |P|.  X
+    is connected and compact in the plane, so b_2(X) = 0 and
+    chi = 1 - b_1(X), and by Alexander duality b_1(X) counts the bounded
+    components of the plane minus X.  Two cells outside P sharing an edge meet in that open
+    edge, which lies on no cell of P, so those components are the holes,
+    the edge-connected classes of cells outside P that cannot reach
+    infinity.  So P has 1 - chi holes, none exactly when the equation holds.
+    The same count is ``ideals.is_balanced``'s rank test.
+
+    Only a non-simple P is flood-filled, to find the witness: the box cells
+    outside P, in a one-cell padded bounding box, that the padding corner
+    (-1, -1) cannot reach are the holes, and the row-major smallest is
+    returned.  A flood fill that finds none contradicts the count and
+    raises RuntimeError.
     """
+    if P.num_vertices - len(interval_graph(P).nodes) + 1 == len(P):
+        return SimpleReport(True, None)
     maxi, maxj = max(i for i, _ in P.cells), max(j for _, j in P.cells)
     box = {(i, j) for i in range(-1, maxi + 2) for j in range(-1, maxj + 2)}
     outside = connected_components(box - P.cells)
     holes = [c for comp in outside if (-1, -1) not in comp for c in comp]
-    if holes:
-        return SimpleReport(False, min(holes, key=point_key))
-    return SimpleReport(True, None)
+    if not holes:
+        raise RuntimeError(f"the interval graph of {P!r} counts a hole the flood fill misses")
+    return SimpleReport(False, min(holes, key=point_key))
 
 
 def _leaf_site(

@@ -249,8 +249,8 @@ def maximal_edge_intervals(P: Polyomino, direction: str) -> list[EdgeInterval]:
 
 
 class IntervalGraph(NamedTuple):
-    """The bipartite interval graph G_P of a polyomino, built from its edge
-    runs; the one record of which intervals each vertex lies on.
+    """The bipartite interval graph G_P of a polyomino; the one record of
+    which intervals each vertex lies on.
 
     Its nodes are the maximal edge intervals, the horizontal ones first,
     each direction in row-major order of the intervals' first vertices, as
@@ -269,23 +269,47 @@ class IntervalGraph(NamedTuple):
 
 
 def interval_graph(P: Polyomino) -> IntervalGraph:
-    """G_P, built once per polyomino and kept on it."""
+    """G_P, built once per polyomino and kept on it, in one row-major sweep
+    over ``P.vertices``.
+
+    The unit edge from (x-1, y) to (x, y) lies in P iff cell (x-1, y) or
+    (x-1, y-1) does; then (x-1, y) is the vertex just before (x, y) and
+    (x, y) joins its horizontal node, else (x, y) starts a new one.  Likewise
+    (x, y) joins the vertical node of (x, y-1), the last vertex seen in
+    column x, iff cell (x, y-1) or (x-1, y-1) is in P.  Each direction's
+    nodes are thus numbered in row-major order of their first vertices, and
+    each node's vertex indices come in ascending order, as the edge runs of
+    ``maximal_edge_intervals`` give them.
+    """
 
     def build():
-        horizontal = maximal_edge_intervals(P, HORIZONTAL)
-        nodes = (*horizontal, *maximal_edge_intervals(P, VERTICAL))
-        idx = P.vertex_index
-        rows = tuple(tuple(idx[v] for v in iv.vertices()) for iv in nodes)
-        ends = [[0, 0] for _ in range(P.num_vertices)]
-        for a, row in enumerate(rows):
-            side = int(a >= len(horizontal))
-            for k in row:
-                ends[k][side] = a
+        cells, vertices = P.cells, P.vertices
+        hrows, vrows = [], []
+        hof, vof = [], []  # each vertex's horizontal and vertical node
+        column = {}  # x -> the vertical node of the last vertex seen in column x
+        for k, (x, y) in enumerate(vertices):
+            if (x - 1, y) in cells or (x - 1, y - 1) in cells:
+                h = hof[k - 1]
+            else:
+                h = len(hrows)
+                hrows.append([])
+            hrows[h].append(k)
+            hof.append(h)
+            if (x, y - 1) in cells or (x - 1, y - 1) in cells:
+                a = column[x]
+            else:
+                a = column[x] = len(vrows)
+                vrows.append([])
+            vrows[a].append(k)
+            vof.append(a)
+        nodes = tuple(EdgeInterval(vertices[row[0]], vertices[row[-1]], d)
+                      for d, rows in ((HORIZONTAL, hrows), (VERTICAL, vrows)) for row in rows)
+        ends = tuple((h, len(hrows) + a) for h, a in zip(hof, vof))
         adjacency = [0] * len(nodes)
-        for a, b in ends:
-            adjacency[a] |= 1 << b
-            adjacency[b] |= 1 << a
-        return IntervalGraph(nodes, tuple(adjacency), rows, tuple(map(tuple, ends)))
+        for h, a in ends:
+            adjacency[h] |= 1 << a
+            adjacency[a] |= 1 << h
+        return IntervalGraph(nodes, tuple(adjacency), tuple(map(tuple, hrows + vrows)), ends)
 
     return P.derived("interval_graph", build)
 

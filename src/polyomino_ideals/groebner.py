@@ -68,6 +68,17 @@ I.  Under reverse-lex with x_w least this is Bayer-Stillman (Invent. Math.
 divides nothing keeps the ideal, so when none does ``saturate`` returns
 its input itself; ``is_prime`` asks only whether some run divides, and
 stops the runs at the first that does.
+
+Which variable to saturate next is a choice of schedule, not of soundness:
+every run is sound whatever x_v it takes.  ``saturate`` takes the x_v whose
+run is predicted to prove the most variables regular
+(``_predicted_proof``): each current two-term generator is oriented as
+that run's order would orient it, and the variables on no predicted lead
+join those the two-term rule proves once x_v is saturated, closed under
+the same rule.  Ties go to the larger two-term closure, then to the lowest
+index.  The closure alone rarely separates the candidates: on the 3x3
+frame's minors it holds x_v alone for every v, and the run by x0, the
+lowest index, proves 2 variables where the predicted choice's proves 8.
 """
 
 from __future__ import annotations
@@ -406,6 +417,27 @@ def _lead_free(leads, nvars: int) -> int:
     return ((1 << nvars) - 1) & ~used
 
 
+def _predicted_proof(supports, grown: int, v: int, nvars: int) -> int:
+    """The variables that saturating x_v is predicted to prove regular.
+
+    Each two-term generator, given by its ``_two_term_supports`` entry, is
+    oriented as the run's graded reverse-lex order would orient it: the term
+    holding the support's least variable trails.  That variable is x_v if
+    the support holds it, else its highest index not in grown, else its
+    highest index (``_saturation_runs`` ranks the variables so).  The
+    prediction is the closure of grown and the variables on no predicted
+    lead; it only chooses the variable, and proves nothing.
+    """
+    used, vbit = 0, 1 << v
+    for a, b, ab in supports:
+        if ab & vbit:
+            least = vbit
+        else:
+            least = 1 << ((ab & ~grown or ab).bit_length() - 1)
+        used |= b if a & least else a
+    return _regular_closure(supports, grown | ((1 << nvars) - 1) & ~used)
+
+
 def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGens:
     """Saturation of F by the product of the given variables.
 
@@ -415,9 +447,11 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
     generates the saturation by x_v (Sturmfels, Lemma 12.1).  Variables
     proven regular modulo the current ideal are skipped, by the two-term
     rule and by the lead-free variables of each run's divided basis.  The
-    next variable saturated is the one that proves the most, ties going to
-    the lowest index; its run ranks x_v least, then the variables not yet
-    proven regular modulo the saturation by x_v, then the proven ones.
+    next variable saturated is the one whose run is predicted to prove the
+    most (``_predicted_proof``), ties going to the larger two-term closure,
+    then to the lowest index; its run ranks x_v least, then the variables
+    not yet proven regular modulo the saturation by x_v, then the proven
+    ones.
     Until a run divides something the ideal is F's, so each run starts
     from F itself, usually fewer generators than the last run's basis, for
     the same reduced basis, and all those runs share F's validated form.
@@ -457,7 +491,8 @@ def _saturation_runs(F: IdealGens, variables, step_limit):
             for v in vs
             if not regular >> v & 1
         }
-        v = max(grown, key=lambda v: (grown[v].bit_count(), -v))
+        v = max(grown, key=lambda v: (_predicted_proof(supports, grown[v], v, n).bit_count(),
+                                      grown[v].bit_count(), -v))
         # from the greatest: the proven variables, the others, x_v last
         perm = sorted(range(n), key=lambda w: (w == v, ~grown[v] >> w & 1, w))
         order = MonomialOrder("degrevlex", n, perm=perm)

@@ -331,7 +331,12 @@ def is_balanced(P: Polyomino, step_limit: int | None = None) -> BalancedReport:
     The graph is connected because P is: a cell's corners join its four
     edge intervals, and neighboring cells share an edge.  So the rank is
     the number of maximal edge intervals minus one, and a rank other than
-    |P| means P is not balanced.
+    |P| means P is not balanced.  That count is also the simplicity test
+    (``classify.is_simple``, by the Euler characteristic): the rank is |P|
+    exactly when P has no hole.  So the cycle search below runs on simple
+    shapes only, and a census of simple <=> balanced tests one thing
+    beyond the count: that every chordless cycle of a simple P is an inner
+    4-cycle.
 
     Otherwise the chordless cycles of G_P decide, with no Groebner basis:
     - J_P is the lattice ideal of the admissible kernel, the toric ideal of

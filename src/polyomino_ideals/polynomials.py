@@ -59,11 +59,6 @@ class Polynomial:
         return cls({})
 
     @classmethod
-    def monomial(cls, mono: Monomial, coeff=1) -> "Polynomial":
-        """coeff * x^mono, built without ``__init__``'s pass over the terms."""
-        return cls.__new__(cls)._adopt({mono: coeff} if coeff else {})
-
-    @classmethod
     def _binomial(cls, nvars: int, plus, minus) -> "Polynomial":
         """x^(sum of e_k, k in plus) - x^(sum of e_k, k in minus) over nvars
         variables, the plus term first, as ``vector_binomial`` orders it;

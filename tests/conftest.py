@@ -28,7 +28,7 @@ from polyomino_ideals import (
     mono_mul,
     point_key,
 )
-from polyomino_ideals.grid import connected_components
+from polyomino_ideals.grid import IntervalGraph, connected_components
 from polyomino_ideals.groebner import s_polynomial
 from polyomino_ideals.polynomials import mono_div
 
@@ -187,6 +187,11 @@ def random_column_convex(max_cells: int, rng: random.Random) -> Polyomino:
 
 # ---------------------------------------------------------------------------
 # independent oracles
+
+
+def monomial(mono, coeff=1) -> Polynomial:
+    """coeff * x^mono; the zero polynomial when coeff is 0."""
+    return Polynomial({mono: coeff})
 
 
 def point_leq(a, b) -> bool:
@@ -376,7 +381,7 @@ def rebuild_certify(plan, vec) -> list:
             shift = [v + e if v > 0 else e for v, e in zip(vals, cofactor)]
             shift[a1] -= 1
             shift[c] -= 1
-            cert.append((Polynomial.monomial(tuple(shift), sign * step_sign), minor))
+            cert.append((monomial(tuple(shift), sign * step_sign), minor))
             for v in (a2, d):
                 if vals[v] < 0:
                     cofactor[v] += 1
@@ -486,6 +491,42 @@ def interval_table(P: Polyomino) -> dict:
         for iv in maximal_edge_intervals(P, direction)
         for v in iv.vertices()
     }
+
+
+def interval_graph_from_runs(P: Polyomino) -> IntervalGraph:
+    """G_P assembled from ``maximal_edge_intervals``, the horizontal runs
+    first, rather than from the engine's one-sweep build."""
+    horizontal = maximal_edge_intervals(P, HORIZONTAL)
+    nodes = (*horizontal, *maximal_edge_intervals(P, VERTICAL))
+    idx = P.vertex_index
+    rows = tuple(tuple(idx[v] for v in iv.vertices()) for iv in nodes)
+    ends = [[0, 0] for _ in range(P.num_vertices)]
+    for a, row in enumerate(rows):
+        side = int(a >= len(horizontal))
+        for k in row:
+            ends[k][side] = a
+    adjacency = [0] * len(nodes)
+    for a, b in ends:
+        adjacency[a] |= 1 << b
+        adjacency[b] |= 1 << a
+    return IntervalGraph(nodes, tuple(adjacency), rows, tuple(map(tuple, ends)))
+
+
+def flood_fill_simple(cells) -> tuple[bool, tuple | None]:
+    """(simple, hole) by flood-filling the complement inside a one-cell
+    padded bounding box: every box cell outside P that the padding corner
+    (-1, -1) cannot reach is a hole, and the row-major smallest is reported."""
+    cells = set(cells)
+    maxi, maxj = max(i for i, _ in cells), max(j for _, j in cells)
+    box = {(i, j) for i in range(-1, maxi + 2) for j in range(-1, maxj + 2)} - cells
+    reached, frontier = {(-1, -1)}, [(-1, -1)]
+    while frontier:
+        for nb in cell_neighbors(frontier.pop()):
+            if nb in box and nb not in reached:
+                reached.add(nb)
+                frontier.append(nb)
+    holes = box - reached
+    return (False, min(holes, key=point_key)) if holes else (True, None)
 
 
 def assert_cycle(P: Polyomino, vertices) -> None:

@@ -29,6 +29,7 @@ from polyomino_ideals import (
 from polyomino_ideals import classify
 from polyomino_ideals.certificates import _certify, _peel_plan
 from conftest import (
+    monomial,
     random_admissible_labeling,
     random_tree_like,
     rebuild_certify,
@@ -282,19 +283,19 @@ def test_expansion_rejects_different_variable_counts():
     # zipping the exponents would drop the minor's fourth variable
     minor = Polynomial({(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
     for nvars in (3, 5):
-        multiplier = Polynomial.monomial((1,) + (0,) * (nvars - 1))
+        multiplier = monomial((1,) + (0,) * (nvars - 1))
         with pytest.raises(ValueError, match=f"multiplier over {nvars} variables, minor over 4"):
             expand_certificate([(multiplier, minor)])
     ragged = Polynomial({(1, 0, 0, 1): 1, (0, 1, 1): -1})
     with pytest.raises(ValueError, match="minor with terms over 4 and 3 variables"):
-        expand_certificate([(Polynomial.monomial((0, 0, 0, 0)), ragged)])
+        expand_certificate([(monomial((0, 0, 0, 0)), ragged)])
 
 
 def test_ragged_minor_raises_on_every_call():
     # a sparse form whose build raises is not kept, so the next call reads
     # the minor again and raises again
     ragged = Polynomial({(1, 0, 0, 1): 1, (0, 1, 1): -1})
-    cert = [(Polynomial.monomial((0, 0, 0, 0)), ragged)]
+    cert = [(monomial((0, 0, 0, 0)), ragged)]
     for _ in range(3):
         with pytest.raises(ValueError, match="minor with terms over 4 and 3 variables"):
             expand_certificate(cert)

@@ -21,7 +21,10 @@ from polyomino_ideals import (
 from polyomino_ideals.classify import _peel_chain
 from conftest import (
     cell_graph,
+    dihedral_images,
     euler_simple,
+    flood_fill_simple,
+    free_cellsets,
     good_leaf_runs,
     leaf_cells,
     random_column_convex,
@@ -207,3 +210,31 @@ def test_is_simple_matches_euler_characteristic():
         assert report.simple == euler_simple(P.cells)
         assert report.hole is None or report.hole not in P
     assert [is_simple(P).simple for P in shapes[-3:]] == [False] * 3
+
+
+def test_is_simple_matches_flood_fill():
+    # the rank count of is_simple against an independent flood fill of the
+    # complement, witness included, on every orientation of the free
+    # <= 8-ominoes, the free 9-ominoes and three frames
+    shapes = {image for cells in sorted(free_cellsets(8)) for image in dihedral_images(cells)}
+    shapes |= {cells for cells in free_cellsets(9) if len(cells) == 9}
+    shapes |= {image for w, h in ((3, 3), (4, 3), (4, 4))
+               for image in dihedral_images(_frame(w, h).cells)}
+    holes = 0
+    for cells in shapes:
+        report = is_simple(Polyomino(cells))
+        assert tuple(report) == flood_fill_simple(cells)
+        holes += not report.simple
+    # 45 images of the 7 non-simple free <= 8-ominoes (the 3x3 frame among
+    # them), 37 free 9-ominoes (A001419) and the other frames' 2 + 1 images
+    assert holes == 45 + 37 + 3
+
+
+def test_is_simple_raises_when_the_flood_fill_finds_no_hole(monkeypatch):
+    # the count says the frame has a hole; a flood fill that reports none
+    # contradicts it
+    from polyomino_ideals import classify
+
+    monkeypatch.setattr(classify, "connected_components", lambda cells: [set(cells)])
+    with pytest.raises(RuntimeError, match="counts a hole the flood fill misses"):
+        is_simple(_frame(3, 3))

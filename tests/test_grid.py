@@ -24,8 +24,10 @@ from polyomino_ideals import (
     maximal_edge_intervals,
 )
 from conftest import (
+    dihedral_images,
     free_cellsets,
     grow_polyomino,
+    interval_graph_from_runs,
     interval_table,
     point_leq,
     vertex_count_inclusion_exclusion,
@@ -317,3 +319,19 @@ def test_interval_graph_joins_each_vertex_its_two_intervals():
             for b in range(len(graph.nodes)) if mask >> b & 1 and a < b
         } == edges
         assert interval_graph(P) is graph  # built once
+
+
+def test_interval_graph_sweep_matches_edge_runs():
+    # the one-sweep build equals G_P assembled from maximal_edge_intervals,
+    # on every orientation of the free <= 8-ominoes and of three frames
+    from polyomino_ideals.grid import interval_graph
+
+    frames = [{(i, j) for i in range(w) for j in range(h) if i in (0, w - 1) or j in (0, h - 1)}
+              for w, h in ((3, 3), (4, 3), (4, 4))]
+    shapes = {image for cells in [*sorted(free_cellsets(8)), *frames]
+              for image in dihedral_images(cells)}
+    # the 3x3 frame is a free 8-omino; the 4x3 and 4x4 frames add 2 + 1 images
+    assert len(shapes) == 3792 + 3
+    for cells in shapes:
+        P = Polyomino(cells)
+        assert interval_graph(P) == interval_graph_from_runs(P)

@@ -31,6 +31,7 @@ from conftest import (
     brute_quotient_dimension,
     euler_simple,
     free_cellsets,
+    monomial,
     reference_normal_form,
     reference_reduce_groebner_basis,
     saturate_by_elimination,
@@ -43,8 +44,8 @@ def test_normal_form_single_step(P1):
     # the diagonal term of the unit square reduces to the antidiagonal
     order = canonical_order(4)
     minor = inner_minors(P1).generators[0]
-    diagonal = Polynomial.monomial((1, 0, 0, 1))
-    assert normal_form(diagonal, [minor], order) == Polynomial.monomial((0, 1, 1, 0))
+    diagonal = monomial((1, 0, 0, 1))
+    assert normal_form(diagonal, [minor], order) == monomial((0, 1, 1, 0))
 
 
 def test_normal_form_empty_basis():
@@ -255,7 +256,9 @@ def test_saturate_rejects_inhomogeneous():
 
 
 def test_saturate_step_limit_names_the_variable(P4):
-    with pytest.raises(StepLimitExceededError, match="saturating by x0"):
+    # x4, the 2x2 block's centre, is the only variable whose run is predicted
+    # to prove all 9 (``_predicted_proof``); no other is predicted above 4
+    with pytest.raises(StepLimitExceededError, match="saturating by x4"):
         saturate(inner_minors(P4), range(P4.num_vertices), step_limit=1)
 
 
@@ -312,8 +315,12 @@ def test_saturate_skips_regular_variables(monkeypatch):
 
     monkeypatch.setattr(groebner, "buchberger", counting)
     sat = saturate(F, range(16))
-    # x0 least, then x5, then x10: the schedule of the step-limit test below
-    assert [order.perm[-1] for order in runs] == [0, 5, 10]
+    # x5 least, then x10: the schedule of the step-limit test below.  Only
+    # x5 and x10, the inner vertices on the block's diagonal, are predicted
+    # to prove all 16 variables at first, and the lower index wins; after
+    # x5's run proves x5 and x15, x10's closure alone holds 9 variables and
+    # is predicted to prove 9, every other candidate 5
+    assert [order.perm[-1] for order in runs] == [5, 10]
     assert ideal_equal(sat, expected)
 
 
@@ -388,24 +395,24 @@ def test_lead_free_variables_are_regular():
 
 
 def test_saturate_step_limit_reports_progress(monkeypatch):
-    # the third run hits a step limit of 1: x0 and x5 are saturated; no
-    # leading monomial of the first run's basis (x0 least, then x15) has x15,
-    # so x15 is regular; and the cell binomial x0*x5 - x1*x4 proves x1 and x4
-    # regular too
+    # the second and last run, by x10, hits a step limit of 1: x5 is
+    # saturated, and no leading monomial of the first run's basis (x5 least,
+    # then x15) has x5 or x15, so both are regular; no element of that basis
+    # has a whole term among them, so the two-term closure adds nothing
     from polyomino_ideals import Polyomino, groebner
 
     F = _cell_lattice_binomials(Polyomino(THREE_BY_THREE))
     runs = []
     real = groebner.buchberger
 
-    def third_run_limited(gens, order, step_limit=None, *, regular=0):
+    def second_run_limited(gens, order, step_limit=None, *, regular=0):
         runs.append(order)
-        return real(gens, order, 1 if len(runs) == 3 else step_limit, regular=regular)
+        return real(gens, order, 1 if len(runs) == 2 else step_limit, regular=regular)
 
-    monkeypatch.setattr(groebner, "buchberger", third_run_limited)
+    monkeypatch.setattr(groebner, "buchberger", second_run_limited)
     with pytest.raises(
         StepLimitExceededError,
-        match=r"^saturating by x10 \(2 saturated, 5 regular of 16\): Buchberger exceeded 1 ",
+        match=r"^saturating by x10 \(1 saturated, 2 regular of 16\): Buchberger exceeded 1 ",
     ):
         saturate(F, range(16))
 

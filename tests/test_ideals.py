@@ -53,6 +53,7 @@ from conftest import (
     FIXED_POLYOMINO_COUNTS,
     chordless_cycles_brute,
     dihedral_images,
+    flood_fill_simple,
     free_cellsets,
     spair_sweep,
 )
@@ -478,15 +479,46 @@ def test_non_prime_saturation_needs_no_canonical_run(grid, monkeypatch):
     assert dividing and set(dividing) == {len(specs) - 1}
 
 
+def test_saturation_runs_on_the_non_simple_shapes(monkeypatch):
+    # the runs is_prime makes on the 44 non-simple free <= 9-ominoes and on
+    # the 3x3 and 4x3 frames, where the variable whose run is predicted to
+    # prove the most goes first (``groebner._predicted_proof``)
+    from polyomino_ideals import groebner
+
+    runs = []
+    real = groebner.buchberger
+
+    def counting(gens, order, step_limit=None, *, regular=0):
+        runs.append(order)
+        return real(gens, order, step_limit, regular=regular)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    shapes = [cells for cells in sorted(free_cellsets(9)) if not flood_fill_simple(cells)[0]]
+    assert len(shapes) == 1 + 6 + 37
+    for cells in shapes:
+        is_prime(Polyomino(cells))
+    assert len(runs) == 96
+    counts = []
+    for frame in FRAMES[:2]:
+        runs.clear()
+        is_prime(Polyomino(frame))
+        counts.append(len(runs))
+    assert counts == [2, 2]
+
+
 def test_is_prime_step_limit_reports_progress(monkeypatch):
     # a step limit hit while is_prime saturates names the variable and the
-    # requested variables saturated and proven regular before it
+    # requested variables saturated and proven regular before it.  x6 and
+    # x9, the hole's lower right and upper left corners, are predicted to
+    # prove 8 variables, the most, and the lower index goes first; its run
+    # proves x6, the lead-free x0 and x15, and by the two-term closure x2,
+    # x3, x4, x7 and x14, 8 in all, before x9's run
     from polyomino_ideals import groebner
 
     frame = FRAMES[0]  # 3x3, 16 vertices
     with pytest.raises(
         StepLimitExceededError,
-        match=r"^saturating by x0 \(0 saturated, 0 regular of 16\): Buchberger exceeded 1 ",
+        match=r"^saturating by x6 \(0 saturated, 0 regular of 16\): Buchberger exceeded 1 ",
     ):
         is_prime(Polyomino(frame), step_limit=1)
     runs = []
@@ -499,7 +531,7 @@ def test_is_prime_step_limit_reports_progress(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", second_run_limited)
     with pytest.raises(
         StepLimitExceededError,
-        match=r"^saturating by x6 \(1 saturated, 2 regular of 16\): Buchberger exceeded 1 ",
+        match=r"^saturating by x9 \(1 saturated, 8 regular of 16\): Buchberger exceeded 1 ",
     ):
         is_prime(Polyomino(frame))
 

@@ -19,7 +19,7 @@ from polyomino_ideals import (
     polynomial_str,
 )
 from polyomino_ideals.orders import SCHEMES
-from conftest import reference_order_key
+from conftest import monomial, reference_order_key
 
 
 def test_lex_ignores_degree():
@@ -148,10 +148,10 @@ def test_parse_order_spec_round_trip():
 
 
 def test_polynomial_arithmetic():
-    x = Polynomial.monomial((1, 0))
-    y = Polynomial.monomial((0, 1))
+    x = monomial((1, 0))
+    y = monomial((0, 1))
     assert (x + y) - y == x
-    assert x * y == Polynomial.monomial((1, 1))
+    assert x * y == monomial((1, 1))
     assert (x - x) == Polynomial.zero()
     assert not Polynomial.zero()
     assert 2 * x == Polynomial({(1, 0): 2})
@@ -161,9 +161,9 @@ def test_polynomial_arithmetic():
 def test_monomial_keeps_only_a_nonzero_coefficient():
     from fractions import Fraction
 
-    assert Polynomial.monomial((1, 2), -1).terms == {(1, 2): -1}
-    assert Polynomial.monomial((1, 2), Fraction(3, 2)) == Polynomial({(1, 2): Fraction(3, 2)})
-    assert Polynomial.monomial((1, 2), 0).terms == {}
+    assert monomial((1, 2), -1).terms == {(1, 2): -1}
+    assert monomial((1, 2), Fraction(3, 2)) == Polynomial({(1, 2): Fraction(3, 2)})
+    assert monomial((1, 2), 0).terms == {}
 
 
 def test_product_over_different_variable_counts_is_rejected():
@@ -233,4 +233,4 @@ def test_ideal_gens_validation():
     with pytest.raises(ValueError):
         IdealGens((Polynomial.zero(),), 2)
     with pytest.raises(ValueError):
-        IdealGens((Polynomial.monomial((1, 0, 0)),), 2)
+        IdealGens((monomial((1, 0, 0)),), 2)
