@@ -8,8 +8,8 @@ Run from the repository root:
 from polyomino_ideals import (
     HORIZONTAL,
     VERTICAL,
-    cell_degree,
     inner_intervals,
+    leaf_census,
     leaves,
     maximal_cell_interval,
     maximal_edge_intervals,
@@ -46,9 +46,9 @@ for ll, ur in inner_intervals(tromino):
     print(f"  [{ll}, {ur}]")
 print()
 
-print("Every cell's neighbor count, and the leaves (cells with a fully free edge):")
-for cell in tromino.cells_sorted:
-    print(f"  cell {cell}: degree {cell_degree(tromino, cell)}")
+print("How many cells have 0..4 neighbors, and the leaves (cells with a fully free edge):")
+census = leaf_census(tromino)
+print(f"  degrees 0..4: {census.n0}, {census.n1}, {census.n2}, {census.n3}, {census.n4}")
 for leaf in leaves(tromino):
     iv = maximal_cell_interval(tromino, leaf.cell,
                                HORIZONTAL if leaf.free_edge[0][0] == leaf.free_edge[1][0] else VERTICAL)

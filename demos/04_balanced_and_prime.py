@@ -5,16 +5,12 @@
 
 from polyomino_ideals import (
     admissible_lattice,
-    admissible_matrix,
-    cell_lattice_basis,
     dimension,
     ideal_equal,
     inner_minors,
-    invariant_factors,
     is_balanced,
     is_prime,
     lattice_ideal,
-    matrix_rank,
     parse_grid,
     render_grid,
 )
@@ -26,17 +22,13 @@ for name, P in (("staple", staple), ("frame", frame)):
     print(f"--- {name}")
     print(render_grid(P))
     cells, nverts = len(P), P.num_vertices
-    M = admissible_matrix(P)
+    report = is_balanced(P)
     adm = admissible_lattice(P)
     print(f"cells {cells}, vertices {nverts}")
-    print(f"interval constraints: {len(M)} rows of rank {matrix_rank(M)}")
-    print(f"admissible labelings form a lattice of rank {adm.rank}"
-          f" (cell lattice has rank {cells})")
-    factors = invariant_factors(cell_lattice_basis(P).vectors)
-    print(f"cell matrix invariant factors: {factors}")
-    print(f"  all 1, so the cell lattice is saturated: {factors == (1,) * cells}")
+    print(f"admissible labelings form a lattice of rank {report.adm_rank},"
+          f" counted on the interval graph; its basis has {adm.rank} vectors")
+    print(f"  the cell lattice has rank {cells}: equal ranks: {report.adm_rank == cells}")
 
-    report = is_balanced(P)
     print(f"balanced: {report.balanced}")
     if not report.balanced:
         print(f"  witness: labeling lattice rank {report.adm_rank} exceeds cell count {report.ncells},")
@@ -45,8 +37,8 @@ for name, P in (("staple", staple), ("frame", frame)):
         print(f"  certificate: all {report.cycles_checked} chordless cycles of the interval graph"
               " are inner 4-cycles,")
         print("  and those cycles generate the labeling ideal")
-        same = ideal_equal(inner_minors(P), lattice_ideal(P, cell_lattice_basis(P)))
-        print(f"  minor ideal equals the saturated cell-lattice ideal: {same}")
+        same = ideal_equal(inner_minors(P), lattice_ideal(P, adm))
+        print(f"  minor ideal equals the lattice ideal of the admissible labelings: {same}")
 
     print(f"prime: {is_prime(P)}")
     dim = dimension(P)

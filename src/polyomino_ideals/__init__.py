@@ -52,7 +52,6 @@ from .grid import (
     Leaf,
     Point,
     Polyomino,
-    cell_degree,
     cell_edges,
     cell_neighbors,
     cell_vertices,
@@ -78,9 +77,6 @@ from .ideals import (
     OrderOutcome,
     UniversalGBReport,
     admissible_lattice,
-    admissible_matrix,
-    cell_lattice_basis,
-    cell_vector,
     dimension,
     inner_minor,
     inner_minors,
@@ -92,7 +88,6 @@ from .ideals import (
     lattice_ideal,
     universal_gb_check,
     vector_binomial,
-    vector_labeling,
 )
 from .intlinalg import (
     LatticeBasis,
@@ -111,8 +106,6 @@ from .orders import (
 from .polynomials import (
     IdealGens,
     Polynomial,
-    is_pure_difference,
-    mono_divides,
     mono_is_squarefree,
     mono_lcm,
     mono_mul,

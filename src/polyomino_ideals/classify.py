@@ -26,10 +26,10 @@ from .grid import (
     CellInterval,
     Point,
     Polyomino,
+    _cycle_rank,
     cell_neighbors,
     connected_components,
     free_edge,
-    interval_graph,
     maximal_cell_interval,
     point_key,
 )
@@ -88,7 +88,8 @@ def is_simple(P: Polyomino) -> SimpleReport:
     """Whether the complement of P has no bounded component, read off the
     interval graph G_P (``grid.interval_graph``).
 
-    P is simple iff |V(P)| - |nodes of G_P| + 1 = |P|.  Let X be the union
+    P is simple iff |V(P)| - |nodes of G_P| + 1 = |P|, the left side being
+    G_P's cycle rank (``grid._cycle_rank``).  Let X be the union
     of P's closed cells, a connected 2-complex in the plane with |V(P)|
     vertices, the unit edges of P as edges and |P| faces.  Each vertex lies
     on exactly one node (maximal edge interval) per direction, and a node
@@ -108,7 +109,7 @@ def is_simple(P: Polyomino) -> SimpleReport:
     returned.  A flood fill that finds none contradicts the count and
     raises RuntimeError.
     """
-    if P.num_vertices - len(interval_graph(P).nodes) + 1 == len(P):
+    if _cycle_rank(P) == len(P):
         return SimpleReport(True, None)
     maxi, maxj = max(i for i, _ in P.cells), max(j for _, j in P.cells)
     box = {(i, j) for i in range(-1, maxi + 2) for j in range(-1, maxj + 2)}

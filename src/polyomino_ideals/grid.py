@@ -206,60 +206,18 @@ def free_polyominoes(max_cells: int) -> dict[int, list[Polyomino]]:
     return {n: [Polyomino(cells) for cells in sorted(shapes)] for n, shapes in levels.items()}
 
 
-def _merge_runs(values: list[int]) -> list[tuple[int, int]]:
-    """Merge a sorted list of ints into inclusive runs."""
-    runs = []
-    start = prev = values[0]
-    for x in values[1:]:
-        if x == prev + 1:
-            prev = x
-        else:
-            runs.append((start, prev))
-            start = prev = x
-    runs.append((start, prev))
-    return runs
-
-
-def maximal_edge_intervals(P: Polyomino, direction: str) -> list[EdgeInterval]:
-    """Inclusion-maximal runs of unit edges of P in the given direction.
-
-    Every direction-d edge of every cell lies in exactly one returned
-    interval.  A unit edge in row j from (i, j) to (i+1, j) is keyed by i;
-    vertical edges symmetrically by j.
-    """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
-    lines: dict[int, set[int]] = {}
-    for (i, j) in P.cells:
-        if direction == HORIZONTAL:
-            lines.setdefault(j, set()).add(i)
-            lines.setdefault(j + 1, set()).add(i)
-        else:
-            lines.setdefault(i, set()).add(j)
-            lines.setdefault(i + 1, set()).add(j)
-    out = []
-    for line, starts in lines.items():
-        for a, b in _merge_runs(sorted(starts)):
-            if direction == HORIZONTAL:
-                out.append(EdgeInterval((a, line), (b + 1, line), direction))
-            else:
-                out.append(EdgeInterval((line, a), (line, b + 1), direction))
-    out.sort(key=lambda iv: point_key(iv.start))
-    return out
-
-
 class IntervalGraph(NamedTuple):
     """The bipartite interval graph G_P of a polyomino; the one record of
     which intervals each vertex lies on.
 
     Its nodes are the maximal edge intervals, the horizontal ones first,
-    each direction in row-major order of the intervals' first vertices, as
-    ``maximal_edge_intervals`` lists them; each vertex of P is an edge
-    joining its horizontal interval to its vertical one, so two nodes share
-    at most one edge.  adjacency[a] is the bitmask of node a's neighbours,
-    rows[a] the ascending indices (``Polyomino.vertex_index``) of the
-    vertices on node a, and ends[k] the pair (horizontal node, vertical
-    node) that vertex k joins.
+    each direction in row-major order of the intervals' first vertices
+    (``maximal_edge_intervals`` lists one direction's); each vertex of P is
+    an edge joining its horizontal interval to its vertical one, so two
+    nodes share at most one edge.  adjacency[a] is the bitmask of node a's
+    neighbours, rows[a] the ascending indices (``Polyomino.vertex_index``)
+    of the vertices on node a, and ends[k] the pair (horizontal node,
+    vertical node) that vertex k joins.
     """
 
     nodes: tuple[EdgeInterval, ...]
@@ -278,8 +236,7 @@ def interval_graph(P: Polyomino) -> IntervalGraph:
     (x, y) joins the vertical node of (x, y-1), the last vertex seen in
     column x, iff cell (x, y-1) or (x-1, y-1) is in P.  Each direction's
     nodes are thus numbered in row-major order of their first vertices, and
-    each node's vertex indices come in ascending order, as the edge runs of
-    ``maximal_edge_intervals`` give them.
+    each node's vertex indices come in ascending order.
     """
 
     def build():
@@ -314,6 +271,23 @@ def interval_graph(P: Polyomino) -> IntervalGraph:
     return P.derived("interval_graph", build)
 
 
+def _cycle_rank(P: Polyomino) -> int:
+    """|V(P)| - |nodes of G_P| + 1, the cycle rank of the connected graph
+    G_P: the rank of the admissible lattice (``ideals.is_balanced``), equal
+    to |P| iff P is simple (``classify.is_simple``)."""
+    return P.num_vertices - len(interval_graph(P).nodes) + 1
+
+
+def maximal_edge_intervals(P: Polyomino, direction: str) -> list[EdgeInterval]:
+    """Inclusion-maximal runs of unit edges of P in the given direction, in
+    row-major order of their first vertices: the nodes of G_P
+    (``interval_graph``) in that direction.  Every direction-d edge of
+    every cell lies in exactly one of them."""
+    if direction not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}")
+    return [iv for iv in interval_graph(P).nodes if iv.direction == direction]
+
+
 def inner_intervals(P: Polyomino) -> list[tuple[Point, Point]]:
     """All intervals [(i,j),(k,l)], i<k and j<l, whose cells all lie in P.
 
@@ -336,13 +310,6 @@ def inner_intervals(P: Polyomino) -> list[tuple[Point, Point]]:
                         out.append(((i, j), (k, l)))
     out.sort(key=lambda iv: (point_key(iv[0]), point_key(iv[1])))
     return out
-
-
-def cell_degree(P: Polyomino, cell: Point) -> int:
-    """Number of cells of P sharing a full edge with the given cell."""
-    if cell not in P.cells:
-        raise CellNotInPolyominoError(f"{cell} is not a cell of the polyomino")
-    return sum(1 for nb in cell_neighbors(cell) if nb in P.cells)
 
 
 def free_edge(P: Collection[Point], cell: Point) -> tuple[Point, Point] | None:

@@ -85,8 +85,9 @@ from __future__ import annotations
 
 import heapq
 import os
+from functools import reduce
 from itertools import compress
-from operator import add, is_not, sub
+from operator import add, is_not, or_, sub
 
 from .errors import StepLimitExceededError
 from .orders import MonomialOrder, canonical_order
@@ -380,22 +381,11 @@ def _divide_out(g: Polynomial, v: int) -> Polynomial:
     return Polynomial({m[:v] + (m[v] - e,) + m[v + 1 :]: c for m, c in g.terms.items()})
 
 
-def _two_term_supports(gens, nvars: int) -> list:
-    """(support of x^a, support of x^b, their union) as bitmasks for every
-    two-term element c*x^a + d*x^b of gens."""
-    bits = tuple(1 << v for v in range(nvars))
-    out = []
-    for g in gens:
-        if len(g.terms) == 2:
-            a, b = (sum(compress(bits, m)) for m in g.terms)
-            out.append((a, b, a | b))
-    return out
-
-
 def _regular_closure(supports, mask: int) -> int:
     """Grow a bitmask of variables regular modulo I by the two-term rule of
     the module docstring, applied both ways until nothing grows; the
-    supports come from ``_two_term_supports`` of generators of I."""
+    supports are the (x^a mask, x^b mask, union) of generators x^a - x^b
+    of I, read off their validated form (``_binomial_form``)."""
     live = supports
     while True:
         before, rest = mask, []
@@ -409,21 +399,13 @@ def _regular_closure(supports, mask: int) -> int:
         live = rest
 
 
-def _lead_free(leads, nvars: int) -> int:
-    """Bitmask of the variables dividing none of the leading monomials."""
-    used = 0
-    for m in leads:
-        used |= sum(1 << w for w, e in enumerate(m) if e)
-    return ((1 << nvars) - 1) & ~used
-
-
 def _predicted_proof(supports, grown: int, v: int, nvars: int) -> int:
     """The variables that saturating x_v is predicted to prove regular.
 
-    Each two-term generator, given by its ``_two_term_supports`` entry, is
-    oriented as the run's graded reverse-lex order would orient it: the term
-    holding the support's least variable trails.  That variable is x_v if
-    the support holds it, else its highest index not in grown, else its
+    Each two-term generator, given by its entry in supports, is oriented
+    as the run's graded reverse-lex order would orient it: the term holding
+    the support's least variable trails.  That variable is x_v if the
+    support holds it, else its highest index not in grown, else its
     highest index (``_saturation_runs`` ranks the variables so).  The
     prediction is the closure of grown and the variables on no predicted
     lead; it only chooses the variable, and proves nothing.
@@ -466,24 +448,26 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
     gens = F
     for gens in _saturation_runs(F, variables, step_limit):
         pass
-    return F if gens is F else IdealGens(tuple(gens), F.nvars)
+    return gens
 
 
 def _saturation_runs(F: IdealGens, variables, step_limit):
     """The runs of ``saturate``, one Buchberger run per step: after each,
-    the current generators, F itself until a run divides something.  A
-    caller that only asks whether any run divides stops at the first step
-    that yields a list."""
+    the current generators, F itself until a run divides something, then
+    the divided basis as an ``IdealGens`` whose validated form the next run
+    reuses.  A caller that only asks whether any run divides stops at the
+    first step that yields another set."""
     n = F.nvars
     vs = sorted(set(variables))
     if any(v < 0 or v >= n for v in vs):
         raise ValueError("variable index out of range")
-    if not _binomial_form(F, n).homogeneous:
+    form = _binomial_form(F, n)
+    if not form.homogeneous:
         raise ValueError("saturation needs homogeneous generators")
     step_limit = _resolve_step_limit(step_limit)
     gens = F
     requested = sum(1 << v for v in vs)
-    supports = _two_term_supports(F.generators, n)
+    supports = [(up[1], up[4], up[1] | up[4]) for up, _ in form.pairs]
     regular = saturated = 0
     while requested & ~regular:
         grown = {
@@ -504,15 +488,16 @@ def _saturation_runs(F: IdealGens, variables, step_limit):
                 f"saturating by x{v} ({saturated} saturated, {done} regular "
                 f"of {len(vs)}): {exc}"
             ) from exc
-        quotients = [_divide_out(g, v) for g in gb]
+        quotients = IdealGens(tuple(_divide_out(g, v) for g in gb), n)
         if gens is not F or any(map(is_not, quotients, gb)):
             gens = quotients
         saturated += 1
         # the old generators lie in the saturation too, so grown[v] holds;
-        # the divided elements are monic, lead (the +1 term) minus trail
-        leads = (m for g in quotients for m, c in g.terms.items() if c == 1)
-        supports = _two_term_supports(quotients, n)
-        regular = _regular_closure(supports, grown[v] | _lead_free(leads, n))
+        # each divided element lists its lead first, so a (its up[1]) masks the lead
+        form = _binomial_form(quotients, n)
+        supports = [(up[1], up[4], up[1] | up[4]) for up, _ in form.pairs]
+        lead_free = ((1 << n) - 1) & ~reduce(or_, (a for a, _, _ in supports), 0)
+        regular = _regular_closure(supports, grown[v] | lead_free)
         yield gens
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from operator import gt
 
 from .errors import NotBalancedError, ZeroLabelingError
-from .grid import Point, Polyomino, inner_intervals, interval_graph
+from .grid import Point, Polyomino, _cycle_rank, inner_intervals, interval_graph
 from .groebner import (
     _BinomialBasis,
     _binomial_form,
@@ -82,38 +82,6 @@ def inner_minors(P: Polyomino) -> IdealGens:
     )
 
 
-def cell_vector(P: Polyomino, cell: Point) -> tuple[int, ...]:
-    """The vector e_ll + e_ur - e_lr - e_ul of a cell, in vertex coordinates."""
-    i, j = cell
-    idx = P.vertex_index
-    v = [0] * P.num_vertices
-    v[idx[(i, j)]] = 1
-    v[idx[(i + 1, j + 1)]] = 1
-    v[idx[(i + 1, j)]] = -1
-    v[idx[(i, j + 1)]] = -1
-    return tuple(v)
-
-
-def cell_lattice_basis(P: Polyomino) -> LatticeBasis:
-    """One vector per cell, in canonical cell order."""
-    return LatticeBasis(
-        tuple(cell_vector(P, c) for c in P.cells_sorted),
-        P.num_vertices,
-    )
-
-
-def admissible_matrix(P: Polyomino) -> list[list[int]]:
-    """0/1 incidence of maximal edge intervals (rows) versus vertices, the
-    horizontal intervals first, each direction in row-major order."""
-    rows = []
-    for ks in interval_graph(P).rows:
-        row = [0] * P.num_vertices
-        for k in ks:
-            row[k] = 1
-        rows.append(row)
-    return rows
-
-
 def labeling_vector(P: Polyomino, labeling: Labeling) -> list[int]:
     """Dense vector of a labeling: support inside V(P), every label an int."""
     idx = P.vertex_index
@@ -125,17 +93,6 @@ def labeling_vector(P: Polyomino, labeling: Labeling) -> list[int]:
             raise ValueError(f"label of vertex {pt} is {value!r}, not an integer")
         vec[idx[pt]] = value
     return vec
-
-
-def vector_labeling(P: Polyomino, vec) -> Labeling:
-    """Sparse labeling of a dense vector of length |V(P)|; every entry must
-    be an int."""
-    if len(vec) != P.num_vertices:
-        raise ValueError(f"vector of length {len(vec)}, not |V(P)| = {P.num_vertices}")
-    for pt, value in zip(P.vertices, vec):
-        if type(value) is not int:
-            raise ValueError(f"label of vertex {pt} is {value!r}, not an integer")
-    return {P.vertices[k]: v for k, v in enumerate(vec) if v}
 
 
 def is_admissible(P: Polyomino, labeling: Labeling) -> bool:
@@ -166,11 +123,11 @@ def admissible_lattice(P: Polyomino) -> LatticeBasis:
     """Saturated integer kernel of the admissible constraint matrix, as the
     rows of its Hermite normal form, read off a spanning tree of G_P.
 
-    Negating the vertical rows of ``admissible_matrix``, the incidence
-    matrix of G_P, keeps its kernel and makes each vertex an arc from its
-    horizontal node to its vertical one: the kernel is the lattice of
-    integer circulations on G_P, and the fundamental cycles of a spanning
-    tree are an integral basis of it.  The cycle of an arc k off the tree
+    Negating the vertical rows of the incidence matrix of G_P keeps its
+    kernel and makes each vertex an arc from its horizontal node to its
+    vertical one: the kernel is the lattice of integer circulations on
+    G_P, and the fundamental cycles of a spanning tree are an integral
+    basis of it.  The cycle of an arc k off the tree
     is +1 at k plus the tree path from k's vertical node back to its
     horizontal one, +1 on an arc crossed forward and -1 backward.
 
@@ -292,11 +249,6 @@ def _is_inner_four_cycle(P: Polyomino, cycle: tuple[int, ...]) -> bool:
     return all((r, t) in P.cells for r in range(i, k) for t in range(j, l))
 
 
-def _admissible_rank(P: Polyomino) -> int:
-    """Rank of the admissible lattice, counted on G_P (``is_balanced``)."""
-    return P.num_vertices - len(interval_graph(P).nodes) + 1
-
-
 def _cycle_verdict(P: Polyomino, step_limit: int) -> BalancedReport:
     """``is_balanced`` without the rank shortcut, kept on P: P is balanced
     iff every chordless cycle of G_P is an inner 4-cycle, whose binomial is
@@ -309,7 +261,7 @@ def _cycle_verdict(P: Polyomino, step_limit: int) -> BalancedReport:
         cycles = _cycle_search(P, primitive=True, chordless=True, step_limit=step_limit)
         outside = next((c for c in cycles if not _is_inner_four_cycle(P, c)), None)
         offending = None if outside is None else _index_binomial(P.num_vertices, outside)
-        return BalancedReport(offending is None, _admissible_rank(P), len(P), offending, len(cycles))
+        return BalancedReport(offending is None, _cycle_rank(P), len(P), offending, len(cycles))
 
     return P.derived("cycle_verdict", build)
 
@@ -321,9 +273,10 @@ def is_balanced(P: Polyomino, step_limit: int | None = None) -> BalancedReport:
     The cell vectors span a saturated lattice of rank |P| (the row-major
     largest cell (i, j) alone has vertex (i+1, j+1): unitriangular) inside
     the saturated admissible kernel, so the two are equal iff the kernel,
-    of rank |V(P)| minus that of ``admissible_matrix``, has rank |P|.
+    of rank |V(P)| minus that of the interval constraint matrix, has rank
+    |P|.
 
-    That rank is counted, not computed.  ``admissible_matrix`` is the
+    That rank is counted, not computed.  The constraint matrix is the
     unsigned incidence matrix of the interval graph G_P
     (``grid.interval_graph``): its nodes are the maximal edge intervals,
     and each vertex of P is an edge joining its horizontal interval to its
@@ -360,7 +313,7 @@ def is_balanced(P: Polyomino, step_limit: int | None = None) -> BalancedReport:
     ``is_prime`` and ``dimension`` reuse it.
     """
     step_limit = _resolve_step_limit(step_limit)
-    adm_rank = _admissible_rank(P)
+    adm_rank = _cycle_rank(P)
     if adm_rank != len(P):
         return BalancedReport(False, adm_rank, len(P))
     return _cycle_verdict(P, step_limit)

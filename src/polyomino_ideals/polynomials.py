@@ -12,17 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from operator import add, le, sub
+from operator import add, sub
 
 Monomial = tuple  # exponent tuple, one entry per variable
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
@@ -175,13 +171,6 @@ def _sparse_form(terms: dict) -> tuple:
             raise ValueError(f"minor with terms over {nvars} and {len(m)} variables")
         out.append(([(k, m[k]) for k in compress(range(nvars), m)], c))
     return nvars, out
-
-
-def is_pure_difference(p: Polynomial) -> bool:
-    """True when p is a difference of two monomials with coefficients +1, -1."""
-    if len(p.terms) != 2:
-        return False
-    return sorted(Fraction(c) for c in p.terms.values()) == [Fraction(-1), Fraction(1)]
 
 
 def polynomial_str(p: Polynomial, names=None) -> str:

@@ -15,7 +15,10 @@ from hypothesis import settings
 from polyomino_ideals import (
     HORIZONTAL,
     VERTICAL,
+    CellNotInPolyominoError,
+    EdgeInterval,
     IdealGens,
+    LatticeBasis,
     MonomialOrder,
     Polynomial,
     Polyomino,
@@ -23,8 +26,6 @@ from polyomino_ideals import (
     cell_neighbors,
     cell_vertices,
     is_tree_like,
-    maximal_edge_intervals,
-    mono_divides,
     mono_mul,
     point_key,
 )
@@ -183,6 +184,69 @@ def random_row_convex(max_cells: int, rng: random.Random) -> Polyomino:
 def random_column_convex(max_cells: int, rng: random.Random) -> Polyomino:
     P = random_row_convex(max_cells, rng)
     return Polyomino({(j, i) for i, j in P.cells})
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests and their oracles use
+
+
+def cell_degree(P: Polyomino, cell) -> int:
+    """Number of cells of P sharing a full edge with the given cell."""
+    if cell not in P.cells:
+        raise CellNotInPolyominoError(f"{cell} is not a cell of the polyomino")
+    return sum(1 for nb in cell_neighbors(cell) if nb in P.cells)
+
+
+def cell_vector(P: Polyomino, cell) -> tuple[int, ...]:
+    """The vector e_ll + e_ur - e_lr - e_ul of a cell, in vertex coordinates."""
+    i, j = cell
+    idx = P.vertex_index
+    v = [0] * P.num_vertices
+    v[idx[(i, j)]] = 1
+    v[idx[(i + 1, j + 1)]] = 1
+    v[idx[(i + 1, j)]] = -1
+    v[idx[(i, j + 1)]] = -1
+    return tuple(v)
+
+
+def cell_lattice_basis(P: Polyomino) -> LatticeBasis:
+    """One cell vector per cell, in row-major cell order."""
+    return LatticeBasis(tuple(cell_vector(P, c) for c in P.cells_sorted), P.num_vertices)
+
+
+def admissible_matrix(P: Polyomino) -> list[list[int]]:
+    """0/1 incidence of maximal edge intervals (rows) versus vertices, the
+    horizontal intervals first, each direction in row-major order; the rows
+    come from the walked runs (``interval_graph_from_runs``)."""
+    rows = []
+    for ks in interval_graph_from_runs(P).rows:
+        row = [0] * P.num_vertices
+        for k in ks:
+            row[k] = 1
+        rows.append(row)
+    return rows
+
+
+def vector_labeling(P: Polyomino, vec) -> dict:
+    """Sparse labeling of a dense vector of length |V(P)|; every entry must
+    be an int."""
+    if len(vec) != P.num_vertices:
+        raise ValueError(f"vector of length {len(vec)}, not |V(P)| = {P.num_vertices}")
+    for pt, value in zip(P.vertices, vec):
+        if type(value) is not int:
+            raise ValueError(f"label of vertex {pt} is {value!r}, not an integer")
+    return {P.vertices[k]: v for k, v in enumerate(vec) if v}
+
+
+def is_pure_difference(p: Polynomial) -> bool:
+    """True when p is a difference of two monomials with coefficients +1, -1."""
+    if len(p.terms) != 2:
+        return False
+    return sorted(Fraction(c) for c in p.terms.values()) == [Fraction(-1), Fraction(1)]
+
+
+def mono_divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -482,22 +546,40 @@ def chordless_cycles_brute(cells) -> set:
     return out
 
 
+def edge_runs(cells, direction) -> list:
+    """The maximal runs of unit edges of the cells in one direction, as
+    ``EdgeInterval``s in row-major order of their first vertices, found by
+    walking each vertex's run along ``unit_edges`` as
+    ``chordless_cycles_brute`` does."""
+    edges = unit_edges(cells)
+    di, dj = (1, 0) if direction == HORIZONTAL else (0, 1)
+    runs = set()
+    for v in {v for c in cells for v in cell_vertices(c)}:
+        lo = hi = v
+        while ((lo[0] - di, lo[1] - dj), lo) in edges:
+            lo = (lo[0] - di, lo[1] - dj)
+        while (hi, (hi[0] + di, hi[1] + dj)) in edges:
+            hi = (hi[0] + di, hi[1] + dj)
+        runs.add(EdgeInterval(lo, hi, direction))
+    return sorted(runs, key=lambda iv: point_key(iv.start))
+
+
 def interval_table(P: Polyomino) -> dict:
     """For each vertex and direction, the maximal edge interval through it,
-    read off ``maximal_edge_intervals`` rather than the interval graph."""
+    read off the walked runs (``edge_runs``) rather than the interval graph."""
     return {
         (v, direction): iv
         for direction in (HORIZONTAL, VERTICAL)
-        for iv in maximal_edge_intervals(P, direction)
+        for iv in edge_runs(P.cells, direction)
         for v in iv.vertices()
     }
 
 
 def interval_graph_from_runs(P: Polyomino) -> IntervalGraph:
-    """G_P assembled from ``maximal_edge_intervals``, the horizontal runs
-    first, rather than from the engine's one-sweep build."""
-    horizontal = maximal_edge_intervals(P, HORIZONTAL)
-    nodes = (*horizontal, *maximal_edge_intervals(P, VERTICAL))
+    """G_P assembled from the walked runs (``edge_runs``), the horizontal
+    runs first, rather than from the engine's one-sweep build."""
+    horizontal = edge_runs(P.cells, HORIZONTAL)
+    nodes = (*horizontal, *edge_runs(P.cells, VERTICAL))
     idx = P.vertex_index
     rows = tuple(tuple(idx[v] for v in iv.vertices()) for iv in nodes)
     ends = [[0, 0] for _ in range(P.num_vertices)]

@@ -14,8 +14,6 @@ from polyomino_ideals import (
     balanced_certificate_treelike,
     buchberger,
     canonical_order,
-    cell_degree,
-    cell_lattice_basis,
     cycle_binomial,
     dimension,
     enumerate_cycles,
@@ -40,6 +38,8 @@ from polyomino_ideals import (
     order_sample,
 )
 from conftest import (
+    cell_degree,
+    cell_lattice_basis,
     random_admissible_labeling,
     random_column_convex,
     random_row_convex,

@@ -15,26 +15,26 @@ from polyomino_ideals import (
     admissible_lattice,
     balanced_certificate_treelike,
     cell_neighbors,
-    cell_vector,
     expand_certificate,
     free_polyominoes,
     inner_minors,
     is_admissible,
-    is_pure_difference,
     is_tree_like,
     labeling_binomial,
     labeling_vector,
-    vector_labeling,
 )
 from polyomino_ideals import classify
 from polyomino_ideals.certificates import _certify, _peel_plan
 from conftest import (
+    cell_vector,
+    is_pure_difference,
     monomial,
     random_admissible_labeling,
     random_tree_like,
     rebuild_certify,
     rescan_peel,
     tree_like_oracle,
+    vector_labeling,
 )
 
 ALPHA_UNIT = {(0, 0): 1, (1, 1): 1, (1, 0): -1, (0, 1): -1}

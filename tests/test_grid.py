@@ -15,7 +15,6 @@ from polyomino_ideals import (
     InvalidCountError,
     NotConnectedError,
     Polyomino,
-    cell_degree,
     cell_edges,
     free_polyominoes,
     inner_intervals,
@@ -24,7 +23,9 @@ from polyomino_ideals import (
     maximal_edge_intervals,
 )
 from conftest import (
+    cell_degree,
     dihedral_images,
+    edge_runs,
     free_cellsets,
     grow_polyomino,
     interval_graph_from_runs,
@@ -200,6 +201,13 @@ def test_maximal_cell_interval(P3, P4):
         maximal_cell_interval(P3, (5, 5), HORIZONTAL)
 
 
+def test_interval_helpers_reject_unknown_direction(P3):
+    with pytest.raises(ValueError, match="unknown direction 'diagonal'"):
+        maximal_edge_intervals(P3, "diagonal")
+    with pytest.raises(ValueError, match="unknown direction 'diagonal'"):
+        maximal_cell_interval(P3, (0, 0), "diagonal")
+
+
 def test_vertex_count_matches_inclusion_exclusion(fixtures):
     small = [P for P in fixtures.values() if len(P) <= 4]
     rng = random.Random(3)
@@ -299,9 +307,6 @@ def test_interval_graph_joins_each_vertex_its_two_intervals():
     for cells in sorted(free_cellsets(6)):
         P = Polyomino(cells)
         graph = interval_graph(P)
-        assert graph.nodes == tuple(
-            iv for d in (HORIZONTAL, VERTICAL) for iv in maximal_edge_intervals(P, d)
-        )
         number = {iv: k for k, iv in enumerate(graph.nodes)}
         table = interval_table(P)
         edges = set()
@@ -322,8 +327,9 @@ def test_interval_graph_joins_each_vertex_its_two_intervals():
 
 
 def test_interval_graph_sweep_matches_edge_runs():
-    # the one-sweep build equals G_P assembled from maximal_edge_intervals,
-    # on every orientation of the free <= 8-ominoes and of three frames
+    # the one-sweep build equals G_P assembled from the unit-edge runs, and
+    # its nodes are maximal_edge_intervals, on every orientation of the
+    # free <= 8-ominoes and of three frames
     from polyomino_ideals.grid import interval_graph
 
     frames = [{(i, j) for i in range(w) for j in range(h) if i in (0, w - 1) or j in (0, h - 1)}
@@ -335,3 +341,5 @@ def test_interval_graph_sweep_matches_edge_runs():
     for cells in shapes:
         P = Polyomino(cells)
         assert interval_graph(P) == interval_graph_from_runs(P)
+        for d in (HORIZONTAL, VERTICAL):
+            assert maximal_edge_intervals(P, d) == edge_runs(cells, d)

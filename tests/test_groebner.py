@@ -18,7 +18,6 @@ from polyomino_ideals import (
     initial_ideal,
     inner_minors,
     is_prime,
-    is_pure_difference,
     is_squarefree,
     normal_form,
     order_sample,
@@ -29,8 +28,10 @@ from polyomino_ideals import (
 from polyomino_ideals.groebner import s_polynomial
 from conftest import (
     brute_quotient_dimension,
+    cell_lattice_basis,
     euler_simple,
     free_cellsets,
+    is_pure_difference,
     monomial,
     reference_normal_form,
     reference_reduce_groebner_basis,
@@ -195,8 +196,6 @@ def test_saturate_unit_square_minor(P1):
 
 
 def test_saturate_idempotent_and_extensive(P2):
-    from polyomino_ideals import cell_lattice_basis
-
     basis = cell_lattice_basis(P2)
     F = IdealGens(tuple(vector_binomial(v) for v in basis.vectors), P2.num_vertices)
     sat = saturate(F, range(P2.num_vertices))
@@ -226,8 +225,6 @@ def _random_variables(rng, nvars):
 
 
 def test_saturate_matches_elimination_oracle(P2, P3, P4):
-    from polyomino_ideals import cell_lattice_basis
-
     rng = random.Random(31)
     cases = []
     while len(cases) < 12:
@@ -263,8 +260,6 @@ def test_saturate_step_limit_names_the_variable(P4):
 
 
 def _cell_lattice_binomials(P):
-    from polyomino_ideals import cell_lattice_basis
-
     vectors = cell_lattice_basis(P).vectors
     return IdealGens(tuple(vector_binomial(v) for v in vectors), P.num_vertices)
 
@@ -275,7 +270,7 @@ THREE_BY_THREE = [(i, j) for i in range(3) for j in range(3)]
 def test_regular_closure_is_sound(P2, P3, P4):
     # every variable the closure proves regular beyond S is regular modulo
     # K = F : (prod S)^inf, by the independent elimination oracle
-    from polyomino_ideals.groebner import _regular_closure, _two_term_supports
+    from polyomino_ideals.groebner import _binomial_form, _regular_closure
 
     rng = random.Random(37)
     cases = []
@@ -290,7 +285,8 @@ def test_regular_closure_is_sound(P2, P3, P4):
         n = F.nvars
         S = rng.sample(range(n), rng.randint(1, n - 1))
         K = saturate_by_elimination(F, S)
-        mask = _regular_closure(_two_term_supports(K.generators, n), sum(1 << v for v in S))
+        supports = [(up[1], up[4], up[1] | up[4]) for up, _ in _binomial_form(K, n).pairs]
+        mask = _regular_closure(supports, sum(1 << v for v in S))
         for v in set(range(n)) - set(S):
             if mask >> v & 1:
                 proven += 1

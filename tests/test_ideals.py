@@ -17,11 +17,8 @@ from polyomino_ideals import (
     StepLimitExceededError,
     ZeroLabelingError,
     admissible_lattice,
-    admissible_matrix,
     buchberger,
     canonical_order,
-    cell_lattice_basis,
-    cell_vector,
     cycle_binomial,
     dimension,
     enumerate_cycles,
@@ -46,16 +43,20 @@ from polyomino_ideals import (
     saturate,
     universal_gb_check,
     vector_binomial,
-    vector_labeling,
 )
-from polyomino_ideals.ideals import _admissible_rank, _kept, _marked_alike
+from polyomino_ideals.grid import _cycle_rank
+from polyomino_ideals.ideals import _kept, _marked_alike
 from conftest import (
     FIXED_POLYOMINO_COUNTS,
+    admissible_matrix,
+    cell_lattice_basis,
+    cell_vector,
     chordless_cycles_brute,
     dihedral_images,
     flood_fill_simple,
     free_cellsets,
     spair_sweep,
+    vector_labeling,
 )
 
 ALPHA_UNIT = {(0, 0): 1, (1, 1): 1, (1, 0): -1, (0, 1): -1}
@@ -318,7 +319,7 @@ def test_admissible_lattice_is_the_hermite_form_of_the_kernel():
         P = Polyomino(cells)
         basis = admissible_lattice(P)
         assert basis == kernel_basis(admissible_matrix(P), ncols=P.num_vertices), P
-        assert basis.rank == _admissible_rank(P), P
+        assert basis.rank == _cycle_rank(P), P
 
 
 def test_is_balanced_matches_definition():

@@ -6,8 +6,6 @@ import pytest
 
 from polyomino_ideals import (
     LatticeBasis,
-    admissible_matrix,
-    cell_lattice_basis,
     hermite_normal_form,
     invariant_factors,
     kernel_basis,
@@ -15,6 +13,8 @@ from polyomino_ideals import (
 )
 from polyomino_ideals.intlinalg import identity_matrix, xgcd
 from conftest import (
+    admissible_matrix,
+    cell_lattice_basis,
     grow_polyomino,
     int_det,
     invariant_factors_by_minors,

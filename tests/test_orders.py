@@ -12,14 +12,13 @@ from polyomino_ideals import (
     MonomialOrder,
     Polynomial,
     canonical_order,
-    is_pure_difference,
     make_order,
     order_sample,
     parse_order_spec,
     polynomial_str,
 )
 from polyomino_ideals.orders import SCHEMES
-from conftest import monomial, reference_order_key
+from conftest import is_pure_difference, monomial, reference_order_key
 
 
 def test_lex_ignores_degree():
