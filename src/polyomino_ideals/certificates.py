@@ -23,9 +23,9 @@ minor) instead of adding whole exponent tuples.
 from __future__ import annotations
 
 from .classify import _peel_chain
-from .errors import NotAdmissibleError, NotTreeLikeError
+from .errors import NotTreeLikeError
 from .grid import HORIZONTAL, Polyomino
-from .ideals import _admissible_vector, _minor, labeling_vector
+from .ideals import _admissible_labeling_vector, _minor
 from .polynomials import Polynomial
 
 Certificate = list[tuple[Polynomial, Polynomial]]
@@ -154,8 +154,4 @@ def _certify(plan: list, vec: list[int]) -> Certificate:
 def balanced_certificate_treelike(P: Polyomino, labeling: dict) -> Certificate:
     """Express the labeling's binomial as an explicit combination of inner
     minors; only valid for tree-like polyominoes."""
-    plan = _peel_plan(P)
-    vec = labeling_vector(P, labeling)
-    if not _admissible_vector(P, vec):
-        raise NotAdmissibleError("labeling does not sum to zero on all intervals")
-    return _certify(plan, vec)
+    return _certify(_peel_plan(P), _admissible_labeling_vector(P, labeling))

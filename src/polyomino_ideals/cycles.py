@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAdmissibleError, StepLimitExceededError, ZeroLabelingError
+from .errors import StepLimitExceededError, ZeroLabelingError
 from .grid import Point, Polyomino, interval_graph
-from .ideals import _admissible_vector, labeling_vector
+from .ideals import _admissible_labeling_vector
 from .polynomials import Polynomial
 
 
@@ -149,11 +149,9 @@ def extract_cycle(P: Polyomino, labeling: dict) -> Cycle:
     least index and, if its first step is vertical (its first two vertices
     share no horizontal node), reversed after the first vertex.
     """
-    vec = labeling_vector(P, labeling)
+    vec = _admissible_labeling_vector(P, labeling)
     if not any(vec):
         raise ZeroLabelingError("cannot extract a cycle from the zero labeling")
-    if not _admissible_vector(P, vec):
-        raise NotAdmissibleError("labeling does not sum to zero on all intervals")
 
     graph = interval_graph(P)
     rows, ends = graph.rows, graph.ends

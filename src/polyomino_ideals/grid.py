@@ -107,8 +107,8 @@ class Polyomino:
     Polyomino and a plain set of cells serve the leaf helpers below alike.
     Data derived from the cells once per polyomino (the interval graph,
     which alone maps vertices to their edge intervals, the leaf-peeling
-    chain, the inner minors, the verdicts, and the minors' canonical basis
-    when ``dimension`` needs it) is kept through ``derived``.
+    chain, the inner minors and the verdicts, a non-prime verdict as the
+    leads that ``dimension`` reads) is kept through ``derived``.
     """
 
     def __init__(self, cells: Iterable[Point]):

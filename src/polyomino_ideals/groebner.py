@@ -67,7 +67,7 @@ I.  Under reverse-lex with x_w least this is Bayer-Stillman (Invent. Math.
 ``saturate`` computes proves its lead-free variables regular.  A run that
 divides nothing keeps the ideal, so when none does ``saturate`` returns
 its input itself; ``is_prime`` asks only whether some run divides, and
-stops the runs at the first that does.
+stops the runs at the first that does, whose basis ``dimension`` reads.
 
 Which variable to saturate next is a choice of schedule, not of soundness:
 every run is sound whatever x_v it takes.  ``saturate`` takes the x_v whose
@@ -381,11 +381,18 @@ def _divide_out(g: Polynomial, v: int) -> Polynomial:
     return Polynomial({m[:v] + (m[v] - e,) + m[v + 1 :]: c for m, c in g.terms.items()})
 
 
+def _supports(polys, bits) -> list:
+    """(first term's support mask, second's, union) of each binomial; each
+    element of a reduced basis, divided or not, lists its lead first."""
+    masks = ([sum(compress(bits, m)) for m in g.terms] for g in polys)
+    return [(a, b, a | b) for a, b in masks]
+
+
 def _regular_closure(supports, mask: int) -> int:
     """Grow a bitmask of variables regular modulo I by the two-term rule of
     the module docstring, applied both ways until nothing grows; the
     supports are the (x^a mask, x^b mask, union) of generators x^a - x^b
-    of I, read off their validated form (``_binomial_form``)."""
+    of I (``_supports``)."""
     live = supports
     while True:
         before, rest = mask, []
@@ -436,7 +443,7 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
     ones.
     Until a run divides something the ideal is F's, so each run starts
     from F itself, usually fewer generators than the last run's basis, for
-    the same reduced basis, and all those runs share F's validated form.
+    the same reduced basis; only sets that runs start from are validated.
     If no run divides anything, F itself comes back.
 
     Each Buchberger run is told the variables proven regular so far, modulo
@@ -446,17 +453,17 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
     requested variables saturated and proven regular before it.
     """
     gens = F
-    for gens in _saturation_runs(F, variables, step_limit):
+    for gens, _ in _saturation_runs(F, variables, step_limit):
         pass
     return gens
 
 
 def _saturation_runs(F: IdealGens, variables, step_limit):
-    """The runs of ``saturate``, one Buchberger run per step: after each,
-    the current generators, F itself until a run divides something, then
-    the divided basis as an ``IdealGens`` whose validated form the next run
-    reuses.  A caller that only asks whether any run divides stops at the
-    first step that yields another set."""
+    """The runs of ``saturate``: after each, the current generators (F until
+    a run divides something, then each run's divided basis) and the run's
+    reduced basis.  The first step whose generators are not F yields the
+    reduced basis of F's own ideal under that run's order; a caller that
+    only asks whether any run divides stops there."""
     n = F.nvars
     vs = sorted(set(variables))
     if any(v < 0 or v >= n for v in vs):
@@ -467,7 +474,7 @@ def _saturation_runs(F: IdealGens, variables, step_limit):
     step_limit = _resolve_step_limit(step_limit)
     gens = F
     requested = sum(1 << v for v in vs)
-    supports = [(up[1], up[4], up[1] | up[4]) for up, _ in form.pairs]
+    supports = _supports(F.generators, form.bits)
     regular = saturated = 0
     while requested & ~regular:
         grown = {
@@ -488,17 +495,15 @@ def _saturation_runs(F: IdealGens, variables, step_limit):
                 f"saturating by x{v} ({saturated} saturated, {done} regular "
                 f"of {len(vs)}): {exc}"
             ) from exc
-        quotients = IdealGens(tuple(_divide_out(g, v) for g in gb), n)
+        quotients = [_divide_out(g, v) for g in gb]
         if gens is not F or any(map(is_not, quotients, gb)):
-            gens = quotients
+            gens = IdealGens(tuple(quotients), n)
         saturated += 1
-        # the old generators lie in the saturation too, so grown[v] holds;
-        # each divided element lists its lead first, so a (its up[1]) masks the lead
-        form = _binomial_form(quotients, n)
-        supports = [(up[1], up[4], up[1] | up[4]) for up, _ in form.pairs]
+        # the old generators lie in the saturation too, so grown[v] holds
+        supports = _supports(quotients, form.bits)
         lead_free = ((1 << n) - 1) & ~reduce(or_, (a for a, _, _ in supports), 0)
         regular = _regular_closure(supports, grown[v] | lead_free)
-        yield gens
+        yield gens, gb
 
 
 def quotient_dimension(initial_gens, nvars: int) -> int:
@@ -514,8 +519,6 @@ def quotient_dimension(initial_gens, nvars: int) -> int:
         if not s:
             raise ValueError("monomial ideal contains a unit")
         supports.add(s)
-    if not supports:
-        return nvars
     minimal = [s for s in supports if not any(t < s for t in supports)]
     minimal.sort(key=lambda s: (len(s), sorted(s)))
 

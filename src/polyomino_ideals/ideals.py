@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import gt
 
-from .errors import NotBalancedError, ZeroLabelingError
+from .errors import NotAdmissibleError, NotBalancedError, ZeroLabelingError
 from .grid import Point, Polyomino, _cycle_rank, inner_intervals, interval_graph
 from .groebner import (
     _BinomialBasis,
@@ -34,13 +34,11 @@ from .groebner import (
     _resolve_step_limit,
     _saturation_runs,
     buchberger,
-    initial_ideal,
     is_squarefree,
     quotient_dimension,
     saturate,
 )
 from .intlinalg import LatticeBasis
-from .orders import canonical_order
 from .polynomials import IdealGens, Polynomial
 
 Labeling = dict  # Point -> int
@@ -103,6 +101,14 @@ def is_admissible(P: Polyomino, labeling: Labeling) -> bool:
 def _admissible_vector(P: Polyomino, vec: list[int]) -> bool:
     """``is_admissible`` on a dense labeling vector."""
     return all(sum(map(vec.__getitem__, ks)) == 0 for ks in interval_graph(P).rows)
+
+
+def _admissible_labeling_vector(P: Polyomino, labeling: Labeling) -> list[int]:
+    """``labeling_vector`` of an admissible labeling, else NotAdmissibleError."""
+    vec = labeling_vector(P, labeling)
+    if not _admissible_vector(P, vec):
+        raise NotAdmissibleError("labeling does not sum to zero on all intervals")
+    return vec
 
 
 def vector_binomial(vec) -> Polynomial:
@@ -328,7 +334,7 @@ def is_prime(P: Polyomino, step_limit: int | None = None) -> bool:
     ideal free of variables equals its saturation.  When the admissible
     kernel has rank |P| it is the cell lattice, so that saturation is the
     labeling ideal and primality is balancedness, decided on the interval
-    graph.
+    graph: a balanced P is prime with no Groebner basis.
 
     Otherwise saturating the minors by all variables decides, by whether
     any run divides, and the runs stop at the first that does; no
@@ -341,15 +347,16 @@ def is_prime(P: Polyomino, step_limit: int | None = None) -> bool:
     lattice ideal), and I_P is not prime.  If no run divides, I_P is its
     own saturation (the skipped variables are regular), the lattice ideal
     of the saturated cell lattice, which is prime.  The verdict is kept on
-    P, so ``dimension`` does not saturate again.
+    P as the leads of the basis that the dividing run computed, None when
+    no run divides, so ``dimension`` reads them with no run of its own.
     """
-    report = is_balanced(P, step_limit)
-    if report.adm_rank == report.ncells:
-        return report.balanced
+    if is_balanced(P, step_limit).balanced:
+        return True
     minors = _minors(P)
-    return P.derived("prime", lambda: all(
-        gens is minors
-        for gens in _saturation_runs(minors, range(P.num_vertices), step_limit)))
+    return P.derived("prime", lambda: next(
+        (tuple(m for g in gb for m, c in g.terms.items() if c == 1)
+         for gens, gb in _saturation_runs(minors, range(P.num_vertices), step_limit)
+         if gens is not minors), None)) is None
 
 
 def dimension(P: Polyomino, step_limit: int | None = None) -> int:
@@ -357,18 +364,13 @@ def dimension(P: Polyomino, step_limit: int | None = None) -> int:
 
     A prime polyomino ideal is the lattice ideal of the cell lattice, of
     height its rank |P|, so the dimension is |V(P)| - |P|.  Otherwise it is
-    the dimension of the quotient by the initial ideal of the inner minors'
-    reduced basis under the canonical order, built once and kept on P.  No
-    other function builds it: ``universal_gb_check`` reads membership off
-    its first order's basis, since x^a - x^b lies in I_P iff std(a) = std(b)
-    modulo any Groebner basis.
+    the dimension of S/in(I_P), which has the Hilbert function of S/I_P
+    under any order, read off the leads that ``is_prime`` kept on P: the
+    first dividing saturation run computed I_P's reduced basis.
     """
     if is_prime(P, step_limit):
         return P.num_vertices - len(P)
-    order = canonical_order(P.num_vertices)
-    gb = P.derived("canonical_minor_basis",
-                   lambda: tuple(buchberger(_minors(P), order, step_limit)))
-    return quotient_dimension(initial_ideal(gb, order), P.num_vertices)
+    return quotient_dimension(P.derived("prime", None), P.num_vertices)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from functools import lru_cache
+from itertools import combinations, zip_longest
+from math import comb, gcd
 from operator import mul, neg
 
 import pytest
@@ -23,11 +24,15 @@ from polyomino_ideals import (
     Polynomial,
     Polyomino,
     buchberger,
+    canonical_order,
     cell_neighbors,
     cell_vertices,
+    initial_ideal,
+    inner_minors,
     is_tree_like,
     mono_mul,
     point_key,
+    quotient_dimension,
 )
 from polyomino_ideals.grid import IntervalGraph, connected_components
 from polyomino_ideals.groebner import s_polynomial
@@ -363,6 +368,77 @@ def brute_quotient_dimension(monomials, nvars: int) -> int:
         if all(not s <= subset for s in supports):
             best = max(best, len(subset))
     return best
+
+
+def canonical_dimension(P: Polyomino) -> int:
+    """Krull dimension of S/I_P from the leads of the inner minors' reduced
+    basis under the canonical order: a route that shares no saturation run
+    with ``dimension``."""
+    order = canonical_order(P.num_vertices)
+    leads = initial_ideal(buchberger(inner_minors(P), order), order)
+    return quotient_dimension(leads, P.num_vertices)
+
+
+def face_counts(nonfaces, nvars: int) -> list[int]:
+    """Faces by size of the simplicial complex on nvars vertices whose
+    minimal nonfaces are the given bitmasks: the variable sets holding no
+    nonface.  Branches on the vertex in the most nonfaces, memoized on the
+    nonfaces left and the vertices left."""
+
+    @lru_cache(maxsize=None)
+    def count(edges: frozenset, free: int) -> tuple:
+        if not edges:
+            k = free.bit_count()
+            return tuple(comb(k, i) for i in range(k + 1))
+        v = max(range(nvars), key=lambda w: (sum(e >> w & 1 for e in edges), -w))
+        bit = 1 << v
+        without = count(frozenset(e for e in edges if not e & bit), free & ~bit)
+        if bit in edges:  # v alone is a nonface
+            return without
+        shrunk = {e & ~bit for e in edges}
+        minimal = frozenset(e for e in shrunk if not any(f != e and f & e == f for f in shrunk))
+        with_v = (0,) + count(minimal, free & ~bit)
+        return tuple(map(sum, zip_longest(without, with_v, fillvalue=0)))
+
+    return list(count(frozenset(nonfaces), (1 << nvars) - 1))
+
+
+def h_polynomial(faces: list[int]) -> list[int]:
+    """h-vector from faces by size: h(t) = sum_i f_i t^i (1 - t)^(d - i),
+    d the largest face size."""
+    d = len(faces) - 1
+    h = [0] * (d + 1)
+    for i, f in enumerate(faces):
+        for j in range(d - i + 1):
+            h[i + j] += f * comb(d - i, j) * (-1) ** j
+    while len(h) > 1 and not h[-1]:
+        h.pop()
+    return h
+
+
+def rook_polynomial(cells) -> list[int]:
+    """r_k, the ways to put k rooks on cells with no two attacking, by brute
+    force: two rooks attack when they share a row or a column and every
+    cell between them is a cell too."""
+    cells = sorted(cells)
+    cellset = set(cells)
+
+    def attack(a, b):
+        for t in (0, 1):
+            if a[1 - t] == b[1 - t]:
+                lo, hi = sorted((a[t], b[t]))
+                return all(((x, a[1]) if t == 0 else (a[0], x)) in cellset
+                           for x in range(lo, hi + 1))
+        return False
+
+    counts = [0] * (len(cells) + 1)
+    for mask in range(1 << len(cells)):
+        chosen = [c for k, c in enumerate(cells) if mask >> k & 1]
+        if not any(attack(a, b) for a, b in combinations(chosen, 2)):
+            counts[len(chosen)] += 1
+    while len(counts) > 1 and not counts[-1]:
+        counts.pop()
+    return counts
 
 
 def leaf_cells(cells) -> list:

@@ -39,7 +39,6 @@ from polyomino_ideals import (
     normal_form,
     order_sample,
     parse_grid,
-    quotient_dimension,
     saturate,
     universal_gb_check,
     vector_binomial,
@@ -49,12 +48,16 @@ from polyomino_ideals.ideals import _kept, _marked_alike
 from conftest import (
     FIXED_POLYOMINO_COUNTS,
     admissible_matrix,
+    canonical_dimension,
     cell_lattice_basis,
     cell_vector,
     chordless_cycles_brute,
     dihedral_images,
+    face_counts,
     flood_fill_simple,
     free_cellsets,
+    h_polynomial,
+    rook_polynomial,
     spair_sweep,
     vector_labeling,
 )
@@ -212,21 +215,20 @@ def test_dimension(P1, P2, P4):
     assert dimension(P4) == 5
 
 
-def test_canonical_minor_basis_built_once(monkeypatch):
+def test_no_canonical_order_run(monkeypatch):
     # is_balanced, is_prime and dimension settle a simple shape on its
     # interval graph, with no Buchberger run, saturation or simplicity test;
-    # universal_gb_check runs only under the orders it is given, so it makes
-    # no canonical-order run for the others.  Only dimension of a non-prime
-    # shape builds the canonical minor basis, once, and keeps it
+    # universal_gb_check runs only under the orders it is given.  No
+    # function runs the canonical order: dimension of a non-prime shape
+    # reads the leads that is_prime's first dividing run kept on it
     from polyomino_ideals import classify, groebner, ideals
 
     P = Polyomino({(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)})  # fresh, nothing cached
-    runs = []  # the generators of every canonical-order run
+    runs = []  # the order of every Buchberger run
     real = groebner.buchberger
 
     def counting(gens, order, step_limit=None, *, regular=0):
-        if repr(order) == repr(canonical_order(order.nvars)):
-            runs.append(tuple(gens))
+        runs.append(order.spec_string())
         return real(gens, order, step_limit, regular=regular)
 
     saturations = []
@@ -257,19 +259,109 @@ def test_canonical_minor_basis_built_once(monkeypatch):
     assert dimension(P) == P.num_vertices - len(P)
     assert (runs, saturations, built) == ([], [], [])
     n = P.num_vertices
-    others = [o for o in order_sample(n) if repr(o) != repr(canonical_order(n))]
+    canonical = canonical_order(n).spec_string()
+    others = [o for o in order_sample(n) if o.spec_string() != canonical]
     assert len(others) == 13
     assert universal_gb_check(P, others).passed
     assert universal_gb_check(P, [MonomialOrder("lex", n)]).passed
-    assert (runs, saturations, built) == ([], [], [P])
+    assert runs and canonical not in runs and (saturations, built) == ([], [P])
+    # dimension on a fresh non-prime shape, twice, runs what is_prime runs
+    # on another fresh copy, and nothing more
+    del runs[:]
     Q = parse_grid(NON_PRIME[0])  # fresh, nothing cached
     assert dimension(Q) == dimension(Q) == Q.num_vertices - len(Q) == 10
-    assert runs == [real_minors(Q).generators]
-    assert built == [P, Q]
-    # a kept verdict or basis does not skip the step-limit check
+    by_dimension = runs[:]
+    del runs[:]
+    assert is_prime(parse_grid(NON_PRIME[0])) is False  # fresh again
+    assert by_dimension == runs != []
+    assert canonical_order(Q.num_vertices).spec_string() not in runs
+    assert len(saturations) == 2 and built[1:] == [Q, Q]
+    # a kept verdict does not skip the step-limit check
     for shape in (P, Q):
         with pytest.raises(ValueError, match="step_limit must be at least 1, got 0"):
             dimension(shape, step_limit=0)
+
+
+@lru_cache(maxsize=None)
+def _non_prime_cells() -> tuple:
+    """The cells of the non-prime free <= 10-ominoes, all non-simple."""
+    levels = free_polyominoes(10)
+    return tuple(P.cells for n in sorted(levels) for P in levels[n]
+                 if not is_simple(P).simple and not is_prime(P))
+
+
+def test_dimension_reads_the_dividing_run(monkeypatch):
+    # dimension of a non-prime shape makes no Buchberger run once is_prime
+    # has run, and is_prime validates the minors' binomial form once and
+    # no run's divided basis that no later run starts from
+    from polyomino_ideals import groebner, ideals
+
+    shapes = [Polyomino(cells) for cells in _non_prime_cells()]  # fresh
+    assert len(shapes) == 2 + 12 and {len(P) for P in shapes} == {9, 10}
+    for P in shapes:
+        assert not is_prime(P)
+    runs, forms = [], []
+    real, real_form = groebner.buchberger, groebner._Binomials
+
+    def counting(gens, order, step_limit=None, *, regular=0):
+        runs.append(order)
+        return real(gens, order, step_limit, regular=regular)
+
+    class Counting(real_form):
+        def __init__(self, polys, nvars):
+            forms.append(nvars)
+            super().__init__(polys, nvars)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    monkeypatch.setattr(ideals, "buchberger", counting)
+    monkeypatch.setattr(groebner, "_Binomials", Counting)
+    assert [dimension(P) for P in shapes] == [P.num_vertices - len(P) for P in shapes]
+    assert runs == []
+    built = []
+    for w, h in ((3, 3), (4, 3), (3, 4)):
+        del forms[:]
+        frame = Polyomino({(i, j) for i in range(w) for j in range(h)
+                           if i in (0, w - 1) or j in (0, h - 1)})  # fresh
+        assert is_prime(frame)
+        built.append(len(forms))
+    assert built == [1, 1, 1]
+
+
+def test_dimension_matches_the_canonical_basis():
+    # the saturation run's leads against the canonical order's, on every
+    # non-prime free <= 10-omino and on the frames
+    shapes = [*map(Polyomino, _non_prime_cells()), *map(Polyomino, FRAMES)]
+    assert len(shapes) == 14 + 3
+    for P in shapes:
+        assert dimension(P) == canonical_dimension(P), P
+
+
+def test_h_polynomial_is_the_rook_polynomial_on_thin_shapes():
+    # for a simple thin polyomino (no 2x2 block of cells) the h-polynomial
+    # of K[P] is its rook polynomial (Rinaldo-Romeo, J. Algebraic Combin.
+    # 54, 2021); K[P] and S/in(I_P) share their Hilbert series, and the
+    # canonical leads are squarefree, so h comes from the face counts of
+    # their Stanley-Reisner complex.  The 2x2 block is the non-thin control
+    def h_and_rooks(cells):
+        P = Polyomino(cells)
+        order = canonical_order(P.num_vertices)
+        leads = initial_ideal(buchberger(inner_minors(P), order), order)
+        assert is_squarefree(leads), P
+        faces = face_counts([sum(1 << v for v, e in enumerate(m) if e) for m in leads],
+                            P.num_vertices)
+        assert len(faces) - 1 == P.num_vertices - len(P), P  # the dimension
+        return h_polynomial(faces), rook_polynomial(cells)
+
+    def thin(cells):
+        return not any({(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= cells for i, j in cells)
+
+    shapes = [cells for cells in sorted(free_cellsets(8))
+              if thin(set(cells)) and flood_fill_simple(cells)[0]]
+    assert len(shapes) == 378
+    for cells in shapes:
+        h, rooks = h_and_rooks(cells)
+        assert h == rooks, cells
+    assert h_and_rooks(((0, 0), (0, 1), (1, 0), (1, 1))) == ([1, 4, 1], [1, 4, 2])
 
 
 def test_chordless_cycle_search_counts_against_the_step_limit():
@@ -337,9 +429,7 @@ def test_is_balanced_matches_definition():
         balanced = adm_rank == len(P) and prime
         if len(P) <= 6:
             assert balanced == _balanced_by_definition(P), P
-        order = canonical_order(P.num_vertices)
-        gb = buchberger(inner_minors(P), order)
-        dim = quotient_dimension(initial_ideal(gb, order), P.num_vertices)
+        dim = canonical_dimension(P)
         assert (report.balanced, report.adm_rank, report.ncells) == (balanced, adm_rank, len(P)), P
         assert report.offending is None
         assert (is_prime(P), dimension(P)) == (prime, dim), P
