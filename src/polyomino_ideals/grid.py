@@ -173,17 +173,43 @@ class Polyomino:
         return len(self.vertices)
 
 
+def _images(points) -> list[list[Point]]:
+    """The eight images of a point list under the symmetries of the square,
+    each translation-normalized and listed point by point, the identity
+    first.  On a cell list (lower left corners) and on its vertex list the
+    same symmetry differs only by a translation, so after normalizing, a
+    cell's image and its vertices' images are again a cell and its vertices."""
+    xs, ys = [i for i, _ in points], [j for _, j in points]
+    shift_i, shift_j = {1: -min(xs), -1: max(xs)}, {1: -min(ys), -1: max(ys)}
+    out = []
+    for a in (1, -1):
+        for b in (1, -1):
+            ai, bj, aj, bi = shift_i[a], shift_j[b], shift_j[a], shift_i[b]
+            out.append([(a * i + ai, b * j + bj) for i, j in points])
+            out.append([(a * j + aj, b * i + bi) for i, j in points])
+    return out
+
+
 def _free_form(cells) -> tuple[Point, ...]:
     """The least sorted, translation-normalized image of a cell set under the
     eight symmetries of the square: one representative per dihedral class."""
-    forms = []
-    for a in (1, -1):
-        for b in (1, -1):
-            for image in ([(a * i, b * j) for i, j in cells], [(a * j, b * i) for i, j in cells]):
-                mini = min(i for i, _ in image)
-                minj = min(j for _, j in image)
-                forms.append(tuple(sorted((i - mini, j - minj) for i, j in image)))
-    return min(forms)
+    return min(tuple(sorted(image)) for image in _images(cells))
+
+
+def _symmetries(P: Polyomino) -> tuple[tuple[int, ...], ...]:
+    """The symmetries of the square other than the identity that map P onto
+    itself, each as the permutation sigma of the vertex indices
+    (``Polyomino.vertex_index``) with vertex k going to sigma[k]; kept on P."""
+
+    def build():
+        images = _images(P.cells_sorted)
+        kept = [t for t in range(1, 8) if P.cells.issuperset(images[t])]
+        if not kept:
+            return ()
+        idx, images = P.vertex_index, _images(P.vertices)
+        return tuple(tuple(map(idx.__getitem__, images[t])) for t in kept)
+
+    return P.derived("symmetries", build)
 
 
 def free_polyominoes(max_cells: int) -> dict[int, list[Polyomino]]:

@@ -48,6 +48,19 @@ swaps a term's monomial for a smaller one, so each term c*x^m of f becomes
 c*x^std(m), std rewriting by the first listed lead dividing it until none
 does, and equal monomials merge.
 
+The leads whose support lies inside a monomial's are found in one pass of
+big-integer arithmetic, not a loop over the leads.  With n variables, lead
+k owns a field of w = bit_length(n + 1) + 1 bits, at bit k*w of three
+integers: cw[v] holds 1 there when x_v divides lead k, comp holds
+2^(w-1) - |supp(lead k)| and highs holds 2^(w-1).  highs may run ahead
+into fields not yet in use; those are 0 in cw and comp.  Summing cw[v]
+over the v in supp(m) puts |supp(lead k) & supp(m)| in field k, so in
+(sum + comp) & highs field k keeps its top bit exactly when supp(lead k)
+lies inside supp(m).  No field exceeds 2^(w-1) < 2^w, so no carry crosses
+into the next field.  The set bits, lowest first, are the candidates in
+listed order; a lead with exponents above 1 still compares them.  So the
+first listed dividing lead is the one chosen, as a scan would choose it.
+
 ``saturate`` works one variable at a time: for a homogeneous ideal, a graded
 reverse-lex Groebner basis with x_v least, with every element divided by the
 largest power of x_v dividing it, generates the saturation by x_v
@@ -68,6 +81,17 @@ I.  Under reverse-lex with x_w least this is Bayer-Stillman (Invent. Math.
 divides nothing keeps the ideal, so when none does ``saturate`` returns
 its input itself; ``is_prime`` asks only whether some run divides, and
 stops the runs at the first that does, whose basis ``dimension`` reads.
+
+A symmetry of the generators proves more.  Let sigma permute the variables
+so that it maps the generator set onto itself up to sign.  Then sigma is a
+ring automorphism with sigma(I) = I.  If x_v is regular modulo I and
+x_sigma(v)*g lies in I, applying sigma^-1 puts x_v*sigma^-1(g) in I, so
+sigma^-1(g) lies in I, and so does g: x_sigma(v) is regular too.  So while
+no run has divided, the ideal is F's and the regular variables are closed
+under the permutations given, then under the two-term rule again, until
+they stop growing.  ``is_prime`` gives the symmetries of the square that
+map P onto itself (``grid._symmetries``); a permutation that does not map
+the generators onto themselves raises ValueError.
 
 Which variable to saturate next is a choice of schedule, not of soundness:
 every run is sound whatever x_v it takes.  ``saturate`` takes the x_v whose
@@ -174,9 +198,14 @@ class _BinomialBasis:
     It starts from a validated form, each generator oriented by the keys of
     its two terms.  A lead divides m only if its support lies inside m's;
     for a squarefree lead that decides it, otherwise the exponents above 1
-    (``powers``) are compared too.  ``standard`` rewrites a monomial by the
-    first listed lead dividing it until none does; an S-pair's two terms
-    are rewritten on their own.
+    (``powers``) are compared too.  The support test is the bit-parallel
+    index of the module docstring: lead k owns bits [k*width, (k+1)*width)
+    of ``cw[v]`` (1 when x_v is in its support), ``comp`` (top bit minus
+    its support size) and ``highs`` (the top bit).  ``highs`` is doubled
+    as the leads grow, so it may cover fields not yet in use; those are 0
+    in ``cw`` and ``comp``, so they never give a candidate.  ``standard``
+    rewrites a monomial by the first listed lead dividing it until none
+    does; an S-pair's two terms are rewritten on their own.
     """
 
     def __init__(self, form: _Binomials, key):
@@ -189,6 +218,11 @@ class _BinomialBasis:
         self.trails: list = []
         self.tmasks: list = []
         self.shifts: list = []
+        self.variables = range(len(form.bits))
+        self.width = (len(form.bits) + 1).bit_length() + 1
+        self.top = self.highs = 1 << self.width - 1
+        self.cw = [0] * len(form.bits)
+        self.comp = 0
         for up, down in form.pairs:
             ka, kb = key(up[0]), key(down[0])
             if ka > kb:
@@ -197,8 +231,16 @@ class _BinomialBasis:
                 self.adopt(down, kb)
 
     def adopt(self, record: tuple, lkey) -> None:
-        """Append a ``_record`` whose lead has order key lkey."""
+        """Append a ``_record`` whose lead has order key lkey, and its field
+        to the index."""
         lead, mask, powers, trail, tmask, shift = record
+        field = len(self.leads) * self.width
+        cw, one = self.cw, 1 << field
+        for v in compress(self.variables, lead):
+            cw[v] += one
+        self.comp += self.top - mask.bit_count() << field
+        if field >= self.highs.bit_length():  # double the fields covered
+            self.highs |= self.highs << field
         self.leads.append(lead)
         self.lkeys.append(lkey)
         self.masks.append(mask)
@@ -207,22 +249,29 @@ class _BinomialBasis:
         self.tmasks.append(tmask)
         self.shifts.append(shift)
 
-    def divisors(self, m: Monomial, outside: int):
-        """Indices of the leads dividing m, in order; outside is ~support(m)."""
-        powers = self.powers
-        for k, mask in enumerate(self.masks):
-            if mask & outside or powers[k] and any(m[v] < e for v, e in powers[k]):
-                continue
-            yield k
+    def divisors(self, m: Monomial):
+        """Indices of the leads dividing m, ascending, found lazily."""
+        powers, width = self.powers, self.width
+        z = (sum(compress(self.cw, m)) + self.comp) & self.highs
+        while z:
+            low = z & -z
+            z ^= low
+            k = low.bit_length() // width - 1
+            if not (powers[k] and any(m[v] < e for v, e in powers[k])):
+                yield k
 
     def standard(self, m: Monomial) -> Monomial:
-        bits, masks, powers, shifts = self.bits, self.masks, self.powers, self.shifts
+        cw, powers, shifts, width = self.cw, self.powers, self.shifts, self.width
+        comp, highs = self.comp, self.highs
         while True:
-            outside = ~sum(compress(bits, m))
-            for k, mask in enumerate(masks):
-                if not mask & outside and not (powers[k] and any(m[v] < e for v, e in powers[k])):
+            z = (sum(compress(cw, m)) + comp) & highs
+            while z:
+                low = z & -z
+                k = low.bit_length() // width - 1
+                if not (powers[k] and any(m[v] < e for v, e in powers[k])):
                     m = tuple(map(add, m, shifts[k]))
                     break
+                z ^= low
             else:
                 return m
 
@@ -341,7 +390,7 @@ def buchberger(gens, order, step_limit: int | None = None, *,
                 "or with S-terms sharing a regular variable are never queued)"
             )
         skip = False
-        for k in basis.divisors(l, ~(masks[i] | masks[j])):
+        for k in basis.divisors(l):
             if k == i or k == j:
                 continue
             pik = (i, k) if i < k else (k, i)
@@ -453,17 +502,27 @@ def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGen
     requested variables saturated and proven regular before it.
     """
     gens = F
-    for gens, _ in _saturation_runs(F, variables, step_limit):
+    for gens, _ in _saturation_runs(F, variables, step_limit, ()):
         pass
     return gens
 
 
-def _saturation_runs(F: IdealGens, variables, step_limit):
+def _permuted(sigma, mask: int) -> int:
+    """The image of a bitmask of variables under x_k -> x_sigma[k]."""
+    return sum(1 << sigma[k] for k in range(len(sigma)) if mask >> k & 1)
+
+
+def _saturation_runs(F: IdealGens, variables, step_limit, symmetries):
     """The runs of ``saturate``: after each, the current generators (F until
     a run divides something, then each run's divided basis) and the run's
     reduced basis.  The first step whose generators are not F yields the
     reduced basis of F's own ideal under that run's order; a caller that
-    only asks whether any run divides stops there."""
+    only asks whether any run divides stops there.
+
+    symmetries are permutations sigma of the variables, x_k -> x_sigma[k],
+    each mapping F's generators onto themselves up to sign, else
+    ValueError.  While the ideal is F's, the regular variables are closed
+    under them after each run (module docstring)."""
     n = F.nvars
     vs = sorted(set(variables))
     if any(v < 0 or v >= n for v in vs):
@@ -471,6 +530,22 @@ def _saturation_runs(F: IdealGens, variables, step_limit):
     form = _binomial_form(F, n)
     if not form.homogeneous:
         raise ValueError("saturation needs homogeneous generators")
+    if symmetries:
+        # sigma permutes the generators up to sign iff each image (a', b')
+        # of a generator x^a - x^b is one of them, either way round: the
+        # images of distinct generators are distinct.  Each image exponent
+        # tuple is built column by column: a'[sigma[k]] = a[k]
+        heads = [up[0] for up, _ in form.pairs]
+        tails = [up[3] for up, _ in form.pairs]
+        signed = {*zip(heads, tails), *zip(tails, heads)}
+        columns = list(zip(*heads)), list(zip(*tails))
+    for sigma in symmetries:
+        if sorted(sigma) != list(range(n)):
+            raise ValueError(f"{sigma} is not a permutation of the {n} variables")
+        inverse = sorted(range(n), key=sigma.__getitem__)
+        a, b = (zip(*map(cols.__getitem__, inverse)) for cols in columns)
+        if not signed.issuperset(zip(a, b)):
+            raise ValueError(f"{sigma} does not map the generators onto themselves up to sign")
     step_limit = _resolve_step_limit(step_limit)
     gens = F
     requested = sum(1 << v for v in vs)
@@ -503,6 +578,9 @@ def _saturation_runs(F: IdealGens, variables, step_limit):
         supports = _supports(quotients, form.bits)
         lead_free = ((1 << n) - 1) & ~reduce(or_, (a for a, _, _ in supports), 0)
         regular = _regular_closure(supports, grown[v] | lead_free)
+        while gens is F and (more := reduce(or_, (_permuted(s, regular) for s in symmetries),
+                                            regular)) != regular:
+            regular = _regular_closure(supports, more)
         yield gens, gb
 
 

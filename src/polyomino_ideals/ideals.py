@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from operator import gt
 
 from .errors import NotAdmissibleError, NotBalancedError, ZeroLabelingError
-from .grid import Point, Polyomino, _cycle_rank, inner_intervals, interval_graph
+from .grid import Point, Polyomino, _cycle_rank, _symmetries, inner_intervals, interval_graph
 from .groebner import (
     _BinomialBasis,
     _binomial_form,
@@ -346,16 +346,20 @@ def is_prime(P: Polyomino, step_limit: int | None = None) -> bool:
     zero-divisor modulo I_P, which holds no monomial (it lies in the prime
     lattice ideal), and I_P is not prime.  If no run divides, I_P is its
     own saturation (the skipped variables are regular), the lattice ideal
-    of the saturated cell lattice, which is prime.  The verdict is kept on
-    P as the leads of the basis that the dividing run computed, None when
-    no run divides, so ``dimension`` reads them with no run of its own.
+    of the saturated cell lattice, which is prime.  Each run's regular
+    variables are closed under the symmetries of the square that map P
+    onto itself, which permute the minors (module docstring of
+    ``groebner``), so fewer runs are needed.  The verdict is kept on P as
+    the leads of the basis that the dividing run computed, None when no run
+    divides, so ``dimension`` reads them with no run of its own.
     """
     if is_balanced(P, step_limit).balanced:
         return True
     minors = _minors(P)
     return P.derived("prime", lambda: next(
         (tuple(m for g in gb for m, c in g.terms.items() if c == 1)
-         for gens, gb in _saturation_runs(minors, range(P.num_vertices), step_limit)
+         for gens, gb in _saturation_runs(minors, range(P.num_vertices), step_limit,
+                                          _symmetries(P))
          if gens is not minors), None)) is None
 
 

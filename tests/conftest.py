@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, zip_longest
 from math import comb, gcd
-from operator import mul, neg
+from operator import add, mul, neg
 
 import pytest
 from hypothesis import settings
@@ -858,6 +858,29 @@ def reference_normal_form(f: Polynomial, basis, order) -> Polynomial:
             out[t] = c
             del work[t]
     return Polynomial(out)
+
+
+def first_divisor(basis, m, start: int = 0):
+    """The index of the first lead of a ``groebner._BinomialBasis`` from
+    start on that divides m, else None, by a linear scan: the lead's cached
+    support mask must lie inside m's support, and its exponents above 1
+    must not exceed m's."""
+    outside = ~sum(1 << v for v, e in enumerate(m) if e)
+    for k in range(start, len(basis.masks)):
+        if not basis.masks[k] & outside and all(m[v] >= e for v, e in basis.powers[k]):
+            return k
+    return None
+
+
+def reference_standard(basis, m) -> tuple:
+    """The standard monomial of m modulo a ``groebner._BinomialBasis`` by
+    ``first_divisor``, rewriting m by the first listed lead dividing it
+    until none does, and the indices of the leads it rewrote by, in turn."""
+    steps = []
+    while (k := first_divisor(basis, m)) is not None:
+        steps.append(k)
+        m = tuple(map(add, m, basis.shifts[k]))
+    return m, steps
 
 
 def reference_reduce_groebner_basis(basis, order) -> list[Polynomial]:

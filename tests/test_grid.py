@@ -287,6 +287,27 @@ def test_derived_data_has_one_home():
     assert found == []
 
 
+def test_symmetries_are_the_stabilizer():
+    # orbit-stabilizer on the free <= 7-ominoes and the 3x3 frame: a shape
+    # with k distinct dihedral images keeps 8 / k symmetries, the identity
+    # left out; each is a permutation of the vertex indices sending every
+    # cell's corners to some cell's corners, and the result is kept on P
+    from polyomino_ideals.grid import _symmetries
+
+    frame = {(i, j) for i in range(3) for j in range(3)} - {(1, 1)}
+    for cells in [*free_cellsets(7), frame]:
+        P = Polyomino(cells)
+        symmetries = _symmetries(P)
+        assert len(symmetries) + 1 == 8 // len(set(dihedral_images(cells)))
+        idx = P.vertex_index
+        corners = {frozenset(idx[(i + a, j + b)] for a in (0, 1) for b in (0, 1)) for i, j in cells}
+        for sigma in symmetries:
+            assert sorted(sigma) == list(range(P.num_vertices)) and sigma != tuple(sorted(sigma))
+            assert {frozenset(sigma[k] for k in c) for c in corners} == corners
+        assert _symmetries(P) is symmetries
+    assert len(_symmetries(Polyomino(frame))) == 7
+
+
 def test_leaf_peel_builds_no_polyomino():
     # classify peels on a plain set of cells and certificates reads its
     # chain: neither builds a Polyomino, so per-step construction cannot

@@ -30,11 +30,13 @@ from conftest import (
     brute_quotient_dimension,
     cell_lattice_basis,
     euler_simple,
+    first_divisor,
     free_cellsets,
     is_pure_difference,
     monomial,
     reference_normal_form,
     reference_reduce_groebner_basis,
+    reference_standard,
     saturate_by_elimination,
 )
 
@@ -318,6 +320,66 @@ def test_saturate_skips_regular_variables(monkeypatch):
     # is predicted to prove 9, every other candidate 5
     assert [order.perm[-1] for order in runs] == [5, 10]
     assert ideal_equal(sat, expected)
+
+
+def test_divisor_index_matches_the_linear_scan(monkeypatch):
+    # every rewrite and every divisor query of the runs behind lattice_ideal
+    # on the 3x3 and 4x3 blocks' cell lattices, against the linear scan of
+    # ``reference_standard``: each rewrite by the first listed dividing
+    # lead, and the dividing leads in ascending order from a generator.
+    # Those runs adopt leads with exponents above 1, so the ``powers`` test
+    # is exercised too
+    import inspect
+
+    from polyomino_ideals import Polyomino, groebner, lattice_ideal
+
+    basis = groebner._BinomialBasis
+    real_standard, real_divisors, real_adopt = basis.standard, basis.divisors, basis.adopt
+    counts = {"standard": 0, "divisors": 0, "powers": 0}
+    steps = []
+
+    class Reading(list):  # the shifts, noting which lead each rewrite takes
+        def __getitem__(self, k):
+            steps.append(k)
+            return list.__getitem__(self, k)
+
+    def standard(self, m):
+        counts["standard"] += 1
+        shifts = self.shifts
+        self.shifts = Reading(shifts)
+        steps.clear()
+        try:
+            out = real_standard(self, m)
+        finally:
+            self.shifts = shifts
+        assert (out, steps) == reference_standard(self, m)
+        return out
+
+    def divisors(self, m):
+        counts["divisors"] += 1
+        found = real_divisors(self, m)
+        assert inspect.isgenerator(found)
+        start = 0
+        for k in found:  # checked as lazily as the caller reads
+            assert k == first_divisor(self, m, start)
+            start = k + 1
+            yield k
+        assert first_divisor(self, m, start) is None
+
+    def adopt(self, record, lkey):
+        counts["powers"] += bool(record[2])
+        real_adopt(self, record, lkey)
+
+    monkeypatch.setattr(basis, "standard", standard)
+    monkeypatch.setattr(basis, "divisors", divisors)
+    monkeypatch.setattr(basis, "adopt", adopt)
+    adopted = []
+    for block in (THREE_BY_THREE, [(i, j) for i in range(4) for j in range(3)]):
+        P = Polyomino(block)
+        lattice_ideal(P, cell_lattice_basis(P))
+        adopted.append(counts["powers"] - sum(adopted))
+    assert adopted == [104, 880]
+    assert counts["standard"] > 1000 and counts["divisors"] > 100
 
 
 def test_saturate_runs_start_from_the_generators_until_one_divides(monkeypatch):

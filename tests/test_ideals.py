@@ -234,9 +234,9 @@ def test_no_canonical_order_run(monkeypatch):
     saturations = []
     real_runs = groebner._saturation_runs
 
-    def counting_runs(F, variables, step_limit):
+    def counting_runs(F, variables, step_limit, symmetries):
         saturations.append(F)
-        return real_runs(F, variables, step_limit)
+        return real_runs(F, variables, step_limit, symmetries)
 
     def no_simple(Q):
         raise AssertionError("is_simple fed the decision")
@@ -485,9 +485,9 @@ def test_unequal_rank_alone_saturates(monkeypatch):
     saturated, searched = [], []
     real, real_search = groebner._saturation_runs, cycles._cycle_search
 
-    def recording(F, variables, step_limit):
+    def recording(F, variables, step_limit, symmetries):
         saturated.append(F)
-        return real(F, variables, step_limit)
+        return real(F, variables, step_limit, symmetries)
 
     monkeypatch.setattr(ideals, "_saturation_runs", recording)
     monkeypatch.setattr(cycles, "_cycle_search", lambda *a, **k: searched.append(a) or real_search(*a, **k))
@@ -573,7 +573,8 @@ def test_non_prime_saturation_needs_no_canonical_run(grid, monkeypatch):
 def test_saturation_runs_on_the_non_simple_shapes(monkeypatch):
     # the runs is_prime makes on the 44 non-simple free <= 9-ominoes and on
     # the 3x3 and 4x3 frames, where the variable whose run is predicted to
-    # prove the most goes first (``groebner._predicted_proof``)
+    # prove the most goes first (``groebner._predicted_proof``) and each
+    # run's regular variables are closed under the shape's symmetries
     from polyomino_ideals import groebner
 
     runs = []
@@ -588,22 +589,83 @@ def test_saturation_runs_on_the_non_simple_shapes(monkeypatch):
     assert len(shapes) == 1 + 6 + 37
     for cells in shapes:
         is_prime(Polyomino(cells))
-    assert len(runs) == 96
+    assert len(runs) == 92
     counts = []
     for frame in FRAMES[:2]:
         runs.clear()
         is_prime(Polyomino(frame))
         counts.append(len(runs))
-    assert counts == [2, 2]
+    assert counts == [1, 2]
+
+
+def test_thick_shape_runs_and_pairs(monkeypatch):
+    # is_prime on the 6x6 block with a 2x2 hole: 2 runs and 3,675 S-pairs
+    # popped, counted by the chain test's one divisor query per popped pair
+    from polyomino_ideals import groebner
+
+    runs, popped = [], []
+    real, real_divisors = groebner.buchberger, groebner._BinomialBasis.divisors
+
+    def counting(gens, order, step_limit=None, *, regular=0):
+        runs.append(order)
+        return real(gens, order, step_limit, regular=regular)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    monkeypatch.setattr(groebner._BinomialBasis, "divisors",
+                        lambda self, m: popped.append(m) or real_divisors(self, m))
+    P = Polyomino({(i, j) for i in range(6) for j in range(6)} - {(2, 2), (2, 3), (3, 2), (3, 3)})
+    assert is_prime(P)
+    assert (len(runs), len(popped)) == (2, 3675)
+
+
+def test_symmetries_keep_every_verdict():
+    # is_prime and dimension, which close the regular variables under P's
+    # symmetries, against the runs with no symmetry on fresh minors, on the
+    # non-simple free <= 10-ominoes and the three frames
+    from polyomino_ideals.groebner import _saturation_runs, quotient_dimension
+
+    levels = free_polyominoes(10)
+    shapes = [P for n in sorted(levels) for P in levels[n] if not is_simple(P).simple]
+    shapes += map(Polyomino, FRAMES)
+    nonprime = 0
+    for P in shapes:
+        n, minors = P.num_vertices, inner_minors(P)
+        leads = next((tuple(m for g in gb for m, c in g.terms.items() if c == 1)
+                      for gens, gb in _saturation_runs(minors, range(n), None, ())
+                      if gens is not minors), None)
+        assert is_prime(P) == (leads is None), P
+        assert dimension(P) == (n - len(P) if leads is None else quotient_dimension(leads, n)), P
+        nonprime += leads is not None
+    assert (len(shapes), nonprime) == (1 + 6 + 37 + 195 + 3, 2 + 12)
+
+
+def test_symmetries_must_map_the_generators_onto_themselves():
+    # a reflection of the asymmetric non-prime 9-omino in its bounding box
+    # permutes the vertex indices, vertex k going to the index of its image
+    # in the mirror image's own numbering, but maps I_P onto the mirror
+    # image's ideal; a tuple that is no permutation is refused too
+    from polyomino_ideals.groebner import _saturation_runs
+
+    P = parse_grid(NON_PRIME[0])  # 3 cells wide
+    Q = Polyomino({(2 - i, j) for i, j in P.cells})
+    assert Q != P
+    sigma = tuple(Q.vertex_index[(3 - x, y)] for x, y in P.vertices)
+    assert sorted(sigma) == list(range(P.num_vertices))
+    with pytest.raises(ValueError, match="does not map the generators onto themselves up to sign"):
+        next(_saturation_runs(inner_minors(P), range(P.num_vertices), None, [sigma]))
+    with pytest.raises(ValueError, match="is not a permutation of the 19 variables"):
+        next(_saturation_runs(inner_minors(P), range(P.num_vertices), None, [(0,) * 19]))
 
 
 def test_is_prime_step_limit_reports_progress(monkeypatch):
     # a step limit hit while is_prime saturates names the variable and the
-    # requested variables saturated and proven regular before it.  x6 and
-    # x9, the hole's lower right and upper left corners, are predicted to
-    # prove 8 variables, the most, and the lower index goes first; its run
-    # proves x6, the lead-free x0 and x15, and by the two-term closure x2,
-    # x3, x4, x7 and x14, 8 in all, before x9's run
+    # requested variables saturated and proven regular before it.  On the
+    # 3x3 frame x6 and x9, the hole's lower right and upper left corners,
+    # are predicted to prove 8 variables, the most, and the lower index goes
+    # first.  On the 4x3 frame the run by x8 = (3, 1) proves x8, the
+    # lead-free x0 and x19 and, by the two-term closure, x3, x4, x5, x9 and
+    # x18; the frame's three symmetries map these 8 onto 16, all but the
+    # middle column x2, x7, x12 and x17, before x2's run
     from polyomino_ideals import groebner
 
     frame = FRAMES[0]  # 3x3, 16 vertices
@@ -622,9 +684,9 @@ def test_is_prime_step_limit_reports_progress(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", second_run_limited)
     with pytest.raises(
         StepLimitExceededError,
-        match=r"^saturating by x9 \(1 saturated, 8 regular of 16\): Buchberger exceeded 1 ",
+        match=r"^saturating by x2 \(1 saturated, 16 regular of 20\): Buchberger exceeded 1 ",
     ):
-        is_prime(Polyomino(frame))
+        is_prime(Polyomino(FRAMES[1]))  # 4x3, 20 vertices
 
 
 @pytest.mark.parametrize("nvars", [3, 10])
