@@ -51,7 +51,7 @@ _Report = tuple[dict, list[str]]
 
 # ugb-check builds 2N + 3 orders for --orders N before checking any, so N is capped.
 MAX_ORDERS = 1000
-# census holds every free polyomino up to --max-cells at once: ~3.7 GB at 13 cells.
+# census holds every free polyomino up to --max-cells at once: 727 MiB at 12 cells, ~2.7 GB at 13.
 MAX_CENSUS_CELLS = 13
 
 

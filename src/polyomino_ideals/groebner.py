@@ -41,8 +41,8 @@ orient it: each generator leads with its greater term under the run's
 order.  Each lead's order key is cached where its pair is oriented and
 ranks the final interreduction; cached support bitmasks of the leads
 screen every divisibility test.  The engine reads keys through
-``order.key`` alone, so a caller may have the order key each monomial once
-over a whole block of work (``MonomialOrder._key_table``).
+``order.key`` alone, so a caller may pass an order that keys each monomial
+once over a whole block of work (``orders._keyed_once``).
 ``normal_form`` is the same rewrite: modulo lead - trail, division only
 swaps a term's monomial for a smaller one, so each term c*x^m of f becomes
 c*x^std(m), std rewriting by the first listed lead dividing it until none

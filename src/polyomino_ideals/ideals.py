@@ -39,6 +39,7 @@ from .groebner import (
     saturate,
 )
 from .intlinalg import LatticeBasis
+from .orders import _keyed_once
 from .polynomials import IdealGens, Polynomial
 
 Labeling = dict  # Point -> int
@@ -112,7 +113,9 @@ def _admissible_labeling_vector(P: Polyomino, labeling: Labeling) -> list[int]:
 
 
 def vector_binomial(vec) -> Polynomial:
-    """x^(positive part) - x^(negative part) of an integer vector."""
+    """x^(positive part) - x^(negative part) of a vector of ints, else ValueError."""
+    if any(type(x) is not int for x in vec):  # a bool, though an int subclass, too
+        raise ValueError(f"vector {vec!r} has an entry that is not an integer")
     if not any(vec):
         raise ZeroLabelingError("the zero labeling has no binomial")
     pos = tuple(x if x > 0 else 0 for x in vec)
@@ -449,12 +452,13 @@ def universal_gb_check(P: Polyomino, orders,
     J. Symb. Comput. 6, 1988).  Nothing is at hand for the first order, so
     it always runs, and check (a) reads that run's basis.
 
-    Each order's checks read one key table (``MonomialOrder._key_table``):
-    the test whether a kept basis stays marked alike and, if none does, that
-    order's Buchberger run (and, for the first order, check (a)) key each
-    monomial once, and the table is dropped when the order is done.  Every
-    run starts from the minors' one ``IdealGens``, validated by the first
-    run on it and only oriented by each later one.
+    Each order's checks read one key table, held by the order's private
+    twin (``orders._keyed_once``): the test whether a kept basis stays
+    marked alike and, if none does, that order's Buchberger run (and, for
+    the first order, check (a)) key each monomial once; the caller's order
+    is never changed.  Every run starts from the minors' one ``IdealGens``,
+    validated by the first run on it and only oriented by each later one,
+    and under the step limit read once at the start of the check.
 
     Every Buchberger run here is told that every variable is regular modulo
     I_P, so it never queues a pair whose S-terms share a variable (module
@@ -471,6 +475,7 @@ def universal_gb_check(P: Polyomino, orders,
     for order in orders:
         if order.nvars != n:
             raise ValueError(f"the order has {order.nvars} variables, the polynomials {n}")
+    step_limit = _resolve_step_limit(step_limit)
     if not is_balanced(P, step_limit).balanced:
         raise NotBalancedError("the polyomino is not balanced")
     idx = P.vertex_index  # the search's cycles need no validation
@@ -482,15 +487,15 @@ def universal_gb_check(P: Polyomino, orders,
     kept = []
     outcomes = []
     for order in orders:
-        with order._key_table():
-            entry = _marked_alike(kept, order)
-            if entry is None:
-                entry = _kept(buchberger(gens, order, step_limit, regular=every), signed)
-                if not kept:  # check (a), on the first order's basis and keys
-                    rewrite = _BinomialBasis(_binomial_form(entry[0], n), order.key)
-                    in_ideal = all(len({rewrite.standard(m) for m in f.terms}) == 1
-                                   for f in candidates)
-                kept.append(entry)
+        keyed = _keyed_once(order)
+        entry = _marked_alike(kept, keyed)
+        if entry is None:
+            entry = _kept(buchberger(gens, keyed, step_limit, regular=every), signed)
+            if not kept:  # check (a), on the first order's basis and keys
+                rewrite = _BinomialBasis(_binomial_form(entry[0], n), keyed.key)
+                in_ideal = all(len({rewrite.standard(m) for m in f.terms}) == 1
+                               for f in candidates)
+            kept.append(entry)
         gb, _, _, ok_gb, ok_sq = entry
         outcomes.append(OrderOutcome(order.spec_string(), ok_gb, ok_sq, len(gb)))
     return UniversalGBReport(len(candidates), in_ideal, tuple(outcomes))

@@ -2,16 +2,16 @@
 
 An order exposes ``key(mono) -> tuple``, compiled once per order, so
 monomials compare through their keys; keys from different order instances
-are not comparable.  The variable permutation lists variables from greatest
-to least precedence.  degrevlex is graded reverse-lex (Cox-Little-O'Shea,
-section 2.2): total degree first, then the smaller exponent at the last
-distinct position of the permuted arrangement wins.
+are not comparable, and an order's key is never rebound.  The variable
+permutation lists variables from greatest to least precedence.  degrevlex
+is graded reverse-lex (Cox-Little-O'Shea, section 2.2): total degree
+first, then the smaller exponent at the last distinct position of the
+permuted arrangement wins.
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from itertools import accumulate
 from operator import itemgetter, mul
 from typing import NamedTuple
@@ -73,18 +73,6 @@ class MonomialOrder:
             key = lambda m: (sum(map(mul, weights, m)), base(m))
         self.key = key
 
-    @contextmanager
-    def _key_table(self):
-        """Within the block, ``key`` reads a table that keys each monomial
-        at most once; the table is dropped, and ``key`` restored, on exit.
-        Every key is the one ``key`` gives outside the block."""
-        compute = self.key
-        self.key = _KeyTable(compute).__getitem__
-        try:
-            yield
-        finally:
-            self.key = compute
-
     def __reduce__(self):  # the compiled key is a closure, which pickle cannot send
         return MonomialOrder, (self.scheme, self.nvars, self.perm, self.weights)
 
@@ -107,6 +95,18 @@ class MonomialOrder:
 
     def __repr__(self) -> str:
         return f"MonomialOrder({self.spec_string()!r}, nvars={self.nvars})"
+
+
+def _keyed_once(order: MonomialOrder) -> MonomialOrder:
+    """A twin of order with its spec, whose key reads a table that keys each
+    monomial at most once through ``order.key``; order is left as it is."""
+    twin = object.__new__(MonomialOrder)  # the spec is already validated
+    object.__setattr__(twin, "scheme", order.scheme)
+    object.__setattr__(twin, "nvars", order.nvars)
+    object.__setattr__(twin, "perm", order.perm)
+    object.__setattr__(twin, "weights", order.weights)
+    object.__setattr__(twin, "key", _KeyTable(order.key).__getitem__)
+    return twin
 
 
 def canonical_order(nvars: int) -> MonomialOrder:

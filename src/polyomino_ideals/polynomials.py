@@ -34,14 +34,6 @@ def mono_is_squarefree(a: Monomial) -> bool:
     return max(a, default=0) <= 1
 
 
-def _inverse(c):
-    if c == 1:
-        return 1
-    if c == -1:
-        return -1
-    return Fraction(1) / c
-
-
 class Polynomial:
     """Immutable polynomial; terms maps exponent tuple to nonzero coefficient."""
 
@@ -153,7 +145,7 @@ class Polynomial:
             return self
         if lc == -1:
             return -self
-        inv = _inverse(lc)
+        inv = Fraction(1) / lc
         return Polynomial({m: c * inv for m, c in self.terms.items()})
 
     def __repr__(self) -> str:

@@ -475,6 +475,16 @@ def test_saturate_step_limit_reports_progress(monkeypatch):
         saturate(F, range(16))
 
 
+def test_ideal_saturation_and_dimension_errors(P1, P2):
+    with pytest.raises(ValueError, match="^ideals live in different variable counts$"):
+        ideal_equal(inner_minors(P1), inner_minors(P2))
+    F = inner_minors(P1)
+    with pytest.raises(ValueError, match="^variable index out of range$"):
+        saturate(F, [F.nvars])
+    with pytest.raises(ValueError, match="^monomial ideal contains a unit$"):
+        quotient_dimension([(0, 0)], 2)
+
+
 def test_step_limit_rejects_values_below_one(monkeypatch, P2):
     gens = inner_minors(P2)
     order = canonical_order(P2.num_vertices)

@@ -1,5 +1,6 @@
 """Polyomino ideals: minors, labelings, lattices, balanced, prime, dimension."""
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
@@ -34,6 +35,7 @@ from polyomino_ideals import (
     is_squarefree,
     kernel_basis,
     labeling_binomial,
+    labeling_vector,
     lattice_ideal,
     matrix_rank,
     normal_form,
@@ -129,6 +131,25 @@ def test_labeling_binomial(P1, P2):
     assert f == Polynomial({pos: 1, neg: -1})
     with pytest.raises(ZeroLabelingError):
         labeling_binomial(P1, {})
+
+
+@pytest.mark.parametrize("vec", [
+    [Fraction(1, 2), Fraction(-1, 2), 0, 0],
+    [1.0, -1, 0, 0],
+    [True, 0, 0, -1],
+    [1, -1, 0, False],
+])
+def test_vector_binomial_rejects_entries_that_are_not_ints(vec):
+    # a fractional or float exponent, or a bool, is no lattice vector entry
+    with pytest.raises(ValueError, match="is not an integer"):
+        vector_binomial(vec)
+
+
+def test_labeling_and_lattice_errors(P1, P2):
+    with pytest.raises(ValueError, match=r"^labeling supported outside the vertex set: \(5, 5\)$"):
+        labeling_vector(P1, {(5, 5): 1})
+    with pytest.raises(ValueError, match=r"^basis ambient dimension does not match V\(P\)$"):
+        lattice_ideal(P2, admissible_lattice(P1))
 
 
 def test_admissible_lattice_ranks(P1, P2, P5):
@@ -794,6 +815,62 @@ def test_universal_gb_check_keys_each_monomial_once_per_order(monkeypatch):
     assert [order.key for order in orders] == counted
 
 
+def test_universal_gb_check_leaves_the_callers_orders_alone(monkeypatch):
+    # inside every run of a check, each order the caller passed in still
+    # holds the key it held before the call: no attribute is rebound
+    from polyomino_ideals import ideals
+
+    P = Polyomino(BLOCK_3X2)
+    orders = order_sample(P.num_vertices, seed=1)
+    before = [order.key for order in orders]
+    real = ideals.buchberger
+    seen = []
+
+    def checking(gens, order, step_limit=None, *, regular=0):
+        seen.append(all(o.key is k for o, k in zip(orders, before)))
+        return real(gens, order, step_limit, regular=regular)
+
+    monkeypatch.setattr(ideals, "buchberger", checking)
+    assert universal_gb_check(P, orders).passed
+    assert seen and all(seen)
+    assert all(o.key is k for o, k in zip(orders, before))
+
+
+def test_universal_gb_check_shares_one_order_sample_across_threads():
+    # four threads checking one shape on one shared sample give the
+    # one-thread report, and leave every order's key as it was
+    from concurrent.futures import ThreadPoolExecutor
+
+    P = Polyomino(BLOCK_3X2)
+    orders = order_sample(P.num_vertices, seed=1)
+    before = [order.key for order in orders]
+    expected = universal_gb_check(P, orders)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        reports = list(pool.map(lambda _: universal_gb_check(P, orders), range(20)))
+    assert reports == [expected] * 20
+    assert all(o.key is k for o, k in zip(orders, before))
+
+
+def test_universal_gb_check_reads_the_step_limit_once(monkeypatch):
+    # every run of one check gets the limit the check resolved at its start,
+    # even when the environment changes under it
+    from polyomino_ideals import ideals
+
+    P = Polyomino(BLOCK_3X2)
+    real = ideals.buchberger
+    limits = []
+
+    def changing(gens, order, step_limit=None, *, regular=0):
+        limits.append(step_limit)
+        monkeypatch.setenv("POLYIDEAL_GB_STEP_LIMIT", "1")
+        return real(gens, order, step_limit, regular=regular)
+
+    monkeypatch.setattr(ideals, "buchberger", changing)
+    monkeypatch.setenv("POLYIDEAL_GB_STEP_LIMIT", "5000")
+    assert universal_gb_check(P, order_sample(P.num_vertices, seed=1)).passed
+    assert len(limits) > 1 and set(limits) == {5000}
+
+
 def _primitive_cycle_binomials(P):
     cycles = enumerate_cycles(P, primitive_only=True)
     return [cycle_binomial(P, c) for c in cycles]
@@ -914,7 +991,8 @@ def _fresh_outcome(P, order, signed):
 
 def test_reused_bases_give_the_fresh_outcomes(monkeypatch):
     # every order served by a kept basis reports what its own run would;
-    # every run is under a sampled order, since none other is needed
+    # every run is under a sampled order, since none other is needed: the
+    # run's order is that order's twin, whose key table reads its key
     from polyomino_ideals import ideals
 
     runs = []
@@ -936,14 +1014,14 @@ def test_reused_bases_give_the_fresh_outcomes(monkeypatch):
             report = universal_gb_check(P, orders)
             assert report.outcomes == tuple(_fresh_outcome(P, o, signed) for o in orders)
             sampled += len(orders)
-            computed += sum(any(r is o for r in runs) for o in orders)
+            computed += sum(any(r.key.__self__.compute is o.key for r in runs) for o in orders)
             total += len(runs)
     assert (sampled, computed, total) == (897, 748, 748)
 
 
 def test_universal_gb_check_runs_once_per_distinct_basis(monkeypatch):
     # one Buchberger run per distinct reduced basis among the given orders,
-    # each under a given order, and one cycle enumeration per call (the
+    # each under a given order's twin, and one cycle enumeration per call (the
     # benchmark's cycles.candidates counts that call); check (a) reads the
     # first order's basis, so reversing the orders changes no answer
     import polyomino_ideals.cycles as cycles_mod
@@ -974,7 +1052,7 @@ def test_universal_gb_check_runs_once_per_distinct_basis(monkeypatch):
                 runs.clear()
                 searches.clear()
                 reports.append(universal_gb_check(P, given))
-                assert all(any(r is o for o in given) for r, _ in runs)
+                assert all(any(r.key.__self__.compute is o.key for o in given) for r, _ in runs)
                 assert len(runs) == len({gb for _, gb in runs}) == len(distinct)
                 assert {gb for _, gb in runs} == distinct
                 assert searches == [P]

@@ -154,6 +154,18 @@ def test_kernel_basis_examples(P1, P5):
     assert adm5.rank == 9
 
 
+def test_kernel_basis_of_an_empty_matrix():
+    # no constraint: every integer vector is in the kernel
+    with pytest.raises(ValueError, match="^ncols required for an empty matrix$"):
+        kernel_basis([])
+    assert kernel_basis([], ncols=3) == LatticeBasis(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3)
+
+
+def test_lattice_basis_rejects_a_wrong_vector_length():
+    with pytest.raises(ValueError, match="^vector length does not match ambient dimension$"):
+        LatticeBasis(((1, -1, 0),), 2)
+
+
 @pytest.mark.parametrize("ncols", [1, 5])
 def test_kernel_basis_rejects_a_wrong_column_count(ncols):
     with pytest.raises(ValueError, match=f"ncols is {ncols}, the matrix has 2 columns"):

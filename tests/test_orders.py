@@ -72,6 +72,8 @@ def test_order_validation():
         MonomialOrder("degrevlex", 2, weights=(-1, 0))
     with pytest.raises(ValueError):
         MonomialOrder("mystery", 2)
+    with pytest.raises(ValueError, match="^weight vector has wrong length$"):
+        MonomialOrder("lex", 2, weights=(1,))
 
 
 def test_order_is_multiplicative_with_one_minimal():
