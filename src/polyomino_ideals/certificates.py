@@ -34,10 +34,10 @@ Certificate = list[tuple[Polynomial, Polynomial]]
 def expand_certificate(cert: Certificate) -> Polynomial:
     """Sum of multiplier * minor over the certificate, exact arithmetic.
 
-    Each minor is read as the places where each of its terms' exponents is
-    nonzero, once per minor object and kept on it; a product term copies
-    the multiplier term's exponent and adds at those places.  A multiplier
-    and a minor over different variable counts raise ValueError.
+    A product term copies the multiplier term's exponent and adds the
+    minor's kept sparse form (module docstring), so the sum is built from
+    checked terms.  A multiplier and a minor over different variable counts
+    raise ValueError.
     """
     total: dict = {}
     for multiplier, minor in cert:
@@ -55,7 +55,7 @@ def expand_certificate(cert: Certificate) -> Polynomial:
                     m[k] += e
                 m = tuple(m)
                 total[m] = total.get(m, 0) + c1 * c2
-    return Polynomial(total)
+    return Polynomial.__new__(Polynomial)._adopt({m: c for m, c in total.items() if c})
 
 
 def _peel_plan(P: Polyomino) -> list:

@@ -33,16 +33,11 @@ scalar multiple of some x^a - x^b, and anything else raises ValueError.
 ``buchberger`` runs on (lead, trail) exponent pairs: S-pairs and reductions
 of such binomials stay pure differences (Eisenbud-Sturmfels, "Binomial
 ideals", 1996), so each term is rewritten to its standard monomial on its
-own, with no coefficient arithmetic.  The generators' validated form holds
-both terms of each, their support bitmasks and exponents above 1, the
-shift each way and whether all are homogeneous.  An ``IdealGens`` keeps it
-from its first run on, so later runs on that set, under any order, only
-orient it: each generator leads with its greater term under the run's
-order.  Each lead's order key is cached where its pair is oriented and
-ranks the final interreduction; cached support bitmasks of the leads
-screen every divisibility test.  The engine reads keys through
-``order.key`` alone, so a caller may pass an order that keys each monomial
-once over a whole block of work (``orders._keyed_once``).
+own, with no coefficient arithmetic.  An ``IdealGens`` keeps the validated
+form of its generators (``_Binomials``) from its first run on, so later
+runs, under any order, only orient it.  Cached lead keys and support
+bitmasks serve the final interreduction and every divisibility test; keys
+are read through ``order.key`` alone (``orders._keyed_once``).
 ``normal_form`` is the same rewrite: modulo lead - trail, division only
 swaps a term's monomial for a smaller one, so each term c*x^m of f becomes
 c*x^std(m), std rewriting by the first listed lead dividing it until none
@@ -158,8 +153,8 @@ def _record(lead: Monomial, trail: Monomial, bits) -> tuple:
 class _Binomials:
     """The validated form of generators c*(x^a - x^b) in nvars variables:
     each generator's two orientations as ``_record``s, a - b and b - a, and
-    whether every generator is homogeneous.  Other polynomials, and terms
-    in another variable count, raise ValueError."""
+    whether every generator is homogeneous.  Other polynomials, and
+    polynomials in another variable count, raise ValueError."""
 
     __slots__ = ("bits", "pairs", "homogeneous")
 
@@ -170,10 +165,9 @@ class _Binomials:
         for g in polys:
             if len(g.terms) != 2 or sum(g.terms.values()):
                 raise ValueError(f"not a pure difference c*(x^a - x^b): {polynomial_str(g)}")
+            if g.nvars != nvars:
+                raise ValueError(f"the order has {nvars} variables, the polynomials {g.nvars}")
             a, b = g.terms
-            if len(a) != nvars or len(b) != nvars:
-                size = max({len(a), len(b)} - {nvars})
-                raise ValueError(f"the order has {nvars} variables, the polynomials {size}")
             self.homogeneous = self.homogeneous and sum(a) == sum(b)
             self.pairs.append((_record(a, b, bits), _record(b, a, bits)))
 
@@ -199,13 +193,11 @@ class _BinomialBasis:
     its two terms.  A lead divides m only if its support lies inside m's;
     for a squarefree lead that decides it, otherwise the exponents above 1
     (``powers``) are compared too.  The support test is the bit-parallel
-    index of the module docstring: lead k owns bits [k*width, (k+1)*width)
-    of ``cw[v]`` (1 when x_v is in its support), ``comp`` (top bit minus
-    its support size) and ``highs`` (the top bit).  ``highs`` is doubled
-    as the leads grow, so it may cover fields not yet in use; those are 0
-    in ``cw`` and ``comp``, so they never give a candidate.  ``standard``
-    rewrites a monomial by the first listed lead dividing it until none
-    does; an S-pair's two terms are rewritten on their own.
+    index of the module docstring, lead k owning bits [k*width,
+    (k+1)*width) of ``cw[v]``, ``comp`` and ``highs``; ``highs`` is doubled
+    as the leads grow.  ``standard`` rewrites a monomial by the first
+    listed lead dividing it until none does; an S-pair's two terms are
+    rewritten on their own.
     """
 
     def __init__(self, form: _Binomials, key):
@@ -293,16 +285,16 @@ def normal_form(f: Polynomial, basis, order) -> Polynomial:
     """Remainder of f under full division by the listed pure differences:
     each term c*x^m becomes c*x^std(m) (module docstring), so no term of the
     result is divisible by a leading monomial of the basis.  A basis element
-    that is not c*(x^a - x^b), or a wrong-size order or f, raises ValueError.
+    that is not c*(x^a - x^b), a wrong-size order or, checked after those, a
+    wrong-size f raises ValueError; an empty basis has the order's size.
     """
-    if not basis:
-        return f
-    rewrite = _BinomialBasis(_binomial_form(basis, order.nvars), order.key)
+    n = order.nvars
+    standard = _BinomialBasis(_binomial_form(basis, n), order.key).standard
+    if f.terms and f.nvars != n:
+        raise ValueError(f"f has a term in {f.nvars} variables, the basis {n}")
     out: dict = {}
     for m, c in f.terms.items():
-        if len(m) != len(rewrite.bits):
-            raise ValueError(f"f has a term in {len(m)} variables, the basis {len(rewrite.bits)}")
-        m = rewrite.standard(m)
+        m = standard(m)
         out[m] = out.get(m, 0) + c
     return Polynomial(out)
 
@@ -479,17 +471,13 @@ def _predicted_proof(supports, grown: int, v: int, nvars: int) -> int:
 def saturate(F: IdealGens, variables, step_limit: int | None = None) -> IdealGens:
     """Saturation of F by the product of the given variables.
 
-    F must be homogeneous.  One variable at a time (module docstring): a
-    run computes a graded reverse-lex Groebner basis with x_v least and
-    divides every element by the largest power of x_v dividing it, which
-    generates the saturation by x_v (Sturmfels, Lemma 12.1).  Variables
-    proven regular modulo the current ideal are skipped, by the two-term
-    rule and by the lead-free variables of each run's divided basis.  The
-    next variable saturated is the one whose run is predicted to prove the
-    most (``_predicted_proof``), ties going to the larger two-term closure,
-    then to the lowest index; its run ranks x_v least, then the variables
-    not yet proven regular modulo the saturation by x_v, then the proven
-    ones.
+    F must be homogeneous.  One variable at a time (module docstring), by
+    graded reverse-lex runs with x_v least whose basis elements are divided
+    by the largest power of x_v dividing them (Sturmfels, Lemma 12.1).
+    Variables proven regular modulo the current ideal are skipped, and the
+    next variable is the one ``_predicted_proof`` picks; its run ranks x_v
+    least, then the variables not yet proven regular modulo the saturation
+    by x_v, then the proven ones.
     Until a run divides something the ideal is F's, so each run starts
     from F itself, usually fewer generators than the last run's basis, for
     the same reduced basis; only sets that runs start from are validated.

@@ -4,7 +4,10 @@ Monomials are dense exponent tuples indexed by variable number; coefficients
 are exact (int or Fraction, never floats).  Polynomials are thin immutable
 wrappers around a dict mapping monomial to nonzero coefficient; the only
 data kept beside it is the sparse form that ``expand_certificate`` reads
-off each minor, built on first use.
+off each minor, built on first use.  The constructor alone checks terms:
+each monomial a tuple of non-negative ints (not bools), all of one length.
+What is built from checked terms is adopted unchecked (``_adopt``), so a
+consumer only compares the variable counts of the objects it joins.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from itertools import compress
 from operator import add, sub
 
 Monomial = tuple  # exponent tuple, one entry per variable
+_new = object.__new__  # a bare Polynomial, whose terms ``_adopt`` sets
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -34,13 +38,27 @@ def mono_is_squarefree(a: Monomial) -> bool:
     return max(a, default=0) <= 1
 
 
+def _length(m) -> int:
+    """The length of a tuple of non-negative ints, else ValueError."""
+    if type(m) is not tuple or not all(type(e) is int and e >= 0 for e in m):
+        raise ValueError(f"monomial {m!r} is not a tuple of non-negative integers")
+    return len(m)
+
+
 class Polynomial:
     """Immutable polynomial; terms maps exponent tuple to nonzero coefficient."""
 
     __slots__ = ("terms", "_sparse")
 
     def __init__(self, terms=None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+        self.terms = terms = {m: c for m, c in (terms or {}).items() if c}
+        if len(lengths := {*map(_length, terms)}) > 1:
+            raise ValueError(f"terms over {min(lengths)} and {max(lengths)} variables")
+
+    @property
+    def nvars(self) -> int | None:
+        """The variable count, None for the zero polynomial."""
+        return len(next(iter(self.terms))) if self.terms else None
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -49,8 +67,8 @@ class Polynomial:
     @classmethod
     def _binomial(cls, nvars: int, plus, minus) -> "Polynomial":
         """x^(sum of e_k, k in plus) - x^(sum of e_k, k in minus) over nvars
-        variables, the plus term first, as ``vector_binomial`` orders it;
-        the caller guarantees that the two index lists are disjoint."""
+        variables, the plus term first, as ``vector_binomial`` orders it,
+        unchecked: callers pass disjoint index lists within range(nvars)."""
         pos, neg = [0] * nvars, [0] * nvars
         for k in plus:
             pos[k] += 1
@@ -59,16 +77,13 @@ class Polynomial:
         return cls.__new__(cls)._adopt({tuple(pos): 1, tuple(neg): -1})
 
     def _adopt(self, terms: dict) -> "Polynomial":
-        """Take terms, every coefficient nonzero, as this polynomial's own."""
+        """Take terms, every coefficient nonzero, as this polynomial's own,
+        unchecked: every caller builds them from checked terms."""
         self.terms = terms
         return self
 
     def _sparse_terms(self) -> tuple:
-        """(variable count, [(places, coefficient), ...]), places the (index,
-        exponent) pairs where a term's exponent is nonzero; built on the
-        first call and kept.  The zero polynomial has variable count None
-        and no terms.  Terms over different variable counts raise
-        ValueError, and a build that raises keeps nothing."""
+        """``_sparse_form`` of the terms, built on the first call and kept."""
         try:
             return self._sparse
         except AttributeError:
@@ -89,50 +104,50 @@ class Polynomial:
         return frozenset((m, Fraction(c)) for m, c in self.terms.items())
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if self.terms and other.terms and self.nvars != other.nvars:
+            raise ValueError(f"sum of polynomials over {self.nvars} and {other.nvars} variables")
         out = dict(self.terms)
-        n = len(next(iter(out or other.terms), ()))
         for m, c in other.terms.items():
-            if len(m) != n:
-                raise ValueError(f"sum of polynomials over {n} and {len(m)} variables")
             v = out.get(m, 0) + c
             if v:
                 out[m] = v
             else:
                 out.pop(m, None)
-        return Polynomial(out)
+        return _new(Polynomial)._adopt(out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return _new(Polynomial)._adopt({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
+            if self.terms and other.terms and self.nvars != other.nvars:
+                raise ValueError(
+                    f"product of polynomials over {self.nvars} and {other.nvars} variables"
+                )
             out: dict = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
-                    if len(m1) != len(m2):
-                        raise ValueError(
-                            f"product of polynomials over {len(m1)} and {len(m2)} variables"
-                        )
                     m = mono_mul(m1, m2)
                     v = out.get(m, 0) + c1 * c2
                     if v:
                         out[m] = v
                     else:
                         del out[m]
-            return Polynomial(out)
-        return Polynomial({m: c * other for m, c in self.terms.items()})
+            return _new(Polynomial)._adopt(out)
+        return _new(Polynomial)._adopt({m: v for m, c in self.terms.items() if (v := c * other)})
 
     __rmul__ = __mul__
 
     def term_mul(self, mono: Monomial, coeff=1) -> "Polynomial":
-        """Multiply by a single term coeff * x^mono."""
-        n = len(next(iter(self.terms), mono))
-        if len(mono) != n:
-            raise ValueError(f"product of polynomials over {n} and {len(mono)} variables")
-        return Polynomial({mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
+        """Multiply by a single term coeff * x^mono, mono checked as a term."""
+        n = _length(mono)
+        if self.terms and self.nvars != n:
+            raise ValueError(f"product of polynomials over {self.nvars} and {n} variables")
+        return _new(Polynomial)._adopt(
+            {mono_mul(m, mono): v for m, c in self.terms.items() if (v := c * coeff)})
 
     def leading(self, order) -> tuple[Monomial, object]:
         """Leading (monomial, coefficient) under the given order."""
@@ -146,23 +161,18 @@ class Polynomial:
         if lc == -1:
             return -self
         inv = Fraction(1) / lc
-        return Polynomial({m: c * inv for m, c in self.terms.items()})
+        return _new(Polynomial)._adopt({m: c * inv for m, c in self.terms.items()})
 
     def __repr__(self) -> str:
         return f"Polynomial({polynomial_str(self)})"
 
 
 def _sparse_form(terms: dict) -> tuple:
-    """``Polynomial._sparse_terms`` built from scratch."""
-    nvars = None
-    out = []
-    for m, c in terms.items():
-        if nvars is None:
-            nvars = len(m)
-        elif len(m) != nvars:
-            raise ValueError(f"minor with terms over {nvars} and {len(m)} variables")
-        out.append(([(k, m[k]) for k in compress(range(nvars), m)], c))
-    return nvars, out
+    """(variable count, [(places, coefficient), ...]), places the (index,
+    exponent) pairs where a term's exponent is nonzero; the zero
+    polynomial has variable count None and no terms."""
+    nvars = len(next(iter(terms))) if terms else None
+    return nvars, [([(k, m[k]) for k in compress(range(nvars), m)], c) for m, c in terms.items()]
 
 
 def polynomial_str(p: Polynomial, names=None) -> str:
@@ -170,7 +180,7 @@ def polynomial_str(p: Polynomial, names=None) -> str:
     if not p.terms:
         return "0"
     if names is None:
-        names = [f"x{k}" for k in range(len(next(iter(p.terms))))]
+        names = [f"x{k}" for k in range(p.nvars)]
     parts = []
     for m in sorted(p.terms, reverse=True):
         c = p.terms[m]
@@ -213,9 +223,8 @@ class IdealGens:
         for g in self.generators:
             if not g:
                 raise ValueError("ideal generators must be nonzero")
-            for m in g.terms:
-                if len(m) != self.nvars:
-                    raise ValueError("generator over wrong variable count")
+            if g.nvars != self.nvars:
+                raise ValueError("generator over wrong variable count")
 
     def derived(self, name: str, build):
         """The value kept under name, else build()'s result, kept from then

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -395,6 +396,23 @@ def test_cli_census_report_contract(capsys):
     assert payload["counterexamples"] == []
     seconds = payload["timings"]["seconds"]
     assert isinstance(seconds, float) and seconds >= 0
+
+
+def test_cli_census_releases_each_shape_once_checked(monkeypatch, capsys):
+    # the census holds one shape at a time: when a shape is checked, every
+    # shape checked before it is already gone, with the data derived on it
+    checked = []
+    real = cli.is_simple
+
+    def tracked(P):
+        assert [ref for ref in checked if ref() is not None] == []
+        checked.append(weakref.ref(P))
+        return real(P)
+
+    monkeypatch.setattr(cli, "is_simple", tracked)
+    code, out, _ = run_cli(capsys, ["census", "--max-cells", "6", "--format", "json"])
+    assert code == 0
+    assert len(checked) == sum(json.loads(out)["shapes"].values()) == 56
 
 
 def test_readme_names_every_subcommand():

@@ -64,6 +64,31 @@ def test_normal_form_rejects_wrong_variable_count():
         normal_form(f, [X_MINUS_Y], MonomialOrder("lex", 2))
 
 
+def test_normal_form_checks_f_against_an_empty_basis():
+    # an empty basis lives in the order's variables, as a nonempty one must
+    f = Polynomial({(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="^f has a term in 3 variables, the basis 2$"):
+        normal_form(f, [], MonomialOrder("lex", 2))
+    with pytest.raises(ValueError, match="^f has a term in 3 variables, the basis 2$"):
+        normal_form(f, IdealGens((), 2), MonomialOrder("lex", 2))
+    assert normal_form(Polynomial.zero(), [], MonomialOrder("lex", 2)) == Polynomial.zero()
+
+
+def test_exponents_that_are_not_ints_never_reach_the_engine(monkeypatch):
+    # a half, a float or a bool exponent raises where the polynomial is
+    # built, so no Groebner run starts
+    from polyomino_ideals import groebner
+
+    runs = []
+    monkeypatch.setattr(groebner, "_BinomialBasis", lambda *a: runs.append(a))
+    message = r"^monomial \(.*\) is not a tuple of non-negative integers$"
+    with pytest.raises(ValueError, match=message):
+        IdealGens((Polynomial({(Fraction(1, 2), 0, 0, 0): 1, (0, Fraction(1, 2), 0, 0): -1}),), 4)
+    with pytest.raises(ValueError, match=message):
+        buchberger([Polynomial({(1.5, 0): 1, (0, True): -1})], canonical_order(2))
+    assert runs == []
+
+
 def test_mixed_variable_counts_are_rejected():
     # the second generator x0*x1 - x2 lives in three variables, the order in two
     basis = [X_MINUS_Y, Polynomial({(1, 1, 0): 1, (0, 0, 1): -1})]

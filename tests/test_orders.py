@@ -2,6 +2,8 @@
 
 import pickle
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -204,6 +206,38 @@ def test_term_mul_over_different_variable_counts_is_rejected():
         x.term_mul((1, 0), 2)
     assert x.term_mul((0, 1, 0), 2) == Polynomial({(1, 1, 0): 2})
     assert Polynomial.zero().term_mul((1, 0, 0, 1)) == Polynomial.zero()
+
+
+@pytest.mark.parametrize("mono", [
+    (Fraction(1, 2), 0), (1.5, 0), (1.0, 0), (0, True), (1, -1), "10", frozenset({1, 0}),
+], ids=["fraction", "float", "integral-float", "bool", "negative", "str", "frozenset"])
+def test_polynomial_rejects_a_term_that_is_not_a_tuple_of_non_negative_ints(mono):
+    # checked once where the polynomial is built, before any consumer reads it
+    message = f"^monomial {re.escape(repr(mono))} is not a tuple of non-negative integers$"
+    for terms in ({mono: 1}, {(0, 0): 1, mono: -1}):
+        with pytest.raises(ValueError, match=message):
+            Polynomial(terms)
+    assert Polynomial({mono: 0, (0, 2): 2}).terms == {(0, 2): 2}  # zeros dropped first
+
+
+def test_polynomial_rejects_ragged_terms_and_counts_its_variables():
+    with pytest.raises(ValueError, match=r"^terms over 2 and 3 variables$"):
+        Polynomial({(1, 0): 1, (0, 1, 0): -1})
+    with pytest.raises(ValueError, match=r"^terms over 0 and 1 variables$"):
+        Polynomial({(): 1, (1,): -1})
+    assert Polynomial({(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}).nvars == 4
+    assert Polynomial({(): 3}).nvars == 0
+    assert Polynomial.zero().nvars is None
+
+
+def test_term_mul_checks_its_monomial():
+    # a list is no monomial, though zipping would read it as one
+    x = Polynomial({(1, 0): 1})
+    for mono in ([0, 1], (0, 1.0), (0, -1)):
+        with pytest.raises(ValueError, match=f"^monomial {re.escape(repr(mono))} is not a tuple"):
+            x.term_mul(mono)
+    with pytest.raises(ValueError, match=r"^monomial \[0, 1\] is not a tuple"):
+        Polynomial.zero().term_mul([0, 1])
 
 
 def test_polynomial_monic_and_leading():
