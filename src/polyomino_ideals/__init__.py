@@ -57,6 +57,8 @@ from .grid import (
     cell_vertices,
     free_polyominoes,
     inner_intervals,
+    is_admissible,
+    labeling_vector,
     leaves,
     maximal_cell_interval,
     maximal_edge_intervals,
@@ -80,11 +82,9 @@ from .ideals import (
     dimension,
     inner_minor,
     inner_minors,
-    is_admissible,
     is_balanced,
     is_prime,
     labeling_binomial,
-    labeling_vector,
     lattice_ideal,
     universal_gb_check,
     vector_binomial,

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from .classify import _peel_chain
 from .errors import NotTreeLikeError
-from .grid import HORIZONTAL, Polyomino
-from .ideals import _admissible_labeling_vector, _minor
+from .grid import HORIZONTAL, Polyomino, _admissible_labeling_vector
+from .ideals import _minor
 from .polynomials import Polynomial
 
 Certificate = list[tuple[Polynomial, Polynomial]]

@@ -15,7 +15,8 @@ simple cycle of G_P.  Cycles stay tuples of vertex indices from search to
 binomial; as ``Polyomino.vertex_index`` is row-major, the canonical form
 starts at the least index.  One search (``_cycle_search``) finds closed
 trails, simple cycles or chordless cycles, each once, in canonical form,
-and ``extract_cycle`` canonicalizes the cycle it walks on G_P.
+and ``extract_cycle`` canonicalizes the cycle it walks on G_P from an
+admissible labeling (``grid.is_admissible``).
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StepLimitExceededError, ZeroLabelingError
-from .grid import Point, Polyomino, interval_graph
-from .ideals import _admissible_labeling_vector
+from .grid import Point, Polyomino, _admissible_labeling_vector, interval_graph
 from .polynomials import Polynomial
 
 

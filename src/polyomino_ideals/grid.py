@@ -1,5 +1,5 @@
-"""Polyomino geometry: cells, vertices, edge intervals and their graph,
-inner intervals, leaves.
+"""Polyomino geometry: cells, vertices, edge intervals and their graph G_P,
+inner intervals, leaves, and labelings that sum to zero on each node of G_P.
 
 A cell is the unit square with lower left corner (i, j); i counts columns and
 j counts rows.  A polyomino is a finite, edge-connected set of cells,
@@ -12,9 +12,16 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Collection, Iterable, NamedTuple
 
-from .errors import CellNotInPolyominoError, EmptyInputError, InvalidCountError, NotConnectedError
+from .errors import (
+    CellNotInPolyominoError,
+    EmptyInputError,
+    InvalidCountError,
+    NotAdmissibleError,
+    NotConnectedError,
+)
 
 Point = tuple[int, int]
+Labeling = dict  # Point -> int
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -295,6 +302,37 @@ def interval_graph(P: Polyomino) -> IntervalGraph:
         return IntervalGraph(nodes, tuple(adjacency), tuple(map(tuple, hrows + vrows)), ends)
 
     return P.derived("interval_graph", build)
+
+
+def labeling_vector(P: Polyomino, labeling: Labeling) -> list[int]:
+    """Dense vector of a labeling: support inside V(P), every label an int."""
+    idx = P.vertex_index
+    vec = [0] * P.num_vertices
+    for pt, value in labeling.items():
+        if pt not in idx:
+            raise ValueError(f"labeling supported outside the vertex set: {pt}")
+        if type(value) is not int:
+            raise ValueError(f"label of vertex {pt} is {value!r}, not an integer")
+        vec[idx[pt]] = value
+    return vec
+
+
+def is_admissible(P: Polyomino, labeling: Labeling) -> bool:
+    """True iff the labeling sums to zero on every maximal edge interval."""
+    return _admissible_vector(P, labeling_vector(P, labeling))
+
+
+def _admissible_vector(P: Polyomino, vec: list[int]) -> bool:
+    """``is_admissible`` on a dense labeling vector."""
+    return all(sum(map(vec.__getitem__, ks)) == 0 for ks in interval_graph(P).rows)
+
+
+def _admissible_labeling_vector(P: Polyomino, labeling: Labeling) -> list[int]:
+    """``labeling_vector`` of an admissible labeling, else NotAdmissibleError."""
+    vec = labeling_vector(P, labeling)
+    if not _admissible_vector(P, vec):
+        raise NotAdmissibleError("labeling does not sum to zero on all intervals")
+    return vec
 
 
 def _cycle_rank(P: Polyomino) -> int:

@@ -2,7 +2,7 @@
 
 The ideal I_P of a polyomino is generated by one pure-difference binomial
 per inner interval.  Integer labelings of the vertices that sum to zero on
-every maximal edge interval ("admissible" labelings) are exactly the
+every maximal edge interval (``grid``'s "admissible" labelings) are exactly the
 integer kernel of the interval incidence matrix; the ideal J_P generated by
 all their binomials is the lattice ideal of that kernel.  That matrix is
 the incidence matrix of the bipartite interval graph G_P
@@ -26,8 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import gt
 
-from .errors import NotAdmissibleError, NotBalancedError, ZeroLabelingError
-from .grid import Point, Polyomino, _cycle_rank, _symmetries, inner_intervals, interval_graph
+from .cycles import _cycle_search, _index_binomial, enumerate_cycles
+from .errors import NotBalancedError, ZeroLabelingError
+from .grid import (
+    Labeling,
+    Point,
+    Polyomino,
+    _cycle_rank,
+    _symmetries,
+    inner_intervals,
+    interval_graph,
+    labeling_vector,
+)
 from .groebner import (
     _BinomialBasis,
     _binomial_form,
@@ -41,9 +51,6 @@ from .groebner import (
 from .intlinalg import LatticeBasis
 from .orders import _keyed_once
 from .polynomials import IdealGens, Polynomial
-
-Labeling = dict  # Point -> int
-
 
 def inner_minor(P: Polyomino, interval: tuple[Point, Point]) -> Polynomial:
     """The 2-minor of an inner interval: diagonal minus antidiagonal.
@@ -79,37 +86,6 @@ def inner_minors(P: Polyomino) -> IdealGens:
         tuple(_minor(P, iv) for iv in inner_intervals(P)),
         P.num_vertices,
     )
-
-
-def labeling_vector(P: Polyomino, labeling: Labeling) -> list[int]:
-    """Dense vector of a labeling: support inside V(P), every label an int."""
-    idx = P.vertex_index
-    vec = [0] * P.num_vertices
-    for pt, value in labeling.items():
-        if pt not in idx:
-            raise ValueError(f"labeling supported outside the vertex set: {pt}")
-        if type(value) is not int:
-            raise ValueError(f"label of vertex {pt} is {value!r}, not an integer")
-        vec[idx[pt]] = value
-    return vec
-
-
-def is_admissible(P: Polyomino, labeling: Labeling) -> bool:
-    """True iff the labeling sums to zero on every maximal edge interval."""
-    return _admissible_vector(P, labeling_vector(P, labeling))
-
-
-def _admissible_vector(P: Polyomino, vec: list[int]) -> bool:
-    """``is_admissible`` on a dense labeling vector."""
-    return all(sum(map(vec.__getitem__, ks)) == 0 for ks in interval_graph(P).rows)
-
-
-def _admissible_labeling_vector(P: Polyomino, labeling: Labeling) -> list[int]:
-    """``labeling_vector`` of an admissible labeling, else NotAdmissibleError."""
-    vec = labeling_vector(P, labeling)
-    if not _admissible_vector(P, vec):
-        raise NotAdmissibleError("labeling does not sum to zero on all intervals")
-    return vec
 
 
 def vector_binomial(vec) -> Polynomial:
@@ -265,8 +241,6 @@ def _cycle_verdict(P: Polyomino, step_limit: int) -> BalancedReport:
     outside the minor ideal (``is_balanced``) and is the offending witness."""
 
     def build():
-        from .cycles import _cycle_search, _index_binomial
-
         cycles = _cycle_search(P, primitive=True, chordless=True, step_limit=step_limit)
         outside = next((c for c in cycles if not _is_inner_four_cycle(P, c)), None)
         offending = None if outside is None else _index_binomial(P.num_vertices, outside)
@@ -466,8 +440,6 @@ def universal_gb_check(P: Polyomino, orders,
     J_P, the lattice ideal of a saturated lattice, which is prime and holds
     no monomial, so no variable is a zero-divisor.
     """
-    from .cycles import _index_binomial, enumerate_cycles
-
     orders = tuple(orders)
     if not orders:
         raise ValueError("need at least one order")

@@ -48,12 +48,16 @@ class MonomialOrder:
             perm = tuple(range(nvars))
         else:
             perm = tuple(perm)
+            if any(type(v) is not int for v in perm):
+                raise ValueError(f"perm entries must be integers, got {perm!r}")
             if sorted(perm) != list(range(nvars)):
                 raise ValueError("perm must be a permutation of the variables")
         if weights is not None:
             weights = tuple(weights)
             if len(weights) != nvars:
                 raise ValueError("weight vector has wrong length")
+            if any(type(w) is not int for w in weights):
+                raise ValueError(f"weights must be integers, got {weights!r}")
             if any(w < 0 for w in weights):
                 raise ValueError("weights must be non-negative")
         self.scheme = scheme

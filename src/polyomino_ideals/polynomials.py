@@ -5,9 +5,11 @@ are exact (int or Fraction, never floats).  Polynomials are thin immutable
 wrappers around a dict mapping monomial to nonzero coefficient; the only
 data kept beside it is the sparse form that ``expand_certificate`` reads
 off each minor, built on first use.  The constructor alone checks terms:
-each monomial a tuple of non-negative ints (not bools), all of one length.
-What is built from checked terms is adopted unchecked (``_adopt``), so a
-consumer only compares the variable counts of the objects it joins.
+each monomial a tuple of non-negative ints (not bools), all of one length,
+and each coefficient an int (not a bool) or a Fraction (``_exact``), as is
+every scalar factor.  What is built from checked terms is adopted unchecked
+(``_adopt``), so a consumer only compares the variable counts of the
+objects it joins.
 """
 
 from __future__ import annotations
@@ -45,13 +47,20 @@ def _length(m) -> int:
     return len(m)
 
 
+def _exact(c):
+    """c if it is an int (not a bool) or a Fraction, else ValueError."""
+    if type(c) is not int and type(c) is not Fraction:
+        raise ValueError(f"coefficient {c!r} is not an integer or a Fraction")
+    return c
+
+
 class Polynomial:
     """Immutable polynomial; terms maps exponent tuple to nonzero coefficient."""
 
     __slots__ = ("terms", "_sparse")
 
     def __init__(self, terms=None):
-        self.terms = terms = {m: c for m, c in (terms or {}).items() if c}
+        self.terms = terms = {m: c for m, c in (terms or {}).items() if _exact(c)}
         if len(lengths := {*map(_length, terms)}) > 1:
             raise ValueError(f"terms over {min(lengths)} and {max(lengths)} variables")
 
@@ -137,13 +146,14 @@ class Polynomial:
                     else:
                         del out[m]
             return _new(Polynomial)._adopt(out)
+        other = _exact(other)
         return _new(Polynomial)._adopt({m: v for m, c in self.terms.items() if (v := c * other)})
 
     __rmul__ = __mul__
 
     def term_mul(self, mono: Monomial, coeff=1) -> "Polynomial":
-        """Multiply by a single term coeff * x^mono, mono checked as a term."""
-        n = _length(mono)
+        """Multiply by a single term coeff * x^mono, both checked as a term."""
+        n, coeff = _length(mono), _exact(coeff)
         if self.terms and self.nvars != n:
             raise ValueError(f"product of polynomials over {self.nvars} and {n} variables")
         return _new(Polynomial)._adopt(

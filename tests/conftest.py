@@ -3,7 +3,9 @@ seeded class generators and independent brute-force oracles."""
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, zip_longest
@@ -86,6 +88,49 @@ def P6():
 @pytest.fixture(scope="session")
 def fixtures(P1, P2, P3, P4, P5, P6):
     return {"P1": P1, "P2": P2, "P3": P3, "P4": P4, "P5": P5, "P6": P6}
+
+
+def block(w: int, h: int) -> Polyomino:
+    """The w x h block of cells, built fresh on each call."""
+    return Polyomino((i, j) for i in range(w) for j in range(h))
+
+
+def frame(w: int, h: int) -> Polyomino:
+    """The boundary cells of the w x h block, built fresh on each call."""
+    return Polyomino((i, j) for i in range(w) for j in range(h) if i in (0, w - 1) or j in (0, h - 1))
+
+
+# ---------------------------------------------------------------------------
+# watching the package from outside
+
+
+def rebind(monkeypatch, fn, replacement) -> None:
+    """Rebind fn to replacement in every ``polyomino_ideals`` module
+    namespace that binds it, as ``install`` in bench/spans.py does, so calls
+    made inside the package see it too; no namespace binding fn fails."""
+    hits = [(module, attr) for name, module in list(sys.modules.items())
+            if name.partition(".")[0] == "polyomino_ideals"
+            for attr, value in vars(module).items() if value is fn]
+    assert hits, f"no polyomino_ideals namespace binds {fn.__module__}.{fn.__qualname__}"
+    for module, attr in hits:
+        monkeypatch.setattr(module, attr, replacement)
+
+
+def record(monkeypatch, fn, note) -> list:
+    """Rebind fn (``rebind``) to a pass-through that first appends
+    note(call) for each call, call being its arguments by parameter name,
+    defaults filled in; returns the list of notes."""
+    signature = inspect.signature(fn)
+    notes = []
+
+    def recorded(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        notes.append(note(call.arguments))
+        return fn(*args, **kwargs)
+
+    rebind(monkeypatch, fn, recorded)
+    return notes
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from conftest import (
     random_admissible_labeling,
     random_tree_like,
     rebuild_certify,
+    record,
     rescan_peel,
     tree_like_oracle,
     vector_labeling,
@@ -151,10 +152,8 @@ def test_certificate_raises_iff_not_tree_like(small_polyominoes):
 def test_peel_chain_built_once(P6, monkeypatch):
     # is_tree_like and the certificates read one leaf-peeling chain kept on
     # P, and the peel re-tests only the neighbor of each removed leaf
-    builds, calls = [], []
-    real_peel, real_free_edge = classify._peel, classify.free_edge
-    monkeypatch.setattr(classify, "_peel", lambda Q: builds.append(Q) or real_peel(Q))
-    monkeypatch.setattr(classify, "free_edge", lambda Q, c: calls.append(c) or real_free_edge(Q, c))
+    builds = record(monkeypatch, classify._peel, lambda call: call["P"])
+    calls = record(monkeypatch, classify.free_edge, lambda call: call["cell"])
     P = Polyomino(P6.cells)
     assert is_tree_like(P).tree_like
     assert builds == [P]
@@ -173,9 +172,7 @@ def test_peel_chain_built_once(P6, monkeypatch):
 def test_peel_free_edge_calls_bounded(monkeypatch):
     # once per cell, then once per removed leaf, for its neighbor; a peel
     # rescanning the whole remaining set makes about n^2/2 on an n-cell strip
-    calls = []
-    real = classify.free_edge
-    monkeypatch.setattr(classify, "free_edge", lambda Q, c: calls.append(c) or real(Q, c))
+    calls = record(monkeypatch, classify.free_edge, lambda call: call["cell"])
     for P in [Polyomino((i, 0) for i in range(30)), *free_polyominoes(8)[8]]:
         calls.clear()
         classify._peel(P)
@@ -300,14 +297,7 @@ def test_expansion_reads_each_minor_once(monkeypatch):
     # the ten certificates of one shape, each distinct minor is read once
     from polyomino_ideals import polynomials
 
-    reads = []
-    real = polynomials._sparse_form
-
-    def counted(terms):
-        reads.append(terms)
-        return real(terms)
-
-    monkeypatch.setattr(polynomials, "_sparse_form", counted)
+    reads = record(monkeypatch, polynomials._sparse_form, lambda call: call["terms"])
     rng = random.Random(53)
     P = Polyomino({(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (3, 2), (0, 1), (0, 2)})
     assert is_tree_like(P).tree_like

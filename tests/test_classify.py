@@ -24,6 +24,7 @@ from conftest import (
     dihedral_images,
     euler_simple,
     flood_fill_simple,
+    frame,
     free_cellsets,
     good_leaf_runs,
     leaf_cells,
@@ -160,11 +161,6 @@ def _row_major(cell):
     return (cell[1], cell[0])
 
 
-def _frame(width, height):
-    return Polyomino({(i, j) for i in range(width) for j in range(height)
-                      if i in (0, width - 1) or j in (0, height - 1)})
-
-
 def test_good_leaf_oracle_matches_classify_leaf_and_census():
     # every leaf of every free <= 8-omino, against the paper's definition
     # walked on unit-edge runs
@@ -204,7 +200,7 @@ def test_peel_chain_steps_match_good_leaf_oracle():
 
 def test_is_simple_matches_euler_characteristic():
     shapes = [P for level in free_polyominoes(9).values() for P in level]
-    shapes += [_frame(3, 3), _frame(4, 3), _frame(4, 4)]
+    shapes += [frame(3, 3), frame(4, 3), frame(4, 4)]
     for P in shapes:
         report = is_simple(P)
         assert report.simple == euler_simple(P.cells)
@@ -219,7 +215,7 @@ def test_is_simple_matches_flood_fill():
     shapes = {image for cells in sorted(free_cellsets(8)) for image in dihedral_images(cells)}
     shapes |= {cells for cells in free_cellsets(9) if len(cells) == 9}
     shapes |= {image for w, h in ((3, 3), (4, 3), (4, 4))
-               for image in dihedral_images(_frame(w, h).cells)}
+               for image in dihedral_images(frame(w, h).cells)}
     holes = 0
     for cells in shapes:
         report = is_simple(Polyomino(cells))
@@ -235,6 +231,8 @@ def test_is_simple_raises_when_the_flood_fill_finds_no_hole(monkeypatch):
     # contradicts it
     from polyomino_ideals import classify
 
+    # only the flood fill's: a rebind everywhere would also skip the
+    # connectivity check of every Polyomino built meanwhile
     monkeypatch.setattr(classify, "connected_components", lambda cells: [set(cells)])
     with pytest.raises(RuntimeError, match="counts a hole the flood fill misses"):
-        is_simple(_frame(3, 3))
+        is_simple(frame(3, 3))

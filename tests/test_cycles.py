@@ -9,7 +9,6 @@ from polyomino_ideals import (
     HORIZONTAL,
     Cycle,
     NotAdmissibleError,
-    Polyomino,
     ZeroLabelingError,
     admissible_lattice,
     buchberger,
@@ -25,19 +24,13 @@ from polyomino_ideals import (
 )
 from conftest import (
     assert_cycle,
+    block,
+    frame,
     interval_table,
     random_admissible_labeling,
     walk_cycles,
     walk_extract_cycle,
 )
-
-
-def _frame(w, h):
-    return Polyomino({(i, j) for i in range(w) for j in range(h) if i in (0, w - 1) or j in (0, h - 1)})
-
-
-def _block(w, h):
-    return Polyomino({(i, j) for i in range(w) for j in range(h)})
 
 
 def _free(max_cells):
@@ -194,8 +187,8 @@ def test_enumerate_cycles_matches_point_walk(shapes, primitive):
     family = {
         "free7": _free(7),
         "free6": _free(6),
-        "frames-blocks": [f(w, h) for f in (_frame, _block) for w, h in SIZES],
-        "frame3x3-blocks3x2-3x3": [_frame(3, 3), _block(3, 2), _block(3, 3)],
+        "frames-blocks": [f(w, h) for f in (frame, block) for w, h in SIZES],
+        "frame3x3-blocks3x2-3x3": [frame(3, 3), block(3, 2), block(3, 3)],
     }[shapes]
     for P in family:
         found = [c.vertices for c in enumerate_cycles(P, primitive_only=primitive)]
@@ -203,7 +196,7 @@ def test_enumerate_cycles_matches_point_walk(shapes, primitive):
 
 
 def test_enumerate_cycles_bounded_matches_point_walk():
-    for P in [*_free(6), _frame(3, 3)]:
+    for P in [*_free(6), frame(3, 3)]:
         for bound in (4, 6, 8):
             for primitive in (False, True):
                 found = enumerate_cycles(P, max_vertices=bound, primitive_only=primitive)
@@ -212,7 +205,7 @@ def test_enumerate_cycles_bounded_matches_point_walk():
 
 def test_extract_cycle_matches_point_walk():
     rng = random.Random(19)
-    for P in [*_free(7), *(f(w, h) for f in (_frame, _block) for w, h in SIZES)]:
+    for P in [*_free(7), *(f(w, h) for f in (frame, block) for w, h in SIZES)]:
         basis = admissible_lattice(P)
         for _ in range(3):
             alpha = random_admissible_labeling(P, basis, rng)

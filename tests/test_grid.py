@@ -26,6 +26,7 @@ from conftest import (
     cell_degree,
     dihedral_images,
     edge_runs,
+    frame,
     free_cellsets,
     grow_polyomino,
     interval_graph_from_runs,
@@ -294,8 +295,7 @@ def test_symmetries_are_the_stabilizer():
     # cell's corners to some cell's corners, and the result is kept on P
     from polyomino_ideals.grid import _symmetries
 
-    frame = {(i, j) for i in range(3) for j in range(3)} - {(1, 1)}
-    for cells in [*free_cellsets(7), frame]:
+    for cells in [*free_cellsets(7), frame(3, 3).cells]:
         P = Polyomino(cells)
         symmetries = _symmetries(P)
         assert len(symmetries) + 1 == 8 // len(set(dihedral_images(cells)))
@@ -305,7 +305,7 @@ def test_symmetries_are_the_stabilizer():
             assert sorted(sigma) == list(range(P.num_vertices)) and sigma != tuple(sorted(sigma))
             assert {frozenset(sigma[k] for k in c) for c in corners} == corners
         assert _symmetries(P) is symmetries
-    assert len(_symmetries(Polyomino(frame))) == 7
+    assert len(_symmetries(frame(3, 3))) == 7
 
 
 def test_leaf_peel_builds_no_polyomino():
@@ -353,8 +353,7 @@ def test_interval_graph_sweep_matches_edge_runs():
     # free <= 8-ominoes and of three frames
     from polyomino_ideals.grid import interval_graph
 
-    frames = [{(i, j) for i in range(w) for j in range(h) if i in (0, w - 1) or j in (0, h - 1)}
-              for w, h in ((3, 3), (4, 3), (4, 4))]
+    frames = [frame(w, h).cells for w, h in ((3, 3), (4, 3), (4, 4))]
     shapes = {image for cells in [*sorted(free_cellsets(8)), *frames]
               for image in dihedral_images(cells)}
     # the 3x3 frame is a free 8-omino; the 4x3 and 4x4 frames add 2 + 1 images

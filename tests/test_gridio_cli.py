@@ -23,7 +23,7 @@ from polyomino_ideals import (
 )
 from polyomino_ideals import cli
 from polyomino_ideals.cli import main
-from conftest import grow_polyomino
+from conftest import grow_polyomino, rebind, record
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -208,11 +208,11 @@ def test_cli_census_exit_codes(capsys, monkeypatch):
     # domino's balanced verdict
     balanced = cli.is_balanced
 
-    def flipped(P):
-        report = balanced(P)
-        return dataclasses.replace(report, balanced=not report.balanced) if len(P) == 2 else report
+    def flipped(*args):
+        report = balanced(*args)
+        return dataclasses.replace(report, balanced=not report.balanced) if report.ncells == 2 else report
 
-    monkeypatch.setattr(cli, "is_balanced", flipped)
+    rebind(monkeypatch, balanced, flipped)
     code, out, err = run_cli(capsys, ["census", "--max-cells", "4", "--format", "json"])
     assert code == 2
     assert "simple and balanced disagree" in err
@@ -295,7 +295,7 @@ def test_cli_ugb_check_rejects_negative_orders():
 def test_cli_ugb_check_rejects_orders_above_the_maximum(monkeypatch):
     # a usage error raised before any order of the sample is built
     built = []
-    monkeypatch.setattr(cli, "order_sample", lambda *a, **k: built.append(a) or [])
+    rebind(monkeypatch, cli.order_sample, lambda *a, **k: built.append(a) or [])
     proc = _run_module(["ugb-check", "--orders", str(cli.MAX_ORDERS + 1), "-"])
     assert proc.returncode == 1
     assert proc.stderr == f"error: --orders is at most {cli.MAX_ORDERS}, got {cli.MAX_ORDERS + 1}\n"
@@ -310,7 +310,7 @@ def test_cli_census_rejects_max_cells_above_the_maximum(monkeypatch):
     # never enumerated here
     assert cli.MAX_CENSUS_CELLS == 13
     enumerated = []
-    monkeypatch.setattr(cli, "free_polyominoes", lambda n: enumerated.append(n) or {})
+    rebind(monkeypatch, cli.free_polyominoes, lambda *a: enumerated.append(a) or {})
     proc = _run_module(["census", "--max-cells", "14"])
     assert proc.returncode == 1
     assert proc.stderr == "error: --max-cells is at most 13, got 14\n"
@@ -401,15 +401,11 @@ def test_cli_census_report_contract(capsys):
 def test_cli_census_releases_each_shape_once_checked(monkeypatch, capsys):
     # the census holds one shape at a time: when a shape is checked, every
     # shape checked before it is already gone, with the data derived on it
-    checked = []
-    real = cli.is_simple
-
-    def tracked(P):
+    def tracked(call):
         assert [ref for ref in checked if ref() is not None] == []
-        checked.append(weakref.ref(P))
-        return real(P)
+        return weakref.ref(call["P"])
 
-    monkeypatch.setattr(cli, "is_simple", tracked)
+    checked = record(monkeypatch, cli.is_simple, tracked)
     code, out, _ = run_cli(capsys, ["census", "--max-cells", "6", "--format", "json"])
     assert code == 0
     assert len(checked) == sum(json.loads(out)["shapes"].values()) == 56

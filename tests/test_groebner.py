@@ -27,13 +27,17 @@ from polyomino_ideals import (
 )
 from polyomino_ideals.groebner import s_polynomial
 from conftest import (
+    block,
     brute_quotient_dimension,
     cell_lattice_basis,
     euler_simple,
     first_divisor,
     free_cellsets,
     is_pure_difference,
+    frame,
     monomial,
+    rebind,
+    record,
     reference_normal_form,
     reference_reduce_groebner_basis,
     reference_standard,
@@ -80,7 +84,7 @@ def test_exponents_that_are_not_ints_never_reach_the_engine(monkeypatch):
     from polyomino_ideals import groebner
 
     runs = []
-    monkeypatch.setattr(groebner, "_BinomialBasis", lambda *a: runs.append(a))
+    rebind(monkeypatch, groebner._BinomialBasis, lambda *a: runs.append(a))
     message = r"^monomial \(.*\) is not a tuple of non-negative integers$"
     with pytest.raises(ValueError, match=message):
         IdealGens((Polynomial({(Fraction(1, 2), 0, 0, 0): 1, (0, Fraction(1, 2), 0, 0): -1}),), 4)
@@ -291,9 +295,6 @@ def _cell_lattice_binomials(P):
     return IdealGens(tuple(vector_binomial(v) for v in vectors), P.num_vertices)
 
 
-THREE_BY_THREE = [(i, j) for i in range(3) for j in range(3)]
-
-
 def test_regular_closure_is_sound(P2, P3, P4):
     # every variable the closure proves regular beyond S is regular modulo
     # K = F : (prod S)^inf, by the independent elimination oracle
@@ -324,19 +325,12 @@ def test_regular_closure_is_sound(P2, P3, P4):
 def test_saturate_skips_regular_variables(monkeypatch):
     # the 3x3 block's cell-lattice binomials: far fewer Buchberger runs than
     # variables, and still the cell-lattice ideal
-    from polyomino_ideals import Polyomino, groebner
+    from polyomino_ideals import groebner
 
-    P = Polyomino(THREE_BY_THREE)
+    P = block(3, 3)
     F = _cell_lattice_binomials(P)
     expected = saturate_by_elimination(F, range(16))
-    runs = []
-    real = groebner.buchberger
-
-    def counting(gens, order, step_limit=None, *, regular=0):
-        runs.append(order)
-        return real(gens, order, step_limit, regular=regular)
-
-    monkeypatch.setattr(groebner, "buchberger", counting)
+    runs = record(monkeypatch, groebner.buchberger, lambda call: call["order"])
     sat = saturate(F, range(16))
     # x5 least, then x10: the schedule of the step-limit test below.  Only
     # x5 and x10, the inner vertices on the block's diagonal, are predicted
@@ -356,7 +350,7 @@ def test_divisor_index_matches_the_linear_scan(monkeypatch):
     # is exercised too
     import inspect
 
-    from polyomino_ideals import Polyomino, groebner, lattice_ideal
+    from polyomino_ideals import groebner, lattice_ideal
 
     basis = groebner._BinomialBasis
     real_standard, real_divisors, real_adopt = basis.standard, basis.divisors, basis.adopt
@@ -399,8 +393,7 @@ def test_divisor_index_matches_the_linear_scan(monkeypatch):
     monkeypatch.setattr(basis, "divisors", divisors)
     monkeypatch.setattr(basis, "adopt", adopt)
     adopted = []
-    for block in (THREE_BY_THREE, [(i, j) for i in range(4) for j in range(3)]):
-        P = Polyomino(block)
+    for P in (block(3, 3), block(4, 3)):
         lattice_ideal(P, cell_lattice_basis(P))
         adopted.append(counts["powers"] - sum(adopted))
     assert adopted == [104, 880]
@@ -410,20 +403,21 @@ def test_divisor_index_matches_the_linear_scan(monkeypatch):
 def test_saturate_runs_start_from_the_generators_until_one_divides(monkeypatch):
     # a run that divides nothing leaves F's ideal, so the next run starts
     # from F's generators again; after one divides, from its divided basis
-    from polyomino_ideals import Polyomino, groebner
+    from polyomino_ideals import groebner
 
     runs = []
     real = groebner.buchberger
 
-    def recording(gens, order, step_limit=None, *, regular=0):
-        out = real(gens, order, step_limit, regular=regular)
+    def recording(*args, **kwargs):
+        gens, order = args[:2]  # passed first and second
+        out = real(*args, **kwargs)
         runs.append((list(gens), out, order.perm[-1]))
         return out
 
-    monkeypatch.setattr(groebner, "buchberger", recording)
-    frame = inner_minors(Polyomino({(i, j) for i in range(3) for j in range(3)} - {(1, 1)}))
-    block = _cell_lattice_binomials(Polyomino(THREE_BY_THREE))
-    for F, divides in ((frame, False), (block, True)):
+    rebind(monkeypatch, real, recording)
+    minors = inner_minors(frame(3, 3))
+    cells = _cell_lattice_binomials(block(3, 3))
+    for F, divides in ((minors, False), (cells, True)):
         runs.clear()
         sat = saturate(F, range(F.nvars))
         assert len(runs) > 1 and (sat is not F) == divides
@@ -444,17 +438,17 @@ def test_saturate_matches_elimination_on_small_minors():
 
     cases = [inner_minors(Polyomino(cells)) for cells in sorted(free_cellsets(5))]
     assert len(cases) == 21
-    block = _cell_lattice_binomials(Polyomino(THREE_BY_THREE))
-    for F in [*cases, block]:
+    lattice = _cell_lattice_binomials(block(3, 3))
+    for F in [*cases, lattice]:
         order = canonical_order(F.nvars)
         sat = saturate(F, range(F.nvars))
-        assert (sat is F) == (F is not block)
+        assert (sat is F) == (F is not lattice)
         expected = buchberger(saturate_by_elimination(F, range(F.nvars)), order)
         assert buchberger(sat, order) == expected
         # given as its reduced Groebner basis
         G = IdealGens(tuple(buchberger(F, order)), F.nvars)
         sat = saturate(G, range(F.nvars))
-        assert (sat is G) == (F is not block)
+        assert (sat is G) == (F is not lattice)
         assert buchberger(sat, order) == expected
 
 
@@ -465,7 +459,7 @@ def test_lead_free_variables_are_regular():
     from polyomino_ideals import Polyomino
 
     cases = [inner_minors(Polyomino(cells)) for cells in sorted(free_cellsets(5))]
-    cases.append(_cell_lattice_binomials(Polyomino(THREE_BY_THREE)))
+    cases.append(_cell_lattice_binomials(block(3, 3)))
     checked = 0
     for F in cases:
         order = canonical_order(F.nvars)
@@ -482,17 +476,19 @@ def test_saturate_step_limit_reports_progress(monkeypatch):
     # saturated, and no leading monomial of the first run's basis (x5 least,
     # then x15) has x5 or x15, so both are regular; no element of that basis
     # has a whole term among them, so the two-term closure adds nothing
-    from polyomino_ideals import Polyomino, groebner
+    from polyomino_ideals import groebner
 
-    F = _cell_lattice_binomials(Polyomino(THREE_BY_THREE))
+    F = _cell_lattice_binomials(block(3, 3))
     runs = []
     real = groebner.buchberger
 
-    def second_run_limited(gens, order, step_limit=None, *, regular=0):
-        runs.append(order)
-        return real(gens, order, 1 if len(runs) == 2 else step_limit, regular=regular)
+    def second_run_limited(*args, **kwargs):
+        runs.append(args)
+        if len(runs) == 2:
+            args = (*args[:2], 1)  # the step limit, passed third
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "buchberger", second_run_limited)
+    rebind(monkeypatch, real, second_run_limited)
     with pytest.raises(
         StepLimitExceededError,
         match=r"^saturating by x10 \(1 saturated, 2 regular of 16\): Buchberger exceeded 1 ",
@@ -730,10 +726,7 @@ def test_buchberger_agrees_with_naive_reference(P2, P3):
 
 
 def _blocks():
-    from polyomino_ideals import Polyomino
-
-    return [Polyomino({(i, j) for i in range(a) for j in range(b)})
-            for a, b in ((3, 3), (4, 3), (4, 4))]
+    return [block(a, b) for a, b in ((3, 3), (4, 3), (4, 4))]
 
 
 def test_regular_variables_keep_the_reduced_basis():
@@ -787,14 +780,7 @@ def test_one_generating_set_serves_every_order(monkeypatch):
     # gives the basis of a fresh list of the same generators
     from polyomino_ideals import Polyomino, groebner
 
-    built = []
-    real = groebner._Binomials
-
-    def counting(polys, nvars):
-        built.append(polys)
-        return real(polys, nvars)
-
-    monkeypatch.setattr(groebner, "_Binomials", counting)
+    built = record(monkeypatch, groebner._Binomials, lambda call: call["polys"])
     for cells in STAPLE_AND_BLOCK:
         minors = inner_minors(Polyomino(cells))
         n = minors.nvars

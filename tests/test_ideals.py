@@ -50,6 +50,7 @@ from polyomino_ideals.ideals import _kept, _marked_alike
 from conftest import (
     FIXED_POLYOMINO_COUNTS,
     admissible_matrix,
+    block,
     canonical_dimension,
     cell_lattice_basis,
     cell_vector,
@@ -57,8 +58,11 @@ from conftest import (
     dihedral_images,
     face_counts,
     flood_fill_simple,
+    frame,
     free_cellsets,
     h_polynomial,
+    rebind,
+    record,
     rook_polynomial,
     spair_sweep,
     vector_labeling,
@@ -163,14 +167,7 @@ def test_admissible_lattice_makes_no_hermite_form(monkeypatch, P5):
     # the Kruskal tree are the Hermite rows as they stand
     from polyomino_ideals import ideals, intlinalg
 
-    calls = []
-    real = intlinalg.hermite_normal_form
-
-    def counted(mat, transform=True):
-        calls.append(transform)
-        return real(mat, transform)
-
-    monkeypatch.setattr(intlinalg, "hermite_normal_form", counted)
+    calls = record(monkeypatch, intlinalg.hermite_normal_form, lambda call: call["transform"])
     assert not hasattr(ideals, "hermite_normal_form")
     assert admissible_lattice(Polyomino(P5.cells)).rank == 9
     assert calls == []
@@ -245,36 +242,14 @@ def test_no_canonical_order_run(monkeypatch):
     from polyomino_ideals import classify, groebner, ideals
 
     P = Polyomino({(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)})  # fresh, nothing cached
-    runs = []  # the order of every Buchberger run
-    real = groebner.buchberger
-
-    def counting(gens, order, step_limit=None, *, regular=0):
-        runs.append(order.spec_string())
-        return real(gens, order, step_limit, regular=regular)
-
-    saturations = []
-    real_runs = groebner._saturation_runs
-
-    def counting_runs(F, variables, step_limit, symmetries):
-        saturations.append(F)
-        return real_runs(F, variables, step_limit, symmetries)
+    runs = record(monkeypatch, groebner.buchberger, lambda call: call["order"].spec_string())
+    saturations = record(monkeypatch, groebner._saturation_runs, lambda call: call["F"])
+    built = record(monkeypatch, ideals.inner_minors, lambda call: call["P"])
 
     def no_simple(Q):
         raise AssertionError("is_simple fed the decision")
 
-    built = []
-    real_minors = ideals.inner_minors
-
-    def counting_minors(Q):
-        built.append(Q)
-        return real_minors(Q)
-
-    monkeypatch.setattr(groebner, "buchberger", counting)
-    monkeypatch.setattr(ideals, "buchberger", counting)
-    monkeypatch.setattr(groebner, "_saturation_runs", counting_runs)
-    monkeypatch.setattr(ideals, "_saturation_runs", counting_runs)
-    monkeypatch.setattr(classify, "is_simple", no_simple)
-    monkeypatch.setattr(ideals, "inner_minors", counting_minors)
+    rebind(monkeypatch, classify.is_simple, no_simple)
     assert is_balanced(P).balanced
     assert is_prime(P)
     assert dimension(P) == P.num_vertices - len(P)
@@ -315,35 +290,20 @@ def test_dimension_reads_the_dividing_run(monkeypatch):
     # dimension of a non-prime shape makes no Buchberger run once is_prime
     # has run, and is_prime validates the minors' binomial form once and
     # no run's divided basis that no later run starts from
-    from polyomino_ideals import groebner, ideals
+    from polyomino_ideals import groebner
 
     shapes = [Polyomino(cells) for cells in _non_prime_cells()]  # fresh
     assert len(shapes) == 2 + 12 and {len(P) for P in shapes} == {9, 10}
     for P in shapes:
         assert not is_prime(P)
-    runs, forms = [], []
-    real, real_form = groebner.buchberger, groebner._Binomials
-
-    def counting(gens, order, step_limit=None, *, regular=0):
-        runs.append(order)
-        return real(gens, order, step_limit, regular=regular)
-
-    class Counting(real_form):
-        def __init__(self, polys, nvars):
-            forms.append(nvars)
-            super().__init__(polys, nvars)
-
-    monkeypatch.setattr(groebner, "buchberger", counting)
-    monkeypatch.setattr(ideals, "buchberger", counting)
-    monkeypatch.setattr(groebner, "_Binomials", Counting)
+    runs = record(monkeypatch, groebner.buchberger, lambda call: call["order"])
+    forms = record(monkeypatch, groebner._Binomials, lambda call: call["nvars"])
     assert [dimension(P) for P in shapes] == [P.num_vertices - len(P) for P in shapes]
     assert runs == []
     built = []
     for w, h in ((3, 3), (4, 3), (3, 4)):
         del forms[:]
-        frame = Polyomino({(i, j) for i in range(w) for j in range(h)
-                           if i in (0, w - 1) or j in (0, h - 1)})  # fresh
-        assert is_prime(frame)
+        assert is_prime(frame(w, h))  # fresh
         built.append(len(forms))
     assert built == [1, 1, 1]
 
@@ -386,10 +346,10 @@ def test_h_polynomial_is_the_rook_polynomial_on_thin_shapes():
 
 
 def test_chordless_cycle_search_counts_against_the_step_limit():
-    block = Polyomino({(i, j) for i in range(3) for j in range(3)})  # fresh
+    shape = block(3, 3)  # fresh
     with pytest.raises(StepLimitExceededError, match="^chordless-cycle search exceeded 1 "):
-        is_balanced(block, step_limit=1)
-    assert is_balanced(block).cycles_checked == 36  # K_{4,4}: C(4,2)^2 inner 4-cycles
+        is_balanced(shape, step_limit=1)
+    assert is_balanced(shape).cycles_checked == 36  # K_{4,4}: C(4,2)^2 inner 4-cycles
 
 
 def _balanced_by_definition(P):
@@ -414,18 +374,15 @@ def _prime_by_saturation(P):
 # the two non-prime 9-ominoes
 NON_PRIME = [".#.\n##.\n#.#\n###\n.#.", ".##.\n#.##\n###.\n.#.."]
 
-FRAMES = [
-    {(i, j) for i in range(w) for j in range(h) if i in (0, w - 1) or j in (0, h - 1)}
-    for w, h in ((3, 3), (4, 3), (4, 4))
-]
+FRAMES = [frame(w, h).cells for w, h in ((3, 3), (4, 3), (4, 4))]
 
 
 def test_admissible_lattice_is_the_hermite_form_of_the_kernel():
     # the spanning-tree basis against the kernel oracle: the same Hermite
     # rows, as many as the rank counted on G_P; the tree depends on the
     # vertex numbering, so every orientation of the free <= 7-ominoes
-    frame_5x5 = {(i, j) for i in range(5) for j in range(5) if i in (0, 4) or j in (0, 4)}
-    blocks = [{(i, j) for i in range(n) for j in range(n)} for n in (4, 5)]
+    frame_5x5 = frame(5, 5).cells
+    blocks = [block(n, n).cells for n in (4, 5)]
     turned = sorted({image for cells in free_cellsets(7) for image in dihedral_images(cells)})
     assert len(turned) == sum(FIXED_POLYOMINO_COUNTS.values())
     for cells in sorted(free_cellsets(8)) + turned + FRAMES + [frame_5x5, *blocks]:
@@ -477,10 +434,7 @@ def test_forced_cycle_fallback_finds_an_offending_cycle():
         assert normal_form(report.offending, buchberger(inner_minors(P), order), order)
 
 
-@pytest.mark.parametrize("cells", sorted(free_cellsets(6)) + FRAMES + [
-    tuple((i, j) for i in range(3) for j in range(3)),
-    tuple((i, j) for i in range(4) for j in range(4)),
-])
+@pytest.mark.parametrize("cells", sorted(free_cellsets(6)) + FRAMES + [block(3, 3).cells, block(4, 4).cells])
 def test_chordless_cycles_match_brute_force(cells):
     from polyomino_ideals.cycles import _cycle_search
     from polyomino_ideals.grid import interval_graph
@@ -501,17 +455,10 @@ def test_unequal_rank_alone_saturates(monkeypatch):
     # is_balanced, is_prime and dimension saturate a shape's minors only when
     # its admissible rank is not its cell count, and then once; otherwise
     # they search the chordless cycles once
-    from polyomino_ideals import cycles, groebner, ideals
+    from polyomino_ideals import cycles, groebner
 
-    saturated, searched = [], []
-    real, real_search = groebner._saturation_runs, cycles._cycle_search
-
-    def recording(F, variables, step_limit, symmetries):
-        saturated.append(F)
-        return real(F, variables, step_limit, symmetries)
-
-    monkeypatch.setattr(ideals, "_saturation_runs", recording)
-    monkeypatch.setattr(cycles, "_cycle_search", lambda *a, **k: searched.append(a) or real_search(*a, **k))
+    saturated = record(monkeypatch, groebner._saturation_runs, lambda call: call["F"])
+    searched = record(monkeypatch, cycles._cycle_search, lambda call: call["P"])
     unequal = 0
     for P in [*chain.from_iterable(free_polyominoes(8).values()), *map(Polyomino, FRAMES)]:
         before, searches = len(saturated), len(searched)
@@ -567,24 +514,19 @@ def test_non_prime_saturation_needs_no_canonical_run(grid, monkeypatch):
     # is_prime saturates the minors themselves, so no run uses the
     # canonical order, and it stops at the first run that divides a basis
     # element: that run is the last one made
-    from polyomino_ideals import groebner, ideals
+    from polyomino_ideals import groebner
 
-    specs, dividing = [], []
-    real, real_divide = groebner.buchberger, groebner._divide_out
+    specs = record(monkeypatch, groebner.buchberger, lambda call: call["order"].spec_string())
+    dividing = []
+    real_divide = groebner._divide_out
 
-    def recording(F, order, *args, **kwargs):
-        specs.append(order.spec_string())
-        return real(F, order, *args, **kwargs)
-
-    def divide_out(g, v):
-        out = real_divide(g, v)
-        if out is not g:
+    def divide_out(*args):
+        out = real_divide(*args)
+        if out is not args[0]:
             dividing.append(len(specs) - 1)
         return out
 
-    monkeypatch.setattr(groebner, "buchberger", recording)
-    monkeypatch.setattr(ideals, "buchberger", recording)
-    monkeypatch.setattr(groebner, "_divide_out", divide_out)
+    rebind(monkeypatch, real_divide, divide_out)
     P = parse_grid(grid)
     assert is_prime(P) is False
     assert canonical_order(P.num_vertices).spec_string() not in specs
@@ -598,14 +540,7 @@ def test_saturation_runs_on_the_non_simple_shapes(monkeypatch):
     # run's regular variables are closed under the shape's symmetries
     from polyomino_ideals import groebner
 
-    runs = []
-    real = groebner.buchberger
-
-    def counting(gens, order, step_limit=None, *, regular=0):
-        runs.append(order)
-        return real(gens, order, step_limit, regular=regular)
-
-    monkeypatch.setattr(groebner, "buchberger", counting)
+    runs = record(monkeypatch, groebner.buchberger, lambda call: call["order"])
     shapes = [cells for cells in sorted(free_cellsets(9)) if not flood_fill_simple(cells)[0]]
     assert len(shapes) == 1 + 6 + 37
     for cells in shapes:
@@ -624,17 +559,13 @@ def test_thick_shape_runs_and_pairs(monkeypatch):
     # popped, counted by the chain test's one divisor query per popped pair
     from polyomino_ideals import groebner
 
-    runs, popped = [], []
-    real, real_divisors = groebner.buchberger, groebner._BinomialBasis.divisors
-
-    def counting(gens, order, step_limit=None, *, regular=0):
-        runs.append(order)
-        return real(gens, order, step_limit, regular=regular)
-
-    monkeypatch.setattr(groebner, "buchberger", counting)
+    runs = record(monkeypatch, groebner.buchberger, lambda call: call["order"])
+    popped = []
+    real_divisors = groebner._BinomialBasis.divisors
+    # a method, which no module namespace binds
     monkeypatch.setattr(groebner._BinomialBasis, "divisors",
                         lambda self, m: popped.append(m) or real_divisors(self, m))
-    P = Polyomino({(i, j) for i in range(6) for j in range(6)} - {(2, 2), (2, 3), (3, 2), (3, 3)})
+    P = Polyomino(block(6, 6).cells - {(2, 2), (2, 3), (3, 2), (3, 3)})
     assert is_prime(P)
     assert (len(runs), len(popped)) == (2, 3675)
 
@@ -698,11 +629,13 @@ def test_is_prime_step_limit_reports_progress(monkeypatch):
     runs = []
     real = groebner.buchberger
 
-    def second_run_limited(gens, order, step_limit=None, *, regular=0):
-        runs.append(order)
-        return real(gens, order, 1 if len(runs) == 2 else step_limit, regular=regular)
+    def second_run_limited(*args, **kwargs):
+        runs.append(args)
+        if len(runs) == 2:
+            args = (*args[:2], 1)  # the step limit, passed third
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "buchberger", second_run_limited)
+    rebind(monkeypatch, real, second_run_limited)
     with pytest.raises(
         StepLimitExceededError,
         match=r"^saturating by x2 \(1 saturated, 16 regular of 20\): Buchberger exceeded 1 ",
@@ -797,7 +730,7 @@ def test_universal_gb_check_reads_an_iterator_of_orders_once(P2):
 def test_universal_gb_check_keys_each_monomial_once_per_order(monkeypatch):
     # the reuse test and the Buchberger run of an order read one key table:
     # no monomial is keyed twice under one order, and every key is restored
-    P = Polyomino({(i, j) for i in range(3) for j in range(2)})
+    P = block(3, 2)
     orders = order_sample(P.num_vertices, seed=1)
     keyed = [dict() for _ in orders]
     for order, counts in zip(orders, keyed):
@@ -823,14 +756,8 @@ def test_universal_gb_check_leaves_the_callers_orders_alone(monkeypatch):
     P = Polyomino(BLOCK_3X2)
     orders = order_sample(P.num_vertices, seed=1)
     before = [order.key for order in orders]
-    real = ideals.buchberger
-    seen = []
-
-    def checking(gens, order, step_limit=None, *, regular=0):
-        seen.append(all(o.key is k for o, k in zip(orders, before)))
-        return real(gens, order, step_limit, regular=regular)
-
-    monkeypatch.setattr(ideals, "buchberger", checking)
+    seen = record(monkeypatch, ideals.buchberger,
+                  lambda call: all(o.key is k for o, k in zip(orders, before)))
     assert universal_gb_check(P, orders).passed
     assert seen and all(seen)
     assert all(o.key is k for o, k in zip(orders, before))
@@ -857,15 +784,12 @@ def test_universal_gb_check_reads_the_step_limit_once(monkeypatch):
     from polyomino_ideals import ideals
 
     P = Polyomino(BLOCK_3X2)
-    real = ideals.buchberger
-    limits = []
 
-    def changing(gens, order, step_limit=None, *, regular=0):
-        limits.append(step_limit)
+    def changing(call):
         monkeypatch.setenv("POLYIDEAL_GB_STEP_LIMIT", "1")
-        return real(gens, order, step_limit, regular=regular)
+        return call["step_limit"]
 
-    monkeypatch.setattr(ideals, "buchberger", changing)
+    limits = record(monkeypatch, ideals.buchberger, changing)
     monkeypatch.setenv("POLYIDEAL_GB_STEP_LIMIT", "5000")
     assert universal_gb_check(P, order_sample(P.num_vertices, seed=1)).passed
     assert len(limits) > 1 and set(limits) == {5000}
@@ -903,19 +827,20 @@ def test_universal_gb_check_matches_spair_sweep(fixtures, name):
 
 
 def test_universal_gb_check_rejects_candidate_outside_ideal(P4, monkeypatch):
-    import polyomino_ideals.cycles as cycles_mod
+    from polyomino_ideals import cycles
 
-    real = cycles_mod._index_binomial
+    real = cycles._index_binomial
     swapped = []
 
-    def one_outside(nvars, cycle):
+    def one_outside(*args):
         # x_0 - x_1 has degree 1, and the minor ideal is generated in degree 2
+        cycle = args[-1]
         if len(cycle) == 6 and not swapped:
             swapped.append(cycle)
             return Polynomial({(1,) + (0,) * 8: 1, (0, 1) + (0,) * 7: -1})
-        return real(nvars, cycle)
+        return real(*args)
 
-    monkeypatch.setattr(cycles_mod, "_index_binomial", one_outside)
+    rebind(monkeypatch, real, one_outside)
     report = universal_gb_check(P4, order_sample(P4.num_vertices))
     assert swapped
     assert report.candidates == 15
@@ -930,20 +855,20 @@ def test_universal_gb_check_fails_without_a_needed_candidate(monkeypatch):
     # negative control for check (b): the 2x3 block's first primitive cycle
     # is a cell whose minor lies in every reduced basis, so without it no
     # sampled order finds its basis among the candidates
-    import polyomino_ideals.cycles as cycles_mod
+    from polyomino_ideals import cycles
 
-    real = cycles_mod.enumerate_cycles
+    real = cycles.enumerate_cycles
     dropped = []
 
-    def drop_first(P, **kwargs):
-        cycles = real(P, **kwargs)
-        dropped.append(cycles[0])
-        return cycles[1:]
+    def drop_first(*args, **kwargs):
+        found = real(*args, **kwargs)
+        dropped.append(found[0])
+        return found[1:]
 
-    monkeypatch.setattr(cycles_mod, "enumerate_cycles", drop_first)
-    block = Polyomino({(i, j) for i in range(2) for j in range(3)})
-    orders = order_sample(block.num_vertices)
-    report = universal_gb_check(block, orders)
+    rebind(monkeypatch, real, drop_first)
+    shape = block(2, 3)
+    orders = order_sample(shape.num_vertices)
+    report = universal_gb_check(shape, orders)
     assert len(dropped[0].vertices) == 4
     assert report.candidates == 41
     assert report.candidates_in_ideal
@@ -967,7 +892,7 @@ def test_universal_gb_check_squarefree_reads_the_leads(P2, monkeypatch):
         (x1_first, mixed, square, True),
     ):
         fake = [Polynomial({lead: 1, trail: -1})]
-        monkeypatch.setattr(ideals, "buchberger", lambda *args, **kwargs: fake)
+        rebind(monkeypatch, ideals.buchberger, lambda *args, **kwargs: fake)
         (outcome,) = universal_gb_check(Polyomino(P2.cells), [sampled]).outcomes
         assert outcome.initial_squarefree is squarefree
         assert not outcome.gb_within_candidates
@@ -995,14 +920,7 @@ def test_reused_bases_give_the_fresh_outcomes(monkeypatch):
     # run's order is that order's twin, whose key table reads its key
     from polyomino_ideals import ideals
 
-    runs = []
-    real = ideals.buchberger
-
-    def counting(gens, order, step_limit=None, *, regular=0):
-        runs.append(order)
-        return real(gens, order, step_limit, regular=regular)
-
-    monkeypatch.setattr(ideals, "buchberger", counting)
+    runs = record(monkeypatch, ideals.buchberger, lambda call: call["order"])
     sampled = computed = total = 0
     for cells in REUSE_SHAPES:
         P = Polyomino(cells)
@@ -1024,23 +942,18 @@ def test_universal_gb_check_runs_once_per_distinct_basis(monkeypatch):
     # each under a given order's twin, and one cycle enumeration per call (the
     # benchmark's cycles.candidates counts that call); check (a) reads the
     # first order's basis, so reversing the orders changes no answer
-    import polyomino_ideals.cycles as cycles_mod
-    from polyomino_ideals import ideals
+    from polyomino_ideals import cycles, ideals
 
-    runs, searches = [], []
-    real, real_cycles = ideals.buchberger, cycles_mod.enumerate_cycles
+    runs = []
+    real = ideals.buchberger
 
-    def recording(gens, order, step_limit=None, *, regular=0):
-        gb = real(gens, order, step_limit, regular=regular)
-        runs.append((order, frozenset(gb)))
+    def recording(*args, **kwargs):
+        gb = real(*args, **kwargs)
+        runs.append((args[1], frozenset(gb)))  # the order, passed second
         return gb
 
-    def counting_cycles(P, **kwargs):
-        searches.append(P)
-        return real_cycles(P, **kwargs)
-
-    monkeypatch.setattr(ideals, "buchberger", recording)
-    monkeypatch.setattr(cycles_mod, "enumerate_cycles", counting_cycles)
+    rebind(monkeypatch, real, recording)
+    searches = record(monkeypatch, cycles.enumerate_cycles, lambda call: call["P"])
     for cells in REUSE_SHAPES:
         P = Polyomino(cells)
         minors = inner_minors(P)
@@ -1088,7 +1001,7 @@ def test_reused_basis_is_the_reduced_basis(data):
 
 
 def test_universal_gb_check_three_by_three_block():
-    block = Polyomino({(i, j) for i in range(3) for j in range(3)})
-    report = universal_gb_check(block, order_sample(block.num_vertices))
+    shape = block(3, 3)
+    report = universal_gb_check(shape, order_sample(shape.num_vertices))
     assert report.candidates == 204
     assert report.passed

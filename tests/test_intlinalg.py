@@ -18,6 +18,7 @@ from conftest import (
     grow_polyomino,
     int_det,
     invariant_factors_by_minors,
+    record,
     mat_mul,
     rational_rank,
 )
@@ -188,14 +189,7 @@ def test_kernel_basis_makes_two_hermite_forms(monkeypatch, P5):
     # echelon rows need no rank check
     from polyomino_ideals import intlinalg
 
-    calls = []
-    real = intlinalg.hermite_normal_form
-
-    def counting(mat, transform=True):
-        calls.append(transform)
-        return real(mat, transform)
-
-    monkeypatch.setattr(intlinalg, "hermite_normal_form", counting)
+    calls = record(monkeypatch, intlinalg.hermite_normal_form, lambda call: call["transform"])
     assert kernel_basis(admissible_matrix(P5), ncols=16).rank == 9
     assert calls == [True, False]
 

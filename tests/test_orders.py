@@ -70,12 +70,22 @@ def test_weight_order_dominates_then_tiebreaks():
 def test_order_validation():
     with pytest.raises(ValueError):
         MonomialOrder("degrevlex", 3, perm=(0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weights must be non-negative$"):
         MonomialOrder("degrevlex", 2, weights=(-1, 0))
     with pytest.raises(ValueError):
         MonomialOrder("mystery", 2)
     with pytest.raises(ValueError, match="^weight vector has wrong length$"):
         MonomialOrder("lex", 2, weights=(1,))
+    # float weights break multiplicativity: under (0.2, 1.1, 0.1), x2^2 > x0,
+    # yet x0*x1^2*x2 > x1^2*x2^3, keyed 2.5000000000000004 against 2.5
+    for weights in ((0.2, 1.1, 0.1), (True, 1, 0), (1, 2, Fraction(1, 2))):
+        with pytest.raises(ValueError, match=f"^weights must be integers, got {re.escape(repr(weights))}$"):
+            MonomialOrder("degrevlex", 3, weights=weights)
+    # both sort to [0, 1]: the bools gave the spec lex:perm=True,False, and
+    # the float raised TypeError at the first key
+    for perm in ((True, False), [0, 1.0]):
+        with pytest.raises(ValueError, match=f"^perm entries must be integers, got {re.escape(repr(tuple(perm)))}$"):
+            MonomialOrder("lex", 2, perm=perm)
 
 
 def test_order_is_multiplicative_with_one_minimal():
@@ -238,6 +248,21 @@ def test_term_mul_checks_its_monomial():
             x.term_mul(mono)
     with pytest.raises(ValueError, match=r"^monomial \[0, 1\] is not a tuple"):
         Polynomial.zero().term_mul([0, 1])
+
+
+@pytest.mark.parametrize("coeff", [0.1, 1.0, "a", True], ids=["float", "integral-float", "str", "bool"])
+def test_coefficients_are_exact(coeff):
+    # summed as floats, 0.1*x0 + 0.2*x1 and 0.2*x0 + 0.1*x1 gave
+    # 0.30000000000000004*x0 + 0.30000000000000004*x1, and a string is no
+    # number: a coefficient and a scalar factor are ints or Fractions
+    message = f"^coefficient {re.escape(repr(coeff))} is not an integer or a Fraction$"
+    x = Polynomial({(1, 0): 1})
+    for build in (lambda: Polynomial({(0, 1): 1, (1, 0): coeff}), lambda: x * coeff,
+                  lambda: coeff * x, lambda: x.term_mul((0, 1), coeff)):
+        with pytest.raises(ValueError, match=message):
+            build()
+    tenths = Polynomial({(1, 0): Fraction(1, 10)}) + Polynomial({(1, 0): Fraction(2, 10)})
+    assert tenths == Polynomial({(1, 0): Fraction(3, 10)})
 
 
 def test_polynomial_monic_and_leading():
